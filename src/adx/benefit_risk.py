@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TrialDataset
+from .data import TrialDataset, _require_columns
 from .entropy import AdxEstimate, FrequencyProfile, adx, estimate, profile_from_episodes
 from .errors import (
     DivisionByZeroBenefit,
@@ -44,21 +44,26 @@ class EfficacyInput:
 
 
 def load_efficacy(path: str | Path) -> dict[str, EfficacyInput]:
-    """Read the efficacy CSV: arm,endpoint_label,value,higher_is_better."""
+    """Read the efficacy CSV: arm,endpoint_label,value,higher_is_better,
+    one row per arm."""
     out: dict[str, EfficacyInput] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        _require_columns(reader, path, ["arm", "value"])
         for line_no, row in enumerate(reader, start=2):
             try:
                 arm = row["arm"].strip()
                 value = float(row["value"])
                 hib = row.get("higher_is_better", "true").strip().lower() in ("1", "true", "yes", "y")
+                entry = EfficacyInput(
+                    arm=arm, value=value, higher_is_better=hib,
+                    label=(row.get("endpoint_label") or "").strip(),
+                )
             except (KeyError, ValueError, AttributeError) as exc:
                 raise MalformedRow(path, line_no, f"bad efficacy row: {exc}")
-            out[arm] = EfficacyInput(
-                arm=arm, value=value, higher_is_better=hib,
-                label=(row.get("endpoint_label") or "").strip(),
-            )
+            if arm in out:
+                raise MalformedRow(path, line_no, f"second efficacy row for arm {arm!r}")
+            out[arm] = entry
     if not out:
         raise MalformedRow(path, 1, "efficacy file has no rows")
     return out
@@ -182,7 +187,7 @@ def re_read_bootstrap_ci(
             clusters.setdefault(e.subject_id, []).append(t)
         arm_clusters[arm] = list(clusters.values())
         # fail fast on a degenerate point estimate
-        read_score(efficacy[arm], estimate(profile_from_episodes(eps, "pt", data.hierarchy)))
+        read_score(efficacy[arm], estimate(profile_from_episodes(eps, hierarchy_level, data.hierarchy)))
 
     values = np.empty(replicates)
     for r in range(replicates):

@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 input error (files, referential integrity),
 3 configuration error (bad flags), 4 degenerate statistics (zero
 variance / zero adversity). Outputs go to --out DIR in any of the three
 formats; text also echoes to stdout.
+
+The report commands need neither numpy nor scipy, so start-up stays
+small: ``benefit_risk`` and ``simulate``, which resample with numpy, are
+imported only by the commands that use them.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, benefit_risk, cohorts, data, entropy, report, simulate, temporal
+from . import __version__, cohorts, data, entropy, report, temporal
 from .errors import (
     AdxError,
     ConfigError,
@@ -428,13 +432,7 @@ def cmd_interim(args) -> int:
 
 def cmd_exposure(args) -> int:
     trial = _load(args)
-    exposure = None
-    if args.exposure_file:
-        import csv as _csv
-        exposure = {}
-        with open(args.exposure_file, newline="", encoding="utf-8") as fh:
-            for row in _csv.DictReader(fh):
-                exposure[row["subject_id"].strip()] = int(row["last_cycle"])
+    exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
     curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
     rows, records, csv_rows = [], [], []
     for arm in sorted(curves.curves):
@@ -453,12 +451,18 @@ def cmd_exposure(args) -> int:
 
 
 def cmd_benefit_risk(args) -> int:
+    from . import benefit_risk
+
     trial = _load(args)
     efficacy = benefit_risk.load_efficacy(args.efficacy)
     if args.arms:
         pair = tuple(a.strip() for a in args.arms.split(","))
         if len(pair) != 2:
             raise ConfigError("--arms needs exactly two comma-separated labels")
+        for known, where in ((trial.arms, "dataset"), (efficacy, "efficacy file")):
+            missing = [a for a in pair if a not in known]
+            if missing:
+                raise ConfigError(f"arm(s) not in {where}: {', '.join(missing)}")
         pairs = [pair]
     else:
         arms = [a for a in trial.arms if a in efficacy]
@@ -498,6 +502,8 @@ def cmd_benefit_risk(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     scenario = simulate.load_scenario(args.scenario)
     trial = simulate.generate_trial(scenario)
     out = Path(args.out)
@@ -517,18 +523,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import simulate
+
     scenario = simulate.load_scenario(args.scenario)
     records, rows = [], []
+    draws = {}  # the first check draws the replicates, the second reuses them
     reports = []
     if args.check in ("variance", "both"):
-        reports.append(("variance", simulate.validate_variance(scenario, args.replicates)))
+        reports.append(("variance", simulate.validate_variance(scenario, args.replicates, draws)))
     if args.check in ("normality", "both"):
-        reports.append(("normality", simulate.validate_normality(scenario, args.replicates)))
+        reports.append(("normality", simulate.validate_normality(scenario, args.replicates, draws)))
     for kind, rep in reports:
         for av in rep.arms:
+            sd_over_se = "n/a" if av.sd_over_se is None else f"{av.sd_over_se:.3f}"
             row = [kind, av.arm, f"{av.true_adx:.4f}", f"{av.mean_adx:.4f}",
                    f"{av.sd_adx:.5f}", f"{av.mean_analytic_se:.5f}",
-                   f"{av.sd_over_se:.3f}", f"{av.bias:+.5f}"]
+                   sd_over_se, f"{av.bias:+.5f}"]
             if av.ks_distance is not None:
                 row.append(f"ks={av.ks_distance:.4f}")
             elif av.degenerate:

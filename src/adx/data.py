@@ -302,6 +302,21 @@ def load_episodes(path: str | Path) -> list[AeEpisode]:
     return episodes
 
 
+def load_exposure(path: str | Path) -> dict[str, int]:
+    """Read an exposure CSV (subject_id,last_cycle) into subject_id -> last cycle."""
+    exposure = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        _require_columns(reader, path, ["subject_id", "last_cycle"])
+        for line_no, row in enumerate(reader, start=2):
+            sid = (row.get("subject_id") or "").strip()
+            last = _opt_int(row.get("last_cycle"), path, line_no, "last_cycle")
+            if not sid or last is None:
+                raise MalformedRow(path, line_no, "empty subject_id or last_cycle")
+            exposure[sid] = last
+    return exposure
+
+
 def load_trial(
     episodes_file: str | Path,
     subjects_file: str | Path,

@@ -14,10 +14,9 @@ episodes is ignored, exactly as in the defining formulas.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
-
-from scipy.stats import norm
 
 from .data import HIERARCHY_LEVELS, AeEpisode, HierarchyMap
 from .errors import DegenerateVariance, EmptyProfile, MissingHierarchy
@@ -146,6 +145,23 @@ def estimate_from_stats(adx_value: float, se: float, k: int, n: int = 0) -> AdxE
     )
 
 
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = math.log(sys.float_info.max)
+
+
+def normal_cdf(a: float) -> float:
+    """Standard normal cdf, with the branch structure of the Cephes
+    ``ndtr`` that scipy uses: ``erf`` near zero, ``erfc`` of |x| in the
+    tails (so small tail areas keep full relative precision), and 0 once
+    ``erfc`` would underflow (x^2 > ln(DBL_MAX))."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(z) if z * z <= _MAXLOG else 0.0
+    return 1.0 - y if x > 0 else y
+
+
 @dataclass(frozen=True)
 class ComparisonResult:
     diff: float
@@ -176,11 +192,9 @@ def compare(
             "se(diff) is zero (both profiles uniform); normal approximation unusable"
         )
     z = diff / se_diff
+    p = normal_cdf(-abs(z))
     if two_sided:
-        p = 2.0 * norm.sf(abs(z))
-    else:
-        p = norm.sf(abs(z))
-    p = min(p, 1.0)
+        p = min(2.0 * p, 1.0)
     if p < alpha:
         direction = "t1_less_safe" if diff > 0 else "t2_less_safe"
     else:

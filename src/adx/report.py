@@ -81,8 +81,9 @@ def write_text(path: str | Path, config: dict, body: str) -> None:
 def write_jsonl(path: str | Path, config: dict, records: list[dict]) -> None:
     head = {"record": "header", "tool": "adx-toolkit", "version": __version__,
             "config": {k: v for k, v in sorted(config.items()) if v is not None}}
-    lines = [json.dumps(head, sort_keys=True)]
-    lines += [json.dumps(r, sort_keys=True) for r in records]
+    # allow_nan=False: a NaN or infinity would make the line invalid JSON
+    lines = [json.dumps(head, sort_keys=True, allow_nan=False)]
+    lines += [json.dumps(r, sort_keys=True, allow_nan=False) for r in records]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

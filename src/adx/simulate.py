@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .data import AeEpisode, SubjectRecord, TrialDataset
-from .entropy import FrequencyProfile, adx, adx_variance
+from .entropy import FrequencyProfile, adx, adx_variance, normal_cdf
 from .errors import DegenerateScenario, InvalidScenario
 
 
@@ -150,7 +149,7 @@ class ArmValidation:
     mean_adx: float
     sd_adx: float
     mean_analytic_se: float
-    sd_over_se: float
+    sd_over_se: float | None  # None when every replicate's analytic se is 0
     bias: float
     first_order_bias: float  # -(K-1)/(2N), the leading plug-in bias term
     degenerate: bool
@@ -164,6 +163,9 @@ class ValidationReport:
     scenario: Scenario
     replicates: int
     arms: list[ArmValidation] = field(default_factory=list)
+
+
+Draws = dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def _replicate_draws(arm: ArmScenario, seed: int, replicates: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,77 +185,97 @@ def _replicate_draws(arm: ArmScenario, seed: int, replicates: int) -> tuple[np.n
     return adxs, ses
 
 
+def _scenario_draws(scenario: Scenario, replicates: int, draws: Draws | None) -> Draws:
+    """Per arm name, the replicate adx and se vectors: taken from ``draws``
+    where present, else drawn and added to it."""
+    draws = {} if draws is None else draws
+    for arm in scenario.arms:
+        if arm.name not in draws:
+            draws[arm.name] = _replicate_draws(arm, scenario.seed, replicates)
+    return draws
+
+
 def _is_uniform(probs: tuple[float, ...]) -> bool:
     p = np.asarray(probs)
     p = p[p > 0]
     return bool(np.allclose(p, p[0]))
 
 
-def validate_variance(scenario: Scenario, replicates: int = 1000) -> ValidationReport:
+def _arm_validation(arm: ArmScenario, adxs: np.ndarray, ses: np.ndarray,
+                    degenerate: bool, **shape) -> ArmValidation:
+    sd = float(adxs.std(ddof=1))
+    mean_se = float(ses.mean())
+    true_h = arm.true_adx()
+    k = int(np.count_nonzero(np.asarray(arm.probs)))
+    n_total = max(1, round(arm.n_subjects * arm.episodes_per_subject))
+    return ArmValidation(
+        arm=arm.name,
+        true_adx=true_h,
+        replicates=len(adxs),
+        mean_adx=float(adxs.mean()),
+        sd_adx=sd,
+        mean_analytic_se=mean_se,
+        sd_over_se=sd / mean_se if mean_se > 0 else None,
+        bias=float(adxs.mean() - true_h),
+        first_order_bias=-(k - 1) / (2.0 * n_total),
+        degenerate=degenerate,
+        **shape,
+    )
+
+
+def validate_variance(scenario: Scenario, replicates: int = 1000,
+                      draws: Draws | None = None) -> ValidationReport:
     """Compare the empirical sd of adx across replicates with the mean
     analytic se; flags the uniform (zero-variance) regime instead of
-    computing a meaningless ratio."""
+    computing a meaningless ratio. ``draws`` is a dict that carries the
+    replicate draws from one check to the next, for the same scenario and
+    replicate count: arms missing from it are drawn and added."""
     if replicates < 2:
         raise InvalidScenario("need at least 2 replicates")
+    draws = _scenario_draws(scenario, replicates, draws)
     report = ValidationReport(scenario=scenario, replicates=replicates)
     for arm in scenario.arms:
-        adxs, ses = _replicate_draws(arm, scenario.seed, replicates)
-        sd = float(adxs.std(ddof=1))
-        mean_se = float(ses.mean())
-        degenerate = _is_uniform(arm.probs)
-        true_h = arm.true_adx()
-        k = int(np.count_nonzero(np.asarray(arm.probs)))
-        n_total = max(1, round(arm.n_subjects * arm.episodes_per_subject))
-        report.arms.append(
-            ArmValidation(
-                arm=arm.name,
-                true_adx=true_h,
-                replicates=replicates,
-                mean_adx=float(adxs.mean()),
-                sd_adx=sd,
-                mean_analytic_se=mean_se,
-                sd_over_se=sd / mean_se if mean_se > 0 else float("nan"),
-                bias=float(adxs.mean() - true_h),
-                first_order_bias=-(k - 1) / (2.0 * n_total),
-                degenerate=degenerate,
-            )
-        )
+        report.arms.append(_arm_validation(arm, *draws[arm.name], _is_uniform(arm.probs)))
     return report
 
 
-def validate_normality(scenario: Scenario, replicates: int = 1000) -> ValidationReport:
+def _shape_diagnostics(z: np.ndarray) -> dict[str, float]:
+    """Skew and excess kurtosis of ``z`` (biased moment estimators, as
+    scipy.stats uses by default) and its Kolmogorov-Smirnov distance from
+    the standard normal."""
+    d = z - z.mean()
+    d2 = d ** 2
+    m2 = d2.mean()
+    x = np.sort(z)
+    n = len(x)
+    cdf = np.array([normal_cdf(v) for v in x.tolist()])
+    ks = max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max())
+    return {"skew": float((d2 * d).mean() / m2 ** 1.5),
+            "excess_kurtosis": float((d2 ** 2).mean() / m2 ** 2.0 - 3.0),
+            "ks_distance": float(ks)}
+
+
+def validate_normality(scenario: Scenario, replicates: int = 1000,
+                       draws: Draws | None = None) -> ValidationReport:
     """Standardize replicate adx values and report shape diagnostics
-    (skew, excess kurtosis, KS distance from the standard normal)."""
+    (skew, excess kurtosis, KS distance from the standard normal).
+    ``draws`` as in ``validate_variance``."""
     if replicates < 2:
         raise InvalidScenario("need at least 2 replicates")
-    report = ValidationReport(scenario=scenario, replicates=replicates)
     for arm in scenario.arms:
         if _is_uniform(arm.probs):
             raise DegenerateScenario(
                 f"arm {arm.name!r}: uniform true vector has zero asymptotic variance"
             )
-        adxs, ses = _replicate_draws(arm, scenario.seed, replicates)
+    draws = _scenario_draws(scenario, replicates, draws)
+    report = ValidationReport(scenario=scenario, replicates=replicates)
+    for arm in scenario.arms:
+        adxs, ses = draws[arm.name]
         sd = float(adxs.std(ddof=1))
-        z = (adxs - adxs.mean()) / sd
-        ks = float(stats.kstest(z, "norm").statistic)
-        true_h = arm.true_adx()
-        k = int(np.count_nonzero(np.asarray(arm.probs)))
-        n_total = max(1, round(arm.n_subjects * arm.episodes_per_subject))
-        report.arms.append(
-            ArmValidation(
-                arm=arm.name,
-                true_adx=true_h,
-                replicates=replicates,
-                mean_adx=float(adxs.mean()),
-                sd_adx=sd,
-                mean_analytic_se=float(ses.mean()),
-                sd_over_se=sd / float(ses.mean()),
-                bias=float(adxs.mean() - true_h),
-                first_order_bias=-(k - 1) / (2.0 * n_total),
-                degenerate=False,
-                skew=float(stats.skew(z)),
-                excess_kurtosis=float(stats.kurtosis(z)),
-                ks_distance=ks,
+        if sd == 0.0:
+            raise DegenerateScenario(
+                f"arm {arm.name!r}: every replicate has the same adx; nothing to standardize"
             )
-        )
+        z = (adxs - adxs.mean()) / sd
+        report.arms.append(_arm_validation(arm, adxs, ses, False, **_shape_diagnostics(z)))
     return report

@@ -9,6 +9,7 @@ from adx.benefit_risk import (
     re_read_bootstrap_ci,
     read_score,
 )
+from adx.data import HierarchyMap
 from adx.entropy import FrequencyProfile, estimate, estimate_from_stats
 from adx.errors import DivisionByZeroBenefit, InsufficientData, ZeroAdversity
 
@@ -162,3 +163,13 @@ def test_bootstrap_against_independent_oracle():
     lo_o, hi_o = np.quantile(ratios, [0.025, 0.975])
     assert lo == pytest.approx(lo_o, rel=0.02)
     assert hi == pytest.approx(hi_o, rel=0.02)
+
+
+def test_bootstrap_fails_fast_at_the_requested_level():
+    # two PTs in A, but one SOC: degenerate at SOC level before any replicate
+    h = HierarchyMap({"a": ("h1", "g1", "soc1"), "b": ("h1", "g1", "soc1"),
+                      "c": ("h2", "g2", "soc2")})
+    t = dataset_from_counts({"A": {"a": 30, "b": 20}, "B": {"a": 25, "c": 25}}, hierarchy=h)
+    with pytest.raises(ZeroAdversity, match="single AE type"):
+        re_read_bootstrap_ci(t, EFF_EQUAL, ("A", "B"), replicates=200, seed=1,
+                             hierarchy_level="soc")

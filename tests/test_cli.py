@@ -265,3 +265,110 @@ def test_hierarchy_command(capsys, tiny_trial_files, tmp_path):
     )
     assert code == 0
     assert "P1" in out or "p1" in out.lower() or "rollup" in out
+
+
+def _strict_jsonl(path):
+    def reject(const):
+        raise ValueError(f"non-JSON constant {const}")
+    return [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
+
+
+def _scenario(tmp_path, arms):
+    path = tmp_path / "scenario.ini"
+    path.write_text("[scenario]\nseed = 5\n\n" + "".join(
+        f"[arm {name}]\nprobs = {probs}\nepisodes_per_subject = 2.0\nsubjects = 60\n\n"
+        for name, probs in arms))
+    return path
+
+
+def test_validate_both_equals_variance_then_normality(capsys, tmp_path):
+    scenario = _scenario(tmp_path, [("A", "0.5 0.3 0.2"), ("B", "0.4 0.3 0.2 0.1")])
+    records = {}
+    for check in ("both", "variance", "normality"):
+        code, _, _ = run(capsys, "validate", "--scenario", str(scenario), "--check", check,
+                         "--replicates", "150", "--out", str(tmp_path / check),
+                         "--format", "json-lines")
+        assert code == 0
+        records[check] = (tmp_path / check / "validate.jsonl").read_text().splitlines()[1:]
+    assert records["both"] == records["variance"] + records["normality"]
+
+
+def test_validate_single_type_arm_writes_strict_json(capsys, tmp_path):
+    scenario = _scenario(tmp_path, [("Mono", "1.0"), ("B", "0.5 0.5")])
+    out_dir = tmp_path / "o"
+    code, out, _ = run(capsys, "validate", "--scenario", str(scenario), "--check", "variance",
+                       "--replicates", "50", "--out", str(out_dir), "--format", "text,json-lines")
+    assert code == 0
+    mono = [r for r in _strict_jsonl(out_dir / "validate.jsonl") if r.get("arm") == "Mono"][0]
+    assert mono["sd_over_se"] is None
+    assert mono["degenerate"] is True
+    assert "nan" not in out
+
+
+@pytest.fixture
+def efficacy_trial(table7_files):
+    def write(rows, header=("arm", "endpoint_label", "value", "higher_is_better")):
+        return write_csv(table7_files["dir"] / "eff.csv", list(header), rows)
+    return table7_files, write
+
+
+def _benefit_risk(capsys, files, eff, *extra):
+    return run(capsys, "benefit-risk", "--episodes", str(files["episodes"]),
+               "--subjects", str(files["subjects"]), "--efficacy", str(eff),
+               "--out", str(files["dir"] / "o"), *extra)
+
+
+@pytest.mark.parametrize("arms, missing", [("Arm1,Arm2", "efficacy file: Arm2"),
+                                           ("Arm1,Arm9", "dataset: Arm9")])
+def test_benefit_risk_unknown_arm_is_config_error(capsys, efficacy_trial, arms, missing):
+    files, write = efficacy_trial
+    eff = write([["Arm1", "pfs", "5.3", "true"]])
+    code, _, err = _benefit_risk(capsys, files, eff, "--arms", arms)
+    assert code == 3
+    assert err.count("\n") == 1 and missing in err
+
+
+@pytest.mark.parametrize("header, rows, reason", [
+    (("arm", "endpoint_label", "higher_is_better"), [["Arm1", "pfs", "true"]],
+     "missing required column(s): value"),
+    (("arm", "endpoint_label", "value", "higher_is_better"),
+     [["Arm1", "pfs", "5.3", "true"], ["Arm2", "pfs", "3.5", "true"], ["Arm1", "os", "9", "true"]],
+     ":4: second efficacy row for arm 'Arm1'"),
+    (("arm", "endpoint_label", "value", "higher_is_better"),
+     [["Arm1", "pfs", "nan", "true"], ["Arm2", "pfs", "3.5", "true"]],
+     ":2: bad efficacy row: efficacy value must be finite"),
+])
+def test_benefit_risk_malformed_efficacy_is_input_error(capsys, efficacy_trial, header, rows, reason):
+    files, write = efficacy_trial
+    code, _, err = _benefit_risk(capsys, files, write(rows, header), "--arms", "Arm1,Arm2")
+    assert code == 2
+    assert err.count("\n") == 1 and reason in err
+
+
+def test_exposure_file_without_last_cycle_is_input_error(capsys, tiny_trial_files, tmp_path):
+    exposure = write_csv(tmp_path / "exposure.csv", ["subject_id", "cycles"], [["S1", "3"]])
+    code, _, err = run(
+        capsys, "exposure",
+        "--episodes", str(tiny_trial_files["episodes"]),
+        "--subjects", str(tiny_trial_files["subjects"]),
+        "--exposure-file", str(exposure), "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "missing required column(s): last_cycle" in err
+
+
+def test_exposure_file_is_read(capsys, tiny_trial_files, tmp_path):
+    exposure = write_csv(tmp_path / "exposure.csv", ["subject_id", "last_cycle"],
+                         [["S1", "6"], ["S2", "3"], ["S3", "4"]])
+    out_dir = tmp_path / "o"
+    code, _, _ = run(
+        capsys, "exposure",
+        "--episodes", str(tiny_trial_files["episodes"]),
+        "--subjects", str(tiny_trial_files["subjects"]),
+        "--exposure-file", str(exposure), "--max-cycle", "6",
+        "--out", str(out_dir), "--format", "json-lines",
+    )
+    assert code == 0
+    at_six = [r for r in _strict_jsonl(out_dir / "exposure.jsonl")
+              if r.get("record") == "exposure" and r["cycle"] == 6]
+    assert {r["arm"]: r["subjects_at_cycle"] for r in at_six} == {"A": 1, "B": 0}

@@ -14,6 +14,7 @@ from adx.entropy import (
     eals,
     estimate,
     estimate_from_stats,
+    normal_cdf,
     profile_from_episodes,
     seals,
 )
@@ -276,3 +277,27 @@ def test_compare_antisymmetry(ca, cb):
         return
     assert ab.diff == pytest.approx(-ba.diff, abs=1e-12)
     assert ab.p_value == pytest.approx(ba.p_value, abs=1e-12)
+
+
+def test_normal_tail_matches_scipy_oracle():
+    from scipy.stats import norm
+
+    # a fine grid over both branches, the branch point z = 1 and the
+    # underflow edge near z = 37.68, where scipy flushes the tail to 0
+    zs = np.concatenate([np.linspace(0.0, 38.0, 38_001), [1.0 - 1e-15, 1.0, 37.6768, 37.6769]])
+    for z, theirs in zip(zs.tolist(), norm.sf(zs).tolist()):
+        assert math.isclose(normal_cdf(-z), theirs, rel_tol=1e-12), (z, normal_cdf(-z), theirs)
+    xs = np.linspace(-9.0, 9.0, 1801)
+    for x, theirs in zip(xs.tolist(), norm.cdf(xs).tolist()):
+        assert math.isclose(normal_cdf(x), theirs, rel_tol=1e-12), x
+
+
+def test_compare_p_value_matches_scipy_oracle():
+    from scipy.stats import norm
+
+    a = estimate(profile(30, 20, 10))
+    b = estimate(profile(5, 1, 1, 1))
+    r = compare(a, b)
+    assert math.isclose(r.p_value, 2.0 * float(norm.sf(abs(r.z))), rel_tol=1e-12)
+    assert math.isclose(compare(a, b, two_sided=False).p_value, float(norm.sf(abs(r.z))),
+                        rel_tol=1e-12)

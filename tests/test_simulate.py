@@ -161,3 +161,37 @@ def test_load_scenario(tmp_path):
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(InvalidScenario):
         load_scenario(tmp_path / "nope.ini")
+
+
+def test_shape_diagnostics_match_scipy_oracle():
+    from scipy import stats
+
+    raw = np.arange(1, 41, dtype=float)
+    arms = tuple(ArmScenario(name=name, probs=tuple(w / w.sum()), episodes_per_subject=rate,
+                             n_subjects=150)
+                 for name, w, rate in (("A", raw, 3.0), ("B", raw ** -1.2, 1.0)))
+    scenario = Scenario(arms=arms, seed=4)
+    draws = {}
+    rep = validate_normality(scenario, 600, draws)
+    for av in rep.arms:
+        adxs = draws[av.arm][0]
+        z = (adxs - adxs.mean()) / adxs.std(ddof=1)
+        assert math.isclose(av.skew, float(stats.skew(z)), rel_tol=1e-12)
+        assert math.isclose(av.excess_kurtosis, float(stats.kurtosis(z)), rel_tol=1e-12)
+        assert math.isclose(av.ks_distance, float(stats.kstest(z, "norm").statistic),
+                            rel_tol=1e-12)
+
+
+def test_shared_draws_change_nothing():
+    raw = np.arange(1, 21, dtype=float)
+    scenario = one_arm(tuple(raw / raw.sum()), rate=4.0, subjects=100)
+    draws = {}
+    assert validate_variance(scenario, 200, draws) == validate_variance(scenario, 200)
+    assert set(draws) == {"A"}
+    assert validate_normality(scenario, 200, draws) == validate_normality(scenario, 200)
+
+
+def test_validate_normality_constant_replicates_raise():
+    # one episode per replicate: every replicate's adx is 0, so z is undefined
+    with pytest.raises(DegenerateScenario, match="same adx"):
+        validate_normality(one_arm((0.9, 0.1), rate=1.0, subjects=1), replicates=20)

@@ -1,0 +1,40 @@
+"""Start-up budget: the report commands load neither numpy nor scipy, and
+scipy is a test oracle only, never a runtime import."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _env():
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    code = ("import adx.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+    version = subprocess.run([sys.executable, "-m", "adx.cli", "--version"], env=_env(),
+                             capture_output=True, text=True, timeout=60)
+    assert version.returncode == 0
+    assert version.stdout.startswith("adx-toolkit ")
+
+
+def test_no_module_imports_scipy():
+    offenders = []
+    for path in sorted((SRC / "adx").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
