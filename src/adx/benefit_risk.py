@@ -104,10 +104,6 @@ def check_sign_consistency(inputs: dict[str, EfficacyInput]) -> None:
 class BenefitRiskResult:
     read_values: dict[str, float]
     re_read_values: dict[tuple[str, str], float]
-    ci: dict[tuple[str, str], tuple[float, float]] | None = None
-    ci_level: float | None = None
-    replicates: int | None = None
-    seed: int | None = None
 
 
 def benefit_risk(

@@ -152,11 +152,26 @@ def _check_config(args):
 
 
 def _load(args) -> data.TrialDataset:
-    return data.load_trial(
+    trial = data.load_trial(
         args.episodes, args.subjects,
         getattr(args, "hierarchy", None),
         unmapped=getattr(args, "unmapped", "reject"),
     )
+    if args.control is not None and args.control not in trial.arms:
+        raise ConfigError(f"control arm not in dataset: {args.control}")
+    return trial
+
+
+def _arm_pair(spec: str, *known: tuple) -> tuple[str, str]:
+    """Parse ``--arms A,B``; each arm must be in every ``(arms, where)`` of ``known``."""
+    pair = tuple(a.strip() for a in spec.split(","))
+    if len(pair) != 2:
+        raise ConfigError("--arms needs exactly two comma-separated labels")
+    for arms, where in known:
+        missing = [a for a in pair if a not in arms]
+        if missing:
+            raise ConfigError(f"arm(s) not in {where}: {', '.join(missing)}")
+    return pair
 
 
 def _config_dict(args) -> dict:
@@ -187,20 +202,12 @@ def _sided(args) -> bool:
     return not getattr(args, "one_sided", False)
 
 
-def _key_str(key: cohorts.CohortKey) -> str:
-    return str(key)
-
-
 def cmd_summary(args) -> int:
     trial = _load(args)
     rows = data.dataset_summary(trial)
-    est = {
-        arm: entropy.estimate(
-            entropy.profile_from_episodes(trial.episodes_for_arm(arm), args.level, trial.hierarchy)
-        )
-        for arm in trial.arms
-        if trial.episodes_for_arm(arm)
-    }
+    rep = cohorts._estimate_and_pair(trial, cohorts._cells(trial, trial.episodes), args.level,
+                                     args.control, args.alpha, _sided(args))
+    est = {key.arm: e for key, e in rep.estimates.items()}
     table_rows = []
     records = []
     for r in rows:
@@ -221,23 +228,14 @@ def cmd_summary(args) -> int:
         ["arm", "subjects", "episodes", "distinct_types", "subjects_with_ae", "adx", "se"],
         table_rows,
     )
-    arms = [a for a in trial.arms if a in est]
-    if len(arms) >= 2:
-        diff_lines = []
-        for a, b in cohorts._arm_pairs(arms, args.control):
-            try:
-                res = entropy.compare(est[a], est[b], args.alpha, _sided(args))
-            except DegenerateVariance:
-                continue
-            diff_lines.append(
-                f"difference adx({a}) - adx({b}) = {report.fmt_adx(res.diff)}"
-                f" ({report.fmt_se(res.se_diff)}), z = {res.z:.2f}, p = {report.fmt_p(res.p_value)}"
-            )
-            records.append({"record": "comparison", "arm_1": a, "arm_2": b,
-                            "diff": res.diff, "se_diff": res.se_diff, "z": res.z,
-                            "p_value": res.p_value, "direction": res.direction})
-        if diff_lines:
-            body += "\n".join(diff_lines) + "\n"
+    for ka, kb, res in rep.comparisons:
+        body += (
+            f"difference adx({ka.arm}) - adx({kb.arm}) = {report.fmt_adx(res.diff)}"
+            f" ({report.fmt_se(res.se_diff)}), z = {res.z:.2f}, p = {report.fmt_p(res.p_value)}\n"
+        )
+        records.append({"record": "comparison", "arm_1": ka.arm, "arm_2": kb.arm,
+                        "diff": res.diff, "se_diff": res.se_diff, "z": res.z,
+                        "p_value": res.p_value, "direction": res.direction})
     csv_rows = [[r["arm"], r["subjects"], r["episodes"], r["distinct_types"],
                  r["subjects_with_ae"]] for r in rows]
     _emit(args, "summary", body, records,
@@ -248,12 +246,7 @@ def cmd_summary(args) -> int:
 def cmd_compare(args) -> int:
     trial = _load(args)
     if args.arms:
-        pair = [a.strip() for a in args.arms.split(",")]
-        if len(pair) != 2:
-            raise ConfigError("--arms needs exactly two comma-separated labels")
-        missing = [a for a in pair if a not in trial.arms]
-        if missing:
-            raise ConfigError(f"arm(s) not in dataset: {', '.join(missing)}")
+        pair = _arm_pair(args.arms, (trial.arms, "dataset"))
     else:
         if len(trial.arms) < 2:
             raise ConfigError("dataset has fewer than two arms; use --arms")
@@ -293,7 +286,7 @@ def _subgroup_output(args, rep: cohorts.SubgroupReport, name: str) -> int:
     records = []
     for key, est in rep.estimates.items():
         flag = "low-N" if key in rep.low_n else ""
-        rows.append([_key_str(key), report.fmt_adx(est.adx), report.fmt_se(est.se),
+        rows.append([str(key), report.fmt_adx(est.adx), report.fmt_se(est.se),
                      str(est.k), str(est.n), flag])
         records.append({"record": "estimate", "arm": key.arm,
                         "cell": dict(key.filters), "adx": est.adx, "se": est.se,
@@ -303,7 +296,7 @@ def _subgroup_output(args, rep: cohorts.SubgroupReport, name: str) -> int:
                                footnotes=rep.footnotes)
     comp_rows = []
     for ka, kb, res in rep.comparisons:
-        comp_rows.append([_key_str(ka), _key_str(kb), report.fmt_adx(res.diff),
+        comp_rows.append([str(ka), str(kb), report.fmt_adx(res.diff),
                           report.fmt_se(res.se_diff), f"{res.z:.2f}", report.fmt_p(res.p_value)])
         records.append({"record": "comparison", "arm_1": ka.arm, "arm_2": kb.arm,
                         "cell": dict(ka.filters), "diff": res.diff, "se_diff": res.se_diff,
@@ -314,7 +307,7 @@ def _subgroup_output(args, rep: cohorts.SubgroupReport, name: str) -> int:
         )
     for key in sorted(rep.empty, key=str):
         records.append({"record": "empty_cohort", "arm": key.arm, "cell": dict(key.filters)})
-    csv_rows = [[_key_str(k), e.adx, e.se, e.k, e.n] for k, e in rep.estimates.items()]
+    csv_rows = [[str(k), e.adx, e.se, e.k, e.n] for k, e in rep.estimates.items()]
     _emit(args, name, body, records, ["cohort", "adx", "se", "K", "N"], csv_rows)
     return EXIT_OK
 
@@ -406,19 +399,19 @@ def cmd_interim(args) -> int:
     rows, records, csv_rows = [], [], []
     for (key, look), est in series.estimates.items():
         cutoff = series.schedule.cutoff_days[look]
-        rows.append([str(look + 1), str(cutoff), _key_str(key), report.fmt_adx(est.adx),
+        rows.append([str(look + 1), str(cutoff), str(key), report.fmt_adx(est.adx),
                      report.fmt_se(est.se), str(est.k), str(est.n)])
         records.append({"record": "estimate", "look": look + 1, "cutoff_day": cutoff,
                         "arm": key.arm, "cell": dict(key.filters), "adx": est.adx,
                         "se": est.se, "k": est.k, "n": est.n})
-        csv_rows.append([look + 1, key.arm if not key.filters else _key_str(key),
+        csv_rows.append([look + 1, key.arm if not key.filters else str(key),
                          est.adx, est.se, est.k, est.n])
     body = report.render_table(["look", "cutoff_day", "cohort", "adx", "se", "K", "N"], rows,
                                footnotes=series.caveats +
                                [f"episodes without onset_day excluded: {series.excluded_undated}"])
     comp_rows = []
     for ka, kb, look, res in series.comparisons:
-        comp_rows.append([str(look + 1), _key_str(ka), _key_str(kb),
+        comp_rows.append([str(look + 1), str(ka), str(kb),
                           report.fmt_adx(res.diff), f"{res.z:.2f}", report.fmt_p(res.p_value)])
         records.append({"record": "comparison", "look": look + 1, "arm_1": ka.arm,
                         "arm_2": kb.arm, "cell": dict(ka.filters), "diff": res.diff,
@@ -456,14 +449,7 @@ def cmd_benefit_risk(args) -> int:
     trial = _load(args)
     efficacy = benefit_risk.load_efficacy(args.efficacy)
     if args.arms:
-        pair = tuple(a.strip() for a in args.arms.split(","))
-        if len(pair) != 2:
-            raise ConfigError("--arms needs exactly two comma-separated labels")
-        for known, where in ((trial.arms, "dataset"), (efficacy, "efficacy file")):
-            missing = [a for a in pair if a not in known]
-            if missing:
-                raise ConfigError(f"arm(s) not in {where}: {', '.join(missing)}")
-        pairs = [pair]
+        pairs = [_arm_pair(args.arms, (trial.arms, "dataset"), (efficacy, "efficacy file"))]
     else:
         arms = [a for a in trial.arms if a in efficacy]
         if len(arms) < 2:

@@ -7,6 +7,7 @@ identical to a direct estimate on the restricted episode list.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .data import AeEpisode, TrialDataset
@@ -17,7 +18,7 @@ from .entropy import (
     estimate,
     profile_from_episodes,
 )
-from .errors import DegenerateVariance, UnknownDimension, UnknownSoc
+from .errors import DegenerateVariance, EmptyProfile, UnknownDimension, UnknownSoc
 
 SUBJECT_DIMENSIONS = ("sex", "age", "background_therapy", "substudy")
 EPISODE_DIMENSIONS = ("soc", "seriousness", "severity", "tier")
@@ -72,11 +73,6 @@ class CohortKey:
             raise ValueError("at most one filter per dimension")
         object.__setattr__(self, "filters", tuple(sorted(self.filters)))
 
-    @property
-    def cell(self) -> tuple[tuple[str, str], ...]:
-        """The subgroup part of the key, without the arm."""
-        return self.filters
-
     def __str__(self) -> str:
         parts = [self.arm] + [f"{d}={v}" for d, v in self.filters]
         return " | ".join(parts)
@@ -118,10 +114,57 @@ def _cell_value(ep: AeEpisode, dim: str, data: TrialDataset, age_binning: AgeBin
     return _episode_dimension_value(ep, dim, data)
 
 
-def _arm_pairs(arms: list[str], control: str | None) -> list[tuple[str, str]]:
-    if control is not None:
-        return [(a, control) for a in arms if a != control]
-    return list(itertools.combinations(arms, 2))
+def _cells(
+    data: TrialDataset,
+    episodes: Iterable[AeEpisode],
+    dimensions: Sequence[str] = (),
+    age_binning: AgeBinning | None = None,
+) -> dict[CohortKey, list[AeEpisode]]:
+    """Group episodes into (arm x subgroup) cells, keeping episode order."""
+    binning = age_binning or AgeBinning()
+    groups: dict[tuple, list[AeEpisode]] = {}
+    for ep in episodes:
+        filters = tuple((d, _cell_value(ep, d, data, binning)) for d in dimensions)
+        groups.setdefault((ep.arm, filters), []).append(ep)
+    return {CohortKey(arm, filters): eps for (arm, filters), eps in groups.items()}
+
+
+def _estimate_and_pair(
+    data: TrialDataset,
+    cells: dict[CohortKey, list[AeEpisode]],
+    level: str,
+    control: str | None,
+    alpha: float,
+    two_sided: bool,
+) -> SubgroupReport:
+    """Estimate every cell and compare the arms within each cell.
+
+    Cells are ordered by (filters, arm). Arms pair in ``data.arms`` order:
+    each arm against ``control`` when the cell has it, else every pair.
+    Zero-variance pairs go to ``degenerate``; arms missing from a cell that
+    has others go to ``empty``.
+    """
+    report = SubgroupReport(estimates={}, comparisons=[])
+    by_cell: dict[tuple, dict[str, CohortKey]] = {}
+    for key in sorted(cells, key=lambda k: (k.filters, k.arm)):
+        report.estimates[key] = estimate(profile_from_episodes(cells[key], level, data.hierarchy))
+        by_cell.setdefault(key.filters, {})[key.arm] = key
+    for filters, arm_keys in by_cell.items():
+        arms = [a for a in data.arms if a in arm_keys]
+        if control in arm_keys:
+            pairs = [(a, control) for a in arms if a != control]
+        else:
+            pairs = itertools.combinations(arms, 2)
+        for a, b in pairs:
+            ka, kb = arm_keys[a], arm_keys[b]
+            try:
+                res = compare(report.estimates[ka], report.estimates[kb], alpha, two_sided)
+            except DegenerateVariance:
+                report.degenerate.append((ka, kb))
+                continue
+            report.comparisons.append((ka, kb, res))
+        report.empty.update(CohortKey(a, filters) for a in data.arms if a not in arm_keys)
+    return report
 
 
 def subgroup_analysis(
@@ -145,42 +188,14 @@ def subgroup_analysis(
         if dim not in DIMENSIONS:
             raise UnknownDimension(f"{dim!r}; valid: {', '.join(DIMENSIONS)}")
     binning = age_binning or AgeBinning()
-    hierarchy = data.hierarchy
-
-    cells: dict[CohortKey, list[AeEpisode]] = {}
-    for ep in data.episodes:
-        filters = tuple((d, _cell_value(ep, d, data, binning)) for d in dimensions)
-        cells.setdefault(CohortKey(ep.arm, filters), []).append(ep)
-
-    report = SubgroupReport(estimates={}, comparisons=[])
-    if dimensions and "age" in dimensions:
+    report = _estimate_and_pair(
+        data, _cells(data, data.episodes, dimensions, binning), level, control, alpha, two_sided
+    )
+    report.low_n = {key for key, est in report.estimates.items() if est.n < min_episodes}
+    if "age" in dimensions:
         report.footnotes.append(
             "age bins are left-closed right-open: " + ", ".join(binning.labels())
         )
-    for key in sorted(cells, key=lambda k: (k.filters, k.arm)):
-        eps = cells[key]
-        report.estimates[key] = estimate(profile_from_episodes(eps, level, hierarchy))
-        if len(eps) < min_episodes:
-            report.low_n.add(key)
-
-    # pairwise arm comparisons within each subgroup cell
-    by_cell: dict[tuple, dict[str, CohortKey]] = {}
-    for key in report.estimates:
-        by_cell.setdefault(key.cell, {})[key.arm] = key
-    for cell in sorted(by_cell):
-        arm_keys = by_cell[cell]
-        arms_here = [a for a in data.arms if a in arm_keys]
-        for a, b in _arm_pairs(arms_here, control if control in arm_keys else None):
-            ka, kb = arm_keys[a], arm_keys[b]
-            try:
-                res = compare(report.estimates[ka], report.estimates[kb], alpha, two_sided)
-            except DegenerateVariance:
-                report.degenerate.append((ka, kb))
-                continue
-            report.comparisons.append((ka, kb, res))
-        for arm in data.arms:
-            if arm not in arm_keys:
-                report.empty.add(CohortKey(arm, cell))
     return report
 
 
@@ -257,7 +272,9 @@ class PropositionReport:
     Rolling the profile up one level can only merge types, so the index
     can never increase (proposition 1, asserted). Rank preservation and
     significance propagation across levels (propositions 2-4) are not
-    guaranteed and are recorded empirically only.
+    guaranteed and are recorded empirically only; proposition 4 is the
+    contrapositive of proposition 3, so ``p4_holds`` always equals
+    ``p3_holds``.
     """
 
     levels: list[str]
@@ -276,22 +293,19 @@ def hierarchy_sweep(
     alpha: float = 0.05,
     two_sided: bool = True,
 ) -> PropositionReport:
-    hierarchy = data.require_hierarchy()
+    data.require_hierarchy()
     arms = list(data.arms)
+    cells = _cells(data, data.episodes)
+    missing = [arm for arm in arms if CohortKey(arm) not in cells]
+    if missing:
+        raise EmptyProfile(f"no episodes in arm(s): {', '.join(missing)}")
     estimates: dict[tuple[str, str], AdxEstimate] = {}
     comparisons: dict[tuple[str, str, str], ComparisonResult] = {}
     for level in levels:
-        for arm in arms:
-            estimates[(arm, level)] = estimate(
-                profile_from_episodes(data.episodes_for_arm(arm), level, hierarchy)
-            )
-        for a, b in _arm_pairs(arms, control):
-            try:
-                comparisons[(a, b, level)] = compare(
-                    estimates[(a, level)], estimates[(b, level)], alpha, two_sided
-                )
-            except DegenerateVariance:
-                pass
+        rep = _estimate_and_pair(data, cells, level, control, alpha, two_sided)
+        by_arm = {key.arm: est for key, est in rep.estimates.items()}
+        estimates.update(((arm, level), by_arm[arm]) for arm in arms)
+        comparisons.update(((ka.arm, kb.arm, level), res) for ka, kb, res in rep.comparisons)
 
     # P1: coarsening never increases the index (theorem; tiny float slack)
     p1 = all(
@@ -307,21 +321,18 @@ def hierarchy_sweep(
     ]
     p2 = all(r == rankings[0] for r in rankings)
 
-    # finer level = earlier in `levels`; P3: significant at coarser level
-    # implies significant at every finer level; P4 is its contrapositive,
-    # checked from the finer side.
+    # finer level = earlier in `levels`. P3: significance at a coarser level
+    # implies significance at every finer level. P4, non-significance at a
+    # finer level implies it at every coarser level, is P3's contrapositive,
+    # so it always equals P3.
     p3 = True
-    p4 = True
-    for a, b in _arm_pairs(arms, control):
+    for a, b in dict.fromkeys((a, b) for a, b, _ in comparisons):
         sig = [
             (a, b, lv) in comparisons and comparisons[(a, b, lv)].p_value < alpha
             for lv in levels
         ]
-        for i in range(len(levels) - 1):
-            if sig[i + 1] and not sig[i]:
-                p3 = False
-            if not sig[i] and sig[i + 1]:
-                p4 = False
+        if any(sig[i + 1] and not sig[i] for i in range(len(levels) - 1)):
+            p3 = False
     return PropositionReport(
         levels=list(levels),
         estimates=estimates,
@@ -329,5 +340,5 @@ def hierarchy_sweep(
         p1_holds=p1,
         p2_holds=p2,
         p3_holds=p3,
-        p4_holds=p4,
+        p4_holds=p3,
     )

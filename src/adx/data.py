@@ -129,14 +129,9 @@ class HierarchyMap:
     def socs(self) -> list[str]:
         return sorted({soc for _, _, soc in self.entries.values()})
 
-    def pts_in_soc(self, soc: str) -> set[str]:
-        soc_n = normalize_term(soc)
-        return {pt for pt, (_, _, s) in self.entries.items() if s == soc_n}
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "HierarchyMap":
         entries: dict[str, tuple[str, str, str]] = {}
-        seen: dict[str, tuple[str, str, str]] = {}
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             _require_columns(reader, path, ["pt_term", "hlt_term", "hlgt_term", "soc_term"])
@@ -152,11 +147,10 @@ class HierarchyMap:
                     raise MalformedRow(path, line_no, "missing hierarchy columns")
                 if not pt or not all(triple):
                     raise MalformedRow(path, line_no, "empty term")
-                if pt in seen and seen[pt] != triple:
+                if pt in entries and entries[pt] != triple:
                     raise InputError(
                         f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path"
                     )
-                seen[pt] = triple
                 entries[pt] = triple
         return cls(entries)
 
@@ -349,8 +343,8 @@ def load_trial(
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes), hierarchy=hierarchy)
 
 
-def dataset_summary(data: TrialDataset, by_arm: bool = True) -> list[dict]:
-    """Per-arm (and pooled) counts: subjects, episodes, distinct types,
+def dataset_summary(data: TrialDataset) -> list[dict]:
+    """Per-arm and pooled counts: subjects, episodes, distinct types,
     subjects with at least one episode.
 
     The pooled distinct-type count is a set union, so it can be smaller
@@ -369,12 +363,10 @@ def dataset_summary(data: TrialDataset, by_arm: bool = True) -> list[dict]:
             "pct_subjects_with_ae": 100.0 * n_with / n_subj if n_subj else 0.0,
         }
 
-    rows = []
-    if by_arm:
-        for arm in data.arms:
-            rows.append(
-                _row(arm, [s for s in data.subjects if s.arm == arm], data.episodes_for_arm(arm))
-            )
+    rows = [
+        _row(arm, [s for s in data.subjects if s.arm == arm], data.episodes_for_arm(arm))
+        for arm in data.arms
+    ]
     rows.append(_row("Total", list(data.subjects), list(data.episodes)))
     return rows
 

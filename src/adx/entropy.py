@@ -71,11 +71,14 @@ def profile_from_episodes(
 
 
 def adx(profile: FrequencyProfile) -> float:
-    """Point estimate: -sum p_i ln p_i over observed types."""
+    """Point estimate: -sum p_i ln p_i over observed types.
+
+    Computed as ``0.0 - sum``, so a single-type profile gives +0.0, not -0.0.
+    """
     n = profile.n_total
     if n == 0:
         raise EmptyProfile("profile has no episodes")
-    return -sum((c / n) * math.log(c / n) for c in profile.counts.values())
+    return 0.0 - sum((c / n) * math.log(c / n) for c in profile.counts.values())
 
 
 def adx_variance(profile: FrequencyProfile) -> float:

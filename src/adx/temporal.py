@@ -8,16 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cohorts import AgeBinning, CohortKey, _arm_pairs, _cell_value
-from .data import AeEpisode, TrialDataset
-from .entropy import (
-    AdxEstimate,
-    ComparisonResult,
-    compare,
-    estimate,
-    profile_from_episodes,
-)
-from .errors import DegenerateVariance, NoCycleData, NoDatedEpisodes
+from .cohorts import AgeBinning, CohortKey, _cells, _estimate_and_pair
+from .data import TrialDataset
+from .entropy import AdxEstimate, ComparisonResult, estimate, profile_from_episodes
+from .errors import NoCycleData, NoDatedEpisodes
 
 SEQUENTIAL_CAVEAT = (
     "per-look tests are unadjusted for repeated looks (no alpha spending)"
@@ -85,40 +79,15 @@ def interim_series(
         raise NoDatedEpisodes("no episode carries onset_day")
     if schedule is None:
         schedule = default_schedule(data)
-    dims = dimensions or []
-    binning = age_binning or AgeBinning()
-
-    def key_of(ep: AeEpisode) -> CohortKey:
-        filters = tuple((d, _cell_value(ep, d, data, binning)) for d in dims)
-        return CohortKey(ep.arm, filters)
-
+    cells = _cells(data, dated, dimensions or (), age_binning)
     series = InterimSeries(schedule=schedule, estimates={}, comparisons=[], excluded_undated=excluded)
     for look, cutoff in enumerate(schedule.cutoff_days):
-        cells: dict[CohortKey, list[AeEpisode]] = {}
-        for ep in dated:
-            if ep.onset_day <= cutoff:
-                cells.setdefault(key_of(ep), []).append(ep)
-        for key in sorted(cells, key=lambda k: (k.filters, k.arm)):
-            series.estimates[(key, look)] = estimate(
-                profile_from_episodes(cells[key], level, data.hierarchy)
-            )
-        by_cell: dict[tuple, dict[str, CohortKey]] = {}
-        for key in cells:
-            by_cell.setdefault(key.cell, {})[key.arm] = key
-        for cell in sorted(by_cell):
-            arm_keys = by_cell[cell]
-            arms_here = [a for a in data.arms if a in arm_keys]
-            for a, b in _arm_pairs(arms_here, control if control in arm_keys else None):
-                try:
-                    res = compare(
-                        series.estimates[(arm_keys[a], look)],
-                        series.estimates[(arm_keys[b], look)],
-                        alpha,
-                        two_sided,
-                    )
-                except DegenerateVariance:
-                    continue
-                series.comparisons.append((arm_keys[a], arm_keys[b], look, res))
+        upto = {key: [e for e in eps if e.onset_day <= cutoff] for key, eps in cells.items()}
+        rep = _estimate_and_pair(
+            data, {key: eps for key, eps in upto.items() if eps}, level, control, alpha, two_sided
+        )
+        series.estimates.update(((key, look), est) for key, est in rep.estimates.items())
+        series.comparisons += [(ka, kb, look, res) for ka, kb, res in rep.comparisons]
     return series
 
 

@@ -267,6 +267,22 @@ def test_hierarchy_command(capsys, tiny_trial_files, tmp_path):
     assert "P1" in out or "p1" in out.lower() or "rollup" in out
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("summary", []), ("subgroup", ["--by", "sex"]), ("soc", []), ("hierarchy", []),
+    ("interim", []),
+])
+def test_unknown_control_is_config_error(capsys, tiny_trial_files, tmp_path, command, extra):
+    code, _, err = run(
+        capsys, command, *extra, "--control", "Nope",
+        "--episodes", str(tiny_trial_files["episodes"]),
+        "--subjects", str(tiny_trial_files["subjects"]),
+        "--hierarchy", str(tiny_trial_files["hierarchy"]),
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 3
+    assert err.count("\n") == 1 and "Nope" in err and "Traceback" not in err
+
+
 def _strict_jsonl(path):
     def reject(const):
         raise ValueError(f"non-JSON constant {const}")

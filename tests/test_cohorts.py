@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +317,21 @@ def test_sweep_requires_hierarchy():
     t = dataset_from_counts({"A": {"a": 3}})
     with pytest.raises(MissingHierarchy):
         hierarchy_sweep(t)
+
+
+def test_degenerate_variance_is_caught_in_one_place():
+    """Cell comparisons go through cohorts._estimate_and_pair; everything
+    else lets DegenerateVariance reach cli.main."""
+    src = Path(__file__).resolve().parent.parent / "src" / "adx"
+
+    def catches(handler):
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(getattr(t, "id", getattr(t, "attr", None)) == "DegenerateVariance" for t in types)
+
+    sites = set()
+    for path in sorted(src.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites |= {(path.name, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.ExceptHandler) and node.type and catches(node)}
+    assert sites == {("cohorts.py", "_estimate_and_pair"), ("cli.py", "main")}

@@ -55,6 +55,14 @@ def test_adx_single_type_is_zero():
     assert adx(profile(1)) == 0.0
 
 
+def test_adx_single_type_is_positive_zero():
+    # -0.0 == 0.0, so only the sign bit shows it; reports would print "-0.00"
+    assert math.copysign(1.0, adx(profile(17))) == 1.0
+    assert adx(profile(81, 7, 6, 6)) == -sum(
+        (c / 100) * math.log(c / 100) for c in (81, 7, 6, 6)
+    )
+
+
 def test_adx_two_even_types_is_ln2():
     assert adx(profile(50, 50)) == pytest.approx(math.log(2), abs=0)
 

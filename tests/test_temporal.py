@@ -1,5 +1,6 @@
 import pytest
 
+from adx.cohorts import subgroup_analysis
 from adx.data import AeEpisode, SubjectRecord, TrialDataset
 from adx.entropy import estimate, profile_from_episodes
 from adx.errors import NoCycleData, NoDatedEpisodes
@@ -22,6 +23,32 @@ def dated_trial(arm_specs):
                 AeEpisode(subject_id=sid, arm=arm, pt_term=pt, onset_day=day, cycle=cycle)
             )
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes))
+
+
+def test_interim_look_equals_subgroup_on_restricted_data():
+    subjects, episodes = [], []
+    for i, arm in enumerate(("Zeta", "Ctl", "Mid")):
+        for j, sex in enumerate("FMU"):
+            sid = f"{arm}-{sex}"
+            subjects.append(SubjectRecord(subject_id=sid, arm=arm, sex=sex))
+            episodes += [
+                AeEpisode(subject_id=sid, arm=arm, pt_term=f"t{(k * (i + 2) + j) % 7}",
+                          onset_day=(k * 37 + i * 11 + j * 5) % 300)
+                for k in range(12 + 4 * i - 3 * j)
+            ]
+    episodes.append(AeEpisode(subject_id="Mid-F", arm="Mid", pt_term="t1"))  # undated
+    t = TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes))
+    schedule = LookSchedule((40, 120, 299))
+    series = interim_series(t, schedule, ["sex"], control="Ctl")
+    for look, cutoff in enumerate(schedule.cutoff_days):
+        upto = tuple(e for e in episodes if e.onset_day is not None and e.onset_day <= cutoff)
+        rep = subgroup_analysis(TrialDataset(subjects=t.subjects, episodes=upto), ["sex"],
+                                control="Ctl")
+        assert [(k, e) for (k, lk), e in series.estimates.items() if lk == look] == list(
+            rep.estimates.items()
+        )
+        assert [(a, b, r) for a, b, lk, r in series.comparisons if lk == look] == rep.comparisons
+    assert {b.arm for _, b, _, _ in series.comparisons} == {"Ctl"}
 
 
 def test_schedule_validation():
