@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import TrialDataset, _require_columns
-from .entropy import AdxEstimate, FrequencyProfile, adx, estimate, profile_from_episodes
+from .entropy import AdxEstimate, estimate, profile_from_episodes
 from .errors import (
     DivisionByZeroBenefit,
     InsufficientData,
     MalformedRow,
     ZeroAdversity,
 )
+from .kernel import entropy_and_variance
 
 
 @dataclass(frozen=True)
@@ -122,26 +123,6 @@ def benefit_risk(
     return BenefitRiskResult(read_values=reads, re_read_values=rr)
 
 
-def _resample_episode_terms(terms: list[str], rng: np.random.Generator) -> FrequencyProfile:
-    idx = rng.integers(0, len(terms), size=len(terms))
-    counts: dict[str, int] = {}
-    for i in idx:
-        t = terms[i]
-        counts[t] = counts.get(t, 0) + 1
-    return FrequencyProfile(counts)
-
-
-def _resample_subject_clusters(
-    by_subject: list[list[str]], rng: np.random.Generator
-) -> FrequencyProfile:
-    idx = rng.integers(0, len(by_subject), size=len(by_subject))
-    counts: dict[str, int] = {}
-    for i in idx:
-        for t in by_subject[i]:
-            counts[t] = counts.get(t, 0) + 1
-    return FrequencyProfile(counts)
-
-
 def re_read_bootstrap_ci(
     data: TrialDataset,
     efficacy: dict[str, EfficacyInput],
@@ -166,8 +147,11 @@ def re_read_bootstrap_ci(
     if replicates < 200:
         raise InsufficientData("need at least 200 bootstrap replicates")
 
-    arm_terms: dict[str, list[str]] = {}
-    arm_clusters: dict[str, list[list[str]]] = {}
+    # Code each arm's terms and subjects once, in order of first appearance.
+    # A replicate's counts are then a bincount of the drawn term codes or,
+    # for the subject unit, of every code weighted by how often its subject
+    # was drawn.
+    arm_codes: dict[str, tuple[np.ndarray, int, np.ndarray, int]] = {}
     for arm in arms:
         eps = data.episodes_for_arm(arm)
         if len(eps) < 2:
@@ -177,11 +161,13 @@ def re_read_bootstrap_ci(
         else:
             h = data.require_hierarchy()
             terms = [h.term_at(e.pt_term, hierarchy_level) for e in eps]
-        arm_terms[arm] = terms
-        clusters: dict[str, list[str]] = {}
-        for e, t in zip(eps, terms):
-            clusters.setdefault(e.subject_id, []).append(t)
-        arm_clusters[arm] = list(clusters.values())
+        term_index: dict[str, int] = {}
+        subject_index: dict[str, int] = {}
+        codes = np.fromiter((term_index.setdefault(t, len(term_index)) for t in terms),
+                            np.intp, len(eps))
+        subjects = np.fromiter((subject_index.setdefault(e.subject_id, len(subject_index))
+                                for e in eps), np.intp, len(eps))
+        arm_codes[arm] = (codes, len(term_index), subjects, len(subject_index))
         # fail fast on a degenerate point estimate
         read_score(efficacy[arm], estimate(profile_from_episodes(eps, hierarchy_level, data.hierarchy)))
 
@@ -190,11 +176,14 @@ def re_read_bootstrap_ci(
         rng = np.random.default_rng([seed, r])
         reads = []
         for arm in arms:
+            codes, k, subjects, s = arm_codes[arm]
             if unit == "episode":
-                prof = _resample_episode_terms(arm_terms[arm], rng)
+                drawn = codes[rng.integers(0, len(codes), size=len(codes))]
+                counts = np.bincount(drawn, minlength=k)
             else:
-                prof = _resample_subject_clusters(arm_clusters[arm], rng)
-            h = adx(prof)
+                mult = np.bincount(rng.integers(0, s, size=s), minlength=s)
+                counts = np.bincount(codes, weights=mult[subjects], minlength=k)
+            h, _ = entropy_and_variance(counts)
             if h == 0.0:
                 raise ZeroAdversity(f"bootstrap replicate {r}: arm {arm!r} collapsed to one AE type")
             reads.append(abs(efficacy[arm].benefit) / h)

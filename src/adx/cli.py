@@ -43,16 +43,20 @@ def _add_trial_args(p: argparse.ArgumentParser, hierarchy: bool = True):
         )
 
 
-def _add_common_args(p: argparse.ArgumentParser):
+def _add_common_args(p: argparse.ArgumentParser, tests: bool = True, level: bool = True):
+    """Output flags, plus the test flags (``--alpha``, ``--one-sided``,
+    ``--control``) and ``--level`` for the commands that use them."""
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument(
         "--format", default="text",
         help="comma-separated subset of text,json-lines,csv",
     )
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--one-sided", action="store_true")
-    p.add_argument("--level", choices=list(data.HIERARCHY_LEVELS), default="pt")
-    p.add_argument("--control", help="designated control arm")
+    if level:
+        p.add_argument("--level", choices=list(data.HIERARCHY_LEVELS), default="pt")
+    if tests:
+        p.add_argument("--alpha", type=float, default=0.05)
+        p.add_argument("--one-sided", action="store_true")
+        p.add_argument("--control", help="designated control arm")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("drilldown", help="leading AE types inside one SOC")
     _add_trial_args(p)
-    _add_common_args(p)
+    _add_common_args(p, tests=False, level=False)
     p.add_argument("--soc", required=True)
     p.add_argument("--top", type=int, default=2)
     p.add_argument("--arms", help="comma-separated arm list (default: all)")
@@ -103,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exposure", help="cumulative AE profile by cycle")
     _add_trial_args(p)
-    _add_common_args(p)
+    _add_common_args(p, tests=False)
     p.add_argument("--max-cycle", type=int)
     p.add_argument("--exposure-file", help="optional CSV subject_id,last_cycle")
 
@@ -157,8 +161,9 @@ def _load(args) -> data.TrialDataset:
         getattr(args, "hierarchy", None),
         unmapped=getattr(args, "unmapped", "reject"),
     )
-    if args.control is not None and args.control not in trial.arms:
-        raise ConfigError(f"control arm not in dataset: {args.control}")
+    control = getattr(args, "control", None)
+    if control is not None and control not in trial.arms:
+        raise ConfigError(f"control arm not in dataset: {control}")
     return trial
 
 
@@ -518,7 +523,8 @@ def cmd_validate(args) -> int:
     if args.check in ("variance", "both"):
         reports.append(("variance", simulate.validate_variance(scenario, args.replicates, draws)))
     if args.check in ("normality", "both"):
-        reports.append(("normality", simulate.validate_normality(scenario, args.replicates, draws)))
+        reports.append(("normality", simulate.validate_normality(
+            scenario, args.replicates, draws, flag_uniform=args.check == "both")))
     for kind, rep in reports:
         for av in rep.arms:
             sd_over_se = "n/a" if av.sd_over_se is None else f"{av.sd_over_se:.3f}"
@@ -537,7 +543,7 @@ def cmd_validate(args) -> int:
                    "mean_analytic_se": av.mean_analytic_se, "sd_over_se": av.sd_over_se,
                    "bias": av.bias, "first_order_bias": av.first_order_bias,
                    "degenerate": av.degenerate}
-            if av.ks_distance is not None:
+            if kind == "normality":
                 rec.update(ks_distance=av.ks_distance, skew=av.skew,
                            excess_kurtosis=av.excess_kurtosis)
             records.append(rec)

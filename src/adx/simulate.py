@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import AeEpisode, SubjectRecord, TrialDataset
-from .entropy import FrequencyProfile, adx, adx_variance, normal_cdf
+from .entropy import normal_cdf
 from .errors import DegenerateScenario, InvalidScenario
+from .kernel import entropy_and_variance
 
 
 @dataclass(frozen=True)
@@ -178,10 +179,8 @@ def _replicate_draws(arm: ArmScenario, seed: int, replicates: int) -> tuple[np.n
     probs = np.asarray(arm.probs)
     for r in range(replicates):
         rng = np.random.default_rng([seed, r])
-        counts = rng.multinomial(n_total, probs)
-        prof = FrequencyProfile({type_label(i): int(c) for i, c in enumerate(counts) if c > 0})
-        adxs[r] = adx(prof)
-        ses[r] = math.sqrt(adx_variance(prof))
+        adxs[r], variance = entropy_and_variance(rng.multinomial(n_total, probs))
+        ses[r] = math.sqrt(variance)
     return adxs, ses
 
 
@@ -256,14 +255,17 @@ def _shape_diagnostics(z: np.ndarray) -> dict[str, float]:
 
 
 def validate_normality(scenario: Scenario, replicates: int = 1000,
-                       draws: Draws | None = None) -> ValidationReport:
+                       draws: Draws | None = None, flag_uniform: bool = False) -> ValidationReport:
     """Standardize replicate adx values and report shape diagnostics
     (skew, excess kurtosis, KS distance from the standard normal).
-    ``draws`` as in ``validate_variance``."""
+    ``draws`` as in ``validate_variance``. An arm with a uniform true
+    vector has zero asymptotic variance: it raises DegenerateScenario, or
+    with ``flag_uniform`` gets a ``degenerate`` record without diagnostics."""
     if replicates < 2:
         raise InvalidScenario("need at least 2 replicates")
+    uniform = {arm.name for arm in scenario.arms if _is_uniform(arm.probs)}
     for arm in scenario.arms:
-        if _is_uniform(arm.probs):
+        if arm.name in uniform and not flag_uniform:
             raise DegenerateScenario(
                 f"arm {arm.name!r}: uniform true vector has zero asymptotic variance"
             )
@@ -271,6 +273,9 @@ def validate_normality(scenario: Scenario, replicates: int = 1000,
     report = ValidationReport(scenario=scenario, replicates=replicates)
     for arm in scenario.arms:
         adxs, ses = draws[arm.name]
+        if arm.name in uniform:
+            report.arms.append(_arm_validation(arm, adxs, ses, True))
+            continue
         sd = float(adxs.std(ddof=1))
         if sd == 0.0:
             raise DegenerateScenario(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from adx.benefit_risk import (
     read_score,
 )
 from adx.data import HierarchyMap
-from adx.entropy import FrequencyProfile, estimate, estimate_from_stats
+from adx.entropy import FrequencyProfile, adx, estimate, estimate_from_stats
 from adx.errors import DivisionByZeroBenefit, InsufficientData, ZeroAdversity
 
 from conftest import dataset_from_counts, write_csv
@@ -173,3 +175,69 @@ def test_bootstrap_fails_fast_at_the_requested_level():
     with pytest.raises(ZeroAdversity, match="single AE type"):
         re_read_bootstrap_ci(t, EFF_EQUAL, ("A", "B"), replicates=200, seed=1,
                              hierarchy_level="soc")
+
+
+def _reference_bootstrap_ci(data, efficacy, arms, level, replicates, seed, unit, hierarchy_level):
+    """The per-replicate term-list loop that ``re_read_bootstrap_ci`` replaced:
+    the same ``[seed, r]`` streams and draws, tallied into a FrequencyProfile."""
+    terms, clusters = {}, {}
+    for arm in arms:
+        eps = data.episodes_for_arm(arm)
+        terms[arm] = [e.pt_term if hierarchy_level == "pt"
+                      else data.hierarchy.term_at(e.pt_term, hierarchy_level) for e in eps]
+        by_subject = {}
+        for e, t in zip(eps, terms[arm]):
+            by_subject.setdefault(e.subject_id, []).append(t)
+        clusters[arm] = list(by_subject.values())
+    values = np.empty(replicates)
+    for r in range(replicates):
+        rng = np.random.default_rng([seed, r])
+        reads = []
+        for arm in arms:
+            units = [[t] for t in terms[arm]] if unit == "episode" else clusters[arm]
+            counts = Counter()
+            for i in rng.integers(0, len(units), size=len(units)):
+                counts.update(units[i])
+            h = adx(FrequencyProfile(counts))
+            if h == 0.0:
+                raise ZeroAdversity(f"bootstrap replicate {r}: arm {arm!r} collapsed to one AE type")
+            reads.append(abs(efficacy[arm].benefit) / h)
+        values[r] = reads[0] / reads[1]
+    lo_q = (1.0 - level) / 2.0
+    lo, hi = np.quantile(values, [lo_q, 1.0 - lo_q])
+    return float(lo), float(hi)
+
+
+def _hierarchy_trial():
+    pts = [f"p{i}" for i in range(12)]
+    h = HierarchyMap({pt: (f"h{i // 2}", f"g{i // 4}", f"soc{i // 4}") for i, pt in enumerate(pts)})
+    counts_a = {pt: 3 + (7 * i) % 11 for i, pt in enumerate(pts)}
+    counts_b = {pt: 2 + (5 * i) % 13 for i, pt in enumerate(pts)}
+    return dataset_from_counts({"A": counts_a, "B": counts_b}, hierarchy=h, subjects_per_arm=9)
+
+
+@pytest.mark.parametrize("unit", ["episode", "subject"])
+@pytest.mark.parametrize("hierarchy_level", ["pt", "soc"])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_bootstrap_matches_term_list_reference(unit, hierarchy_level, seed):
+    t = _hierarchy_trial()
+    eff = {"A": EfficacyInput(arm="A", value=2.5), "B": EfficacyInput(arm="B", value=2.0)}
+    args = (t, eff, ("A", "B"), 0.9, 300, seed, unit, hierarchy_level)
+    lo, hi = re_read_bootstrap_ci(*args)
+    lo_ref, hi_ref = _reference_bootstrap_ci(*args)
+    assert lo == pytest.approx(lo_ref, rel=1e-12, abs=0.0)
+    assert hi == pytest.approx(hi_ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("unit", ["episode", "subject"])
+def test_bootstrap_collapse_matches_reference(unit):
+    # B has three episodes over two types: about a third of its replicates collapse
+    t = dataset_from_counts({"A": {"a": 30, "b": 20, "c": 10}, "B": {"a": 2, "b": 1}},
+                            subjects_per_arm=3)
+    args = (t, EFF_EQUAL, ("A", "B"), 0.95, 200, 5, unit, "pt")
+    with pytest.raises(ZeroAdversity) as new:
+        re_read_bootstrap_ci(*args)
+    with pytest.raises(ZeroAdversity) as ref:
+        _reference_bootstrap_ci(*args)
+    assert str(new.value) == str(ref.value)
+    assert "arm 'B' collapsed" in str(new.value)

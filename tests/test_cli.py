@@ -388,3 +388,47 @@ def test_exposure_file_is_read(capsys, tiny_trial_files, tmp_path):
     at_six = [r for r in _strict_jsonl(out_dir / "exposure.jsonl")
               if r.get("record") == "exposure" and r["cycle"] == 6]
     assert {r["arm"]: r["subjects_at_cycle"] for r in at_six} == {"A": 1, "B": 0}
+
+
+def test_validate_both_flags_uniform_arm(capsys, tmp_path):
+    scenario = _scenario(tmp_path, [("Flat", "0.5 0.5"), ("B", "0.6 0.3 0.1")])
+    out_dir = tmp_path / "o"
+    code, out, err = run(capsys, "validate", "--scenario", str(scenario), "--check", "both",
+                         "--replicates", "100", "--out", str(out_dir),
+                         "--format", "text,json-lines")
+    assert code == 0, err
+    recs = {(r["record"], r["arm"]): r for r in _strict_jsonl(out_dir / "validate.jsonl")[1:]}
+    assert set(recs) == {(f"validate_{kind}", arm) for kind in ("variance", "normality")
+                         for arm in ("Flat", "B")}
+    assert recs["validate_variance", "Flat"]["degenerate"] is True
+    flat = recs["validate_normality", "Flat"]
+    assert flat["degenerate"] is True
+    assert flat["skew"] is flat["excess_kurtosis"] is flat["ks_distance"] is None
+    assert recs["validate_normality", "B"]["ks_distance"] is not None
+    normality_rows = [line for line in out.splitlines() if line.startswith("normality")]
+    assert [row.split()[1] for row in normality_rows] == ["Flat", "B"]
+    assert normality_rows[0].endswith("degenerate (uniform)")
+    code, _, err = run(capsys, "validate", "--scenario", str(scenario), "--check", "normality",
+                       "--replicates", "100", "--out", str(tmp_path / "n"))
+    assert code == 4 and "uniform" in err
+
+
+@pytest.mark.parametrize("command, extra, flag", [
+    ("drilldown", ["--soc", "gastrointestinal disorders"], ["--alpha", "0.2"]),
+    ("drilldown", ["--soc", "gastrointestinal disorders"], ["--one-sided"]),
+    ("drilldown", ["--soc", "gastrointestinal disorders"], ["--control", "A"]),
+    ("drilldown", ["--soc", "gastrointestinal disorders"], ["--level", "soc"]),
+    ("exposure", [], ["--alpha", "0.2"]),
+    ("exposure", [], ["--one-sided"]),
+    ("exposure", [], ["--control", "A"]),
+])
+def test_unused_test_flags_are_usage_errors(capsys, tiny_trial_files, tmp_path, command, extra,
+                                            flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *extra, *flag,
+              "--episodes", str(tiny_trial_files["episodes"]),
+              "--subjects", str(tiny_trial_files["subjects"]),
+              "--hierarchy", str(tiny_trial_files["hierarchy"]),
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err

@@ -26,6 +26,15 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     assert version.stdout.startswith("adx-toolkit ")
 
 
+def test_report_modules_load_no_numpy():
+    # the resampling kernel must stay off the report commands' import path
+    code = ("import adx.cli, adx.entropy, adx.cohorts, adx.temporal, adx.report, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def test_no_module_imports_scipy():
     offenders = []
     for path in sorted((SRC / "adx").rglob("*.py")):
