@@ -50,7 +50,7 @@ def load_efficacy(path: str | Path) -> dict[str, EfficacyInput]:
     out: dict[str, EfficacyInput] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(reader, path, ["arm", "value"])
+        _require_columns(reader.fieldnames, path, ["arm", "value"])
         for line_no, row in enumerate(reader, start=2):
             try:
                 arm = row["arm"].strip()

@@ -43,9 +43,10 @@ def _add_trial_args(p: argparse.ArgumentParser, hierarchy: bool = True):
         )
 
 
-def _add_common_args(p: argparse.ArgumentParser, tests: bool = True, level: bool = True):
-    """Output flags, plus the test flags (``--alpha``, ``--one-sided``,
-    ``--control``) and ``--level`` for the commands that use them."""
+def _add_common_args(p: argparse.ArgumentParser, tests: bool = True, control: bool = True,
+                     level: bool = True):
+    """Output flags, plus the test flags (``--alpha``, ``--one-sided``),
+    ``--control`` and ``--level`` for the commands that use them."""
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument(
         "--format", default="text",
@@ -56,6 +57,7 @@ def _add_common_args(p: argparse.ArgumentParser, tests: bool = True, level: bool
     if tests:
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--one-sided", action="store_true")
+    if control:
         p.add_argument("--control", help="designated control arm")
 
 
@@ -73,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="two-arm AdX comparison")
     _add_trial_args(p)
-    _add_common_args(p)
+    _add_common_args(p, control=False)
     p.add_argument("--arms", help="comma-separated pair, e.g. A,B (default: first two arms)")
 
     p = sub.add_parser("subgroup", help="AdX by arm x subgroup cells")
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("drilldown", help="leading AE types inside one SOC")
     _add_trial_args(p)
-    _add_common_args(p, tests=False, level=False)
+    _add_common_args(p, tests=False, control=False, level=False)
     p.add_argument("--soc", required=True)
     p.add_argument("--top", type=int, default=2)
     p.add_argument("--arms", help="comma-separated arm list (default: all)")
@@ -107,13 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exposure", help="cumulative AE profile by cycle")
     _add_trial_args(p)
-    _add_common_args(p, tests=False)
+    _add_common_args(p, tests=False, control=False)
     p.add_argument("--max-cycle", type=int)
     p.add_argument("--exposure-file", help="optional CSV subject_id,last_cycle")
 
     p = sub.add_parser("benefit-risk", help="REAd / Re-REAd from an efficacy file")
     _add_trial_args(p)
-    _add_common_args(p)
+    _add_common_args(p, tests=False, control=False)
     p.add_argument("--efficacy", required=True, help="CSV arm,endpoint_label,value,higher_is_better")
     p.add_argument("--arms", help="pair for Re-REAd, e.g. ACTIVE,PLACEBO")
     p.add_argument("--bootstrap", type=int, help="bootstrap replicates for the Re-REAd CI")

@@ -10,7 +10,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .data import AeEpisode, TrialDataset
+from .data import AeEpisode, SubjectRecord, TrialDataset
 from .entropy import (
     AdxEstimate,
     ComparisonResult,
@@ -102,16 +102,13 @@ def _episode_dimension_value(ep: AeEpisode, dim: str, data: TrialDataset) -> str
     raise UnknownDimension(dim)
 
 
-def _cell_value(ep: AeEpisode, dim: str, data: TrialDataset, age_binning: AgeBinning) -> str:
-    if dim in SUBJECT_DIMENSIONS:
-        subj = data.subject(ep.subject_id)
-        if dim == "sex":
-            return subj.sex
-        if dim == "age":
-            return age_binning.label(subj.age_years)
-        value = getattr(subj, dim)
-        return value if value is not None else UNKNOWN
-    return _episode_dimension_value(ep, dim, data)
+def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> str:
+    if dim == "sex":
+        return subj.sex
+    if dim == "age":
+        return age_binning.label(subj.age_years)
+    value = getattr(subj, dim)
+    return value if value is not None else UNKNOWN
 
 
 def _cells(
@@ -120,11 +117,23 @@ def _cells(
     dimensions: Sequence[str] = (),
     age_binning: AgeBinning | None = None,
 ) -> dict[CohortKey, list[AeEpisode]]:
-    """Group episodes into (arm x subgroup) cells, keeping episode order."""
+    """Group episodes into (arm x subgroup) cells, keeping episode order.
+
+    Subject dimensions are worked out once per subject, not per episode.
+    """
     binning = age_binning or AgeBinning()
+    subject_dims = [d for d in dimensions if d in SUBJECT_DIMENSIONS]
+    by_subject = {
+        s.subject_id: {d: _subject_value(s, d, binning) for d in subject_dims}
+        for s in data.subjects
+    } if subject_dims else {}
     groups: dict[tuple, list[AeEpisode]] = {}
     for ep in episodes:
-        filters = tuple((d, _cell_value(ep, d, data, binning)) for d in dimensions)
+        values = by_subject.get(ep.subject_id, {})
+        filters = tuple(
+            (d, values[d] if d in values else _episode_dimension_value(ep, d, data))
+            for d in dimensions
+        )
         groups.setdefault((ep.arm, filters), []).append(ep)
     return {CohortKey(arm, filters): eps for (arm, filters), eps in groups.items()}
 

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     ArmMismatch,
@@ -24,6 +26,8 @@ HIERARCHY_LEVELS = ("pt", "hlt", "hlgt", "soc")
 
 TIER_VALUES = ("tier1", "tier23", "untiered")
 
+_TRIPLE_INDEX = {"hlt": 0, "hlgt": 1, "soc": 2}  # position in a PT's (hlt, hlgt, soc)
+
 _WS = re.compile(r"\s+")
 
 
@@ -36,27 +40,57 @@ def normalize_term(text: str) -> str:
     return _WS.sub(" ", text.strip()).casefold()
 
 
-@dataclass(frozen=True)
-class AeEpisode:
+class _EpisodeFields(NamedTuple):
     subject_id: str
     arm: str
     pt_term: str
-    onset_day: int | None = None
-    cycle: int | None = None
-    serious: bool | None = None
-    severity: int | None = None
-    tier: str = "untiered"
+    onset_day: int | None
+    cycle: int | None
+    serious: bool | None
+    severity: int | None
+    tier: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "pt_term", normalize_term(self.pt_term))
-        if not self.pt_term:
-            raise ValueError("pt_term is empty after normalization")
-        if self.onset_day is not None and self.onset_day < 0:
-            raise ValueError(f"onset_day {self.onset_day} < 0")
-        if self.cycle is not None and self.cycle < 1:
-            raise ValueError(f"cycle {self.cycle} < 1")
-        if self.tier not in TIER_VALUES:
-            raise ValueError(f"tier must be one of {TIER_VALUES}, got {self.tier!r}")
+
+class AeEpisode(_EpisodeFields):
+    """One AE episode, an immutable named tuple.
+
+    The constructor normalizes ``pt_term`` and checks the values;
+    ``load_episodes`` runs the same checks once per distinct CSV value and
+    builds rows with ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject_id: str, arm: str, pt_term: str, onset_day: int | None = None,
+                cycle: int | None = None, serious: bool | None = None,
+                severity: int | None = None, tier: str = "untiered"):
+        pt_term = _checked_pt(pt_term)
+        _check_onset_day(onset_day)
+        _check_cycle(cycle)
+        _check_tier(tier)
+        return tuple.__new__(cls, (subject_id, arm, pt_term, onset_day, cycle, serious, severity, tier))
+
+
+def _checked_pt(pt_term: str) -> str:
+    pt = normalize_term(pt_term)
+    if not pt:
+        raise ValueError("pt_term is empty after normalization")
+    return pt
+
+
+def _check_onset_day(onset_day: int | None) -> None:
+    if onset_day is not None and onset_day < 0:
+        raise ValueError(f"onset_day {onset_day} < 0")
+
+
+def _check_cycle(cycle: int | None) -> None:
+    if cycle is not None and cycle < 1:
+        raise ValueError(f"cycle {cycle} < 1")
+
+
+def _check_tier(tier: str) -> None:
+    if tier not in TIER_VALUES:
+        raise ValueError(f"tier must be one of {TIER_VALUES}, got {tier!r}")
 
 
 @dataclass(frozen=True)
@@ -109,22 +143,25 @@ class HierarchyMap:
             hlgt_parent[hlgt] = soc
         self.entries = norm
 
+    # Keys are normalized and normalize_term is idempotent, so a term found
+    # as given needs no normalizing; loaded PTs are already normalized.
     def __contains__(self, pt_term: str) -> bool:
-        return normalize_term(pt_term) in self.entries
+        return pt_term in self.entries or normalize_term(pt_term) in self.entries
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def term_at(self, pt_term: str, level: str) -> str:
         """Resolve a PT to its term at the requested hierarchy level."""
-        pt = normalize_term(pt_term)
+        triple = self.entries.get(pt_term)
+        if triple is None:
+            pt_term = normalize_term(pt_term)
+            triple = self.entries.get(pt_term)
         if level == "pt":
-            return pt
-        try:
-            hlt, hlgt, soc = self.entries[pt]
-        except KeyError:
-            raise UnmappedTerm(f"pt {pt!r} not in hierarchy") from None
-        return {"hlt": hlt, "hlgt": hlgt, "soc": soc}[level]
+            return pt_term
+        if triple is None:
+            raise UnmappedTerm(f"pt {pt_term!r} not in hierarchy")
+        return triple[_TRIPLE_INDEX[level]]
 
     def socs(self) -> list[str]:
         return sorted({soc for _, _, soc in self.entries.values()})
@@ -134,7 +171,7 @@ class HierarchyMap:
         entries: dict[str, tuple[str, str, str]] = {}
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            _require_columns(reader, path, ["pt_term", "hlt_term", "hlgt_term", "soc_term"])
+            _require_columns(reader.fieldnames, path, ["pt_term", "hlt_term", "hlgt_term", "soc_term"])
             for line_no, row in enumerate(reader, start=2):
                 try:
                     pt = normalize_term(row["pt_term"])
@@ -200,8 +237,8 @@ class TrialDataset:
         return self.hierarchy
 
 
-def _require_columns(reader: csv.DictReader, path, cols):
-    missing = [c for c in cols if reader.fieldnames is None or c not in reader.fieldnames]
+def _require_columns(fieldnames: list[str] | None, path, cols):
+    missing = [c for c in cols if fieldnames is None or c not in fieldnames]
     if missing:
         raise MalformedRow(path, 1, f"missing required column(s): {', '.join(missing)}")
 
@@ -239,7 +276,7 @@ def load_subjects(path: str | Path) -> list[SubjectRecord]:
     subjects = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(reader, path, ["subject_id", "arm", "sex"])
+        _require_columns(reader.fieldnames, path, ["subject_id", "arm", "sex"])
         for line_no, row in enumerate(reader, start=2):
             sid = (row.get("subject_id") or "").strip()
             arm = (row.get("arm") or "").strip()
@@ -266,33 +303,72 @@ def load_subjects(path: str | Path) -> list[SubjectRecord]:
     return subjects
 
 
+_EPISODE_COLUMNS = ("subject_id", "arm", "pt_term", "onset_day", "cycle", "serious", "severity", "tier")
+
+
+def _parse_episode(raw: tuple, path, line_no: int) -> tuple:
+    """Parse and check one row's raw values (``None`` for a missing one)
+    in the fixed check order, so a row with several faults always reports
+    the same first one."""
+    sid_raw, arm_raw, pt_raw, onset_raw, cycle_raw, serious_raw, severity_raw, tier_raw = raw
+    sid = (sid_raw or "").strip()
+    arm = (arm_raw or "").strip()
+    if not sid or not arm:
+        raise MalformedRow(path, line_no, "empty subject_id or arm")
+    tier = (tier_raw or "").strip().lower() or "untiered"
+    onset_day = _opt_int(onset_raw, path, line_no, "onset_day")
+    cycle = _opt_int(cycle_raw, path, line_no, "cycle")
+    serious = _opt_bool(serious_raw, path, line_no, "serious")
+    severity = _opt_int(severity_raw, path, line_no, "severity")
+    try:
+        pt = _checked_pt(pt_raw or "")
+        _check_onset_day(onset_day)
+        _check_cycle(cycle)
+        _check_tier(tier)
+    except ValueError as exc:
+        raise MalformedRow(path, line_no, str(exc))
+    return sid, arm, pt, onset_day, cycle, serious, severity, tier
+
+
 def load_episodes(path: str | Path) -> list[AeEpisode]:
+    """Read the episodes CSV into validated ``AeEpisode`` rows.
+
+    Each distinct raw value of a column is parsed and checked once, on the
+    first row that holds it; later rows reuse the result. As with
+    ``csv.DictReader``, blank lines are skipped and not numbered, a short
+    row reads as missing values, extra fields are ignored and a repeated
+    column name reads its last column.
+    """
     episodes = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, path, ["subject_id", "arm", "pt_term"])
-        for line_no, row in enumerate(reader, start=2):
-            sid = (row.get("subject_id") or "").strip()
-            arm = (row.get("arm") or "").strip()
-            pt = row.get("pt_term") or ""
-            if not sid or not arm:
-                raise MalformedRow(path, line_no, "empty subject_id or arm")
-            tier = (row.get("tier") or "").strip().lower() or "untiered"
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _require_columns(header, path, ["subject_id", "arm", "pt_term"])
+        width = len(header)
+        index = {name: i for i, name in enumerate(header)}
+        # an absent optional column reads the None appended to every row
+        pick = itemgetter(*(index.get(c, width) for c in _EPISODE_COLUMNS))
+        memos = tuple({} for _ in _EPISODE_COLUMNS)
+        sids, arms, pts, onsets, cycles, serious, severities, tiers = memos
+        new = tuple.__new__
+        line_no = 1
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                del row[width:]
+                row += [None] * (width - len(row))
+            row.append(None)
+            line_no += 1
+            s, a, p, o, c, se, sv, t = raw = pick(row)
             try:
-                episodes.append(
-                    AeEpisode(
-                        subject_id=sid,
-                        arm=arm,
-                        pt_term=pt,
-                        onset_day=_opt_int(row.get("onset_day"), path, line_no, "onset_day"),
-                        cycle=_opt_int(row.get("cycle"), path, line_no, "cycle"),
-                        serious=_opt_bool(row.get("serious"), path, line_no, "serious"),
-                        severity=_opt_int(row.get("severity"), path, line_no, "severity"),
-                        tier=tier,
-                    )
-                )
-            except ValueError as exc:
-                raise MalformedRow(path, line_no, str(exc))
+                values = (sids[s], arms[a], pts[p], onsets[o], cycles[c], serious[se],
+                          severities[sv], tiers[t])
+            except KeyError:
+                values = _parse_episode(raw, path, line_no)
+                for memo, key, value in zip(memos, raw, values):
+                    memo[key] = value
+            episodes.append(new(AeEpisode, values))
     return episodes
 
 
@@ -301,7 +377,7 @@ def load_exposure(path: str | Path) -> dict[str, int]:
     exposure = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(reader, path, ["subject_id", "last_cycle"])
+        _require_columns(reader.fieldnames, path, ["subject_id", "last_cycle"])
         for line_no, row in enumerate(reader, start=2):
             sid = (row.get("subject_id") or "").strip()
             last = _opt_int(row.get("last_cycle"), path, line_no, "last_cycle")

@@ -421,6 +421,10 @@ def test_validate_both_flags_uniform_arm(capsys, tmp_path):
     ("exposure", [], ["--alpha", "0.2"]),
     ("exposure", [], ["--one-sided"]),
     ("exposure", [], ["--control", "A"]),
+    ("compare", [], ["--control", "A"]),
+    ("benefit-risk", ["--efficacy", "efficacy.csv"], ["--alpha", "0.2"]),
+    ("benefit-risk", ["--efficacy", "efficacy.csv"], ["--one-sided"]),
+    ("benefit-risk", ["--efficacy", "efficacy.csv"], ["--control", "A"]),
 ])
 def test_unused_test_flags_are_usage_errors(capsys, tiny_trial_files, tmp_path, command, extra,
                                             flag):

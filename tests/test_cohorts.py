@@ -7,6 +7,7 @@ import pytest
 from adx.cohorts import (
     AgeBinning,
     CohortKey,
+    _cells,
     drilldown,
     hierarchy_sweep,
     soc_analysis,
@@ -106,6 +107,37 @@ def test_subgroup_low_n_flag(sexed_trial):
 def test_subgroup_unknown_dimension(sexed_trial):
     with pytest.raises(UnknownDimension):
         subgroup_analysis(sexed_trial, ["blood_type"])
+
+
+def test_cells_match_per_episode_grouping():
+    # subject dimensions are looked up once per subject; cells, their order
+    # and the episode order inside each must equal grouping episode by episode
+    subjects = [
+        dict(subject_id="S1", arm="A", sex="F", age_years=30, background_therapy="chemo"),
+        dict(subject_id="S2", arm="B", sex="M", substudy="pk"),
+        dict(subject_id="S3", arm="A", sex="F", age_years=70, substudy="pk"),
+    ]
+    episodes = [
+        dict(subject_id=sid, arm={"S1": "A", "S2": "B", "S3": "A"}[sid], pt_term=f"t{i % 3}",
+             serious=(None, True, False)[i % 3], severity=(1, None)[i % 2],
+             tier=("tier1", "untiered")[i % 2])
+        for i, sid in enumerate(["S1", "S2", "S3", "S1", "S3", "S2", "S1", "S1", "S3", "S2"])
+    ]
+    trial = make_trial(subjects, episodes)
+    dims = ["seriousness", "sex", "age", "background_therapy", "substudy", "severity", "tier"]
+    binning = AgeBinning()
+    expected = {}
+    for ep in trial.episodes:
+        subj = trial.subject(ep.subject_id)
+        value = {"sex": subj.sex, "age": binning.label(subj.age_years),
+                 "background_therapy": subj.background_therapy or "Unknown",
+                 "substudy": subj.substudy or "Unknown",
+                 "seriousness": {None: "Unknown", True: "serious", False: "non-serious"}[ep.serious],
+                 "severity": "Unknown" if ep.severity is None else str(ep.severity),
+                 "tier": ep.tier}
+        key = CohortKey(ep.arm, tuple((d, value[d]) for d in dims))
+        expected.setdefault(key, []).append(ep)
+    assert list(_cells(trial, trial.episodes, dims, binning).items()) == list(expected.items())
 
 
 def test_single_arm_no_comparisons():

@@ -101,6 +101,49 @@ def test_episode_invariants():
         AeEpisode(subject_id="S1", arm="A", pt_term="x", onset_day=-1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(pt_term=" \t "), "pt_term is empty after normalization"),
+    (dict(pt_term="x", onset_day=-1), "onset_day -1 < 0"),
+    (dict(pt_term="x", cycle=0), "cycle 0 < 1"),
+    (dict(pt_term="x", tier="Tier1"),
+     "tier must be one of ('tier1', 'tier23', 'untiered'), got 'Tier1'"),
+])
+def test_episode_invariant_messages(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        AeEpisode(subject_id="S1", arm="A", **kwargs)
+    assert str(exc.value) == message
+
+
+def test_episode_is_an_immutable_named_tuple():
+    pos = AeEpisode("S1", "A", "  Nausea\t ", 3, 2, True, 1, "tier1")
+    kw = AeEpisode(subject_id="S1", arm="A", pt_term="nausea", onset_day=3, cycle=2,
+                   serious=True, severity=1, tier="tier1")
+    assert pos == kw and hash(pos) == hash(kw) and len({pos, kw}) == 1
+    assert pos.pt_term == "nausea"
+    assert AeEpisode._fields == ("subject_id", "arm", "pt_term", "onset_day", "cycle",
+                                 "serious", "severity", "tier")
+    bare = AeEpisode("S1", "A", "x")
+    assert bare[3:] == (None, None, None, None, "untiered")
+    assert repr(bare) == ("AeEpisode(subject_id='S1', arm='A', pt_term='x', onset_day=None, "
+                          "cycle=None, serious=None, severity=None, tier='untiered')")
+    with pytest.raises(AttributeError):
+        pos.pt_term = "other"
+    with pytest.raises(AttributeError):
+        pos.note = "free text"
+
+
+def test_hierarchy_lookup_accepts_unnormalized_terms():
+    h = HierarchyMap({"Nausea": ("H1", "G1", "Soc1")})
+    for term in ("nausea", "  NAUSEA "):
+        assert term in h
+        assert h.term_at(term, "pt") == "nausea"
+        assert [h.term_at(term, lv) for lv in ("hlt", "hlgt", "soc")] == ["h1", "g1", "soc1"]
+    assert "vomiting" not in h
+    assert h.term_at(" Vomiting", "pt") == "vomiting"
+    with pytest.raises(UnmappedTerm, match="'vomiting'"):
+        h.term_at(" Vomiting", "soc")
+
+
 def test_repeated_rows_are_distinct_episodes(tiny_trial_files):
     # the counting unit is the episode: identical rows are kept
     eps = write_csv(
