@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TrialDataset, _require_columns
+from .data import TrialDataset, _csv_rows, _require_columns
 from .entropy import AdxEstimate, estimate, profile_from_episodes
 from .errors import (
     DivisionByZeroBenefit,
@@ -48,8 +48,7 @@ def load_efficacy(path: str | Path) -> dict[str, EfficacyInput]:
     """Read the efficacy CSV: arm,endpoint_label,value,higher_is_better,
     one row per arm."""
     out: dict[str, EfficacyInput] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_rows(path, csv.DictReader) as reader:
         _require_columns(reader.fieldnames, path, ["arm", "value"])
         for line_no, row in enumerate(reader, start=2):
             try:

@@ -7,16 +7,22 @@ identical to a direct estimate on the restricted episode list.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache, partial
+from itertools import repeat
+from operator import attrgetter
 
-from .data import AeEpisode, SubjectRecord, TrialDataset
+from .data import AeEpisode, SubjectRecord, TrialDataset, normalize_term
 from .entropy import (
     AdxEstimate,
     ComparisonResult,
+    FrequencyProfile,
     compare,
     estimate,
     profile_from_episodes,
+    rollup,
 )
 from .errors import DegenerateVariance, EmptyProfile, UnknownDimension, UnknownSoc
 
@@ -88,18 +94,10 @@ class SubgroupReport:
     footnotes: list[str] = field(default_factory=list)
 
 
-def _episode_dimension_value(ep: AeEpisode, dim: str, data: TrialDataset) -> str:
-    if dim == "soc":
-        return data.require_hierarchy().term_at(ep.pt_term, "soc")
-    if dim == "seriousness":
-        if ep.serious is None:
-            return UNKNOWN
-        return "serious" if ep.serious else "non-serious"
-    if dim == "severity":
-        return UNKNOWN if ep.severity is None else str(ep.severity)
-    if dim == "tier":
-        return ep.tier
-    raise UnknownDimension(dim)
+_SERIOUSNESS = {None: UNKNOWN, True: "serious", False: "non-serious"}
+# the AeEpisode field each episode dimension is read from
+_EPISODE_FIELD = {"soc": "pt_term", "seriousness": "serious", "severity": "severity", "tier": "tier"}
+_SUBJECT_ID = attrgetter("subject_id")
 
 
 def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> str:
@@ -111,42 +109,60 @@ def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> st
     return value if value is not None else UNKNOWN
 
 
+def _episode_filters(data: TrialDataset, dims: list[str], episodes: Sequence[AeEpisode]):
+    """Each episode's ``(dimension, value)`` pairs for ``dims``, worked out
+    once per distinct combination of the fields they read."""
+    if not dims:
+        return repeat(())
+    for dim in dims:
+        if dim not in EPISODE_DIMENSIONS:
+            raise UnknownDimension(dim)
+    value_of = {"seriousness": _SERIOUSNESS.__getitem__, "tier": str,
+                "severity": lambda v: UNKNOWN if v is None else str(v)}
+    if "soc" in dims:
+        value_of["soc"] = cache(partial(data.require_hierarchy().term_at, level="soc"))  # per PT
+
+    @cache
+    def filters(raw):
+        return tuple((d, value_of[d](v)) for d, v in zip(dims, raw if len(dims) > 1 else (raw,)))
+
+    return map(filters, map(attrgetter(*(_EPISODE_FIELD[d] for d in dims)), episodes))
+
+
 def _cells(
     data: TrialDataset,
-    episodes: Iterable[AeEpisode],
+    episodes: Sequence[AeEpisode],
     dimensions: Sequence[str] = (),
     age_binning: AgeBinning | None = None,
 ) -> dict[CohortKey, list[AeEpisode]]:
     """Group episodes into (arm x subgroup) cells, keeping episode order.
 
-    Subject dimensions are worked out once per subject, not per episode.
+    A cell key is two lookups prepared once: the subject's arm and
+    subject-dimension values, and the episode-dimension values.
     """
     binning = age_binning or AgeBinning()
     subject_dims = [d for d in dimensions if d in SUBJECT_DIMENSIONS]
     by_subject = {
-        s.subject_id: {d: _subject_value(s, d, binning) for d in subject_dims}
+        s.subject_id: (s.arm, tuple((d, _subject_value(s, d, binning)) for d in subject_dims))
         for s in data.subjects
-    } if subject_dims else {}
-    groups: dict[tuple, list[AeEpisode]] = {}
-    for ep in episodes:
-        values = by_subject.get(ep.subject_id, {})
-        filters = tuple(
-            (d, values[d] if d in values else _episode_dimension_value(ep, d, data))
-            for d in dimensions
-        )
-        groups.setdefault((ep.arm, filters), []).append(ep)
-    return {CohortKey(arm, filters): eps for (arm, filters), eps in groups.items()}
+    }
+    episode_dims = [d for d in dimensions if d not in SUBJECT_DIMENSIONS]
+    keys = zip(map(by_subject.__getitem__, map(_SUBJECT_ID, episodes)),
+               _episode_filters(data, episode_dims, episodes))
+    groups = defaultdict(list)  # in order of first appearance
+    for ep, cell in zip(episodes, map(groups.__getitem__, keys)):
+        cell.append(ep)
+    return {CohortKey(arm, filters + more): eps for ((arm, filters), more), eps in groups.items()}
 
 
 def _estimate_and_pair(
     data: TrialDataset,
-    cells: dict[CohortKey, list[AeEpisode]],
-    level: str,
+    profiles: dict[CohortKey, FrequencyProfile],
     control: str | None,
     alpha: float,
     two_sided: bool,
 ) -> SubgroupReport:
-    """Estimate every cell and compare the arms within each cell.
+    """Estimate every cell's profile and compare the arms within each cell.
 
     Cells are ordered by (filters, arm). Arms pair in ``data.arms`` order:
     each arm against ``control`` when the cell has it, else every pair.
@@ -155,8 +171,8 @@ def _estimate_and_pair(
     """
     report = SubgroupReport(estimates={}, comparisons=[])
     by_cell: dict[tuple, dict[str, CohortKey]] = {}
-    for key in sorted(cells, key=lambda k: (k.filters, k.arm)):
-        report.estimates[key] = estimate(profile_from_episodes(cells[key], level, data.hierarchy))
+    for key in sorted(profiles, key=lambda k: (k.filters, k.arm)):
+        report.estimates[key] = estimate(profiles[key])
         by_cell.setdefault(key.filters, {})[key.arm] = key
     for filters, arm_keys in by_cell.items():
         arms = [a for a in data.arms if a in arm_keys]
@@ -197,14 +213,12 @@ def subgroup_analysis(
         if dim not in DIMENSIONS:
             raise UnknownDimension(f"{dim!r}; valid: {', '.join(DIMENSIONS)}")
     binning = age_binning or AgeBinning()
-    report = _estimate_and_pair(
-        data, _cells(data, data.episodes, dimensions, binning), level, control, alpha, two_sided
-    )
+    cells = _cells(data, data.episodes, dimensions, binning)
+    profiles = {key: profile_from_episodes(eps, level, data.hierarchy) for key, eps in cells.items()}
+    report = _estimate_and_pair(data, profiles, control, alpha, two_sided)
     report.low_n = {key for key, est in report.estimates.items() if est.n < min_episodes}
     if "age" in dimensions:
-        report.footnotes.append(
-            "age bins are left-closed right-open: " + ", ".join(binning.labels())
-        )
+        report.footnotes.append("age bins are left-closed right-open: " + ", ".join(binning.labels()))
     return report
 
 
@@ -216,10 +230,7 @@ def soc_analysis(
 ) -> SubgroupReport:
     """Per-SOC AdX per arm (PT-level profiles restricted to the SOC) with
     active-vs-control comparisons."""
-    data.require_hierarchy()
-    return subgroup_analysis(
-        data, ["soc"], level="pt", control=control, alpha=alpha, two_sided=two_sided
-    )
+    return subgroup_analysis(data, ["soc"], level="pt", control=control, alpha=alpha, two_sided=two_sided)
 
 
 @dataclass
@@ -242,20 +253,18 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n
     per-arm totals are named rows + Others.
     """
     hierarchy = data.require_hierarchy()
-    from .data import normalize_term
-
     soc_n = normalize_term(soc)
     if soc_n not in hierarchy.socs():
         raise UnknownSoc(f"soc {soc_n!r} not present in hierarchy")
     arms = list(arms) if arms else list(data.arms)
 
+    cells = _cells(data, data.episodes)
+    soc_of = cache(partial(hierarchy.term_at, level="soc"))
     counts: dict[str, dict[str, int]] = {}
-    for ep in data.episodes:
-        if ep.arm not in arms:
-            continue
-        if hierarchy.term_at(ep.pt_term, "soc") != soc_n:
-            continue
-        counts.setdefault(ep.pt_term, {a: 0 for a in arms})[ep.arm] += 1
+    for arm in dict.fromkeys(arms):
+        for pt, c in profile_from_episodes(cells.get(CohortKey(arm), [])).counts.items():
+            if soc_of(pt) == soc_n:
+                counts.setdefault(pt, {a: 0 for a in arms})[arm] = c
 
     ranked = sorted(counts, key=lambda pt: (-max(counts[pt].values()), pt))
     top = ranked[: max(top_n, 0)]
@@ -263,15 +272,8 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n
     others = {a: sum(counts[pt][a] for pt in rest) for a in arms}
     zero = {a: sum(1 for pt in counts if counts[pt][a] == 0) for a in arms}
     totals = {a: sum(counts[pt][a] for pt in counts) for a in arms}
-    return DrilldownTable(
-        soc=soc_n,
-        arms=arms,
-        rows=[(pt, dict(counts[pt])) for pt in top],
-        others=others,
-        zero_count_types=zero,
-        totals=totals,
-        total_types=len(counts),
-    )
+    return DrilldownTable(soc=soc_n, arms=arms, rows=[(pt, dict(counts[pt])) for pt in top],
+                          others=others, zero_count_types=zero, totals=totals, total_types=len(counts))
 
 
 @dataclass
@@ -310,8 +312,10 @@ def hierarchy_sweep(
         raise EmptyProfile(f"no episodes in arm(s): {', '.join(missing)}")
     estimates: dict[tuple[str, str], AdxEstimate] = {}
     comparisons: dict[tuple[str, str, str], ComparisonResult] = {}
+    by_pt = {key: profile_from_episodes(eps) for key, eps in cells.items()}
     for level in levels:
-        rep = _estimate_and_pair(data, cells, level, control, alpha, two_sided)
+        profiles = {key: rollup(profile, level, data.hierarchy) for key, profile in by_pt.items()}
+        rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
         by_arm = {key.arm: est for key, est in rep.estimates.items()}
         estimates.update(((arm, level), by_arm[arm]) for arm in arms)
         comparisons.update(((ka.arm, kb.arm, level), res) for ka, kb, res in rep.comparisons)
@@ -325,9 +329,7 @@ def hierarchy_sweep(
     if not p1:
         raise AssertionError("coarsening increased AdX; entropy rollup is broken")
 
-    rankings = [
-        tuple(sorted(arms, key=lambda a: estimates[(a, level)].adx)) for level in levels
-    ]
+    rankings = [tuple(sorted(arms, key=lambda a: estimates[(a, level)].adx)) for level in levels]
     p2 = all(r == rankings[0] for r in rankings)
 
     # finer level = earlier in `levels`. P3: significance at a coarser level
@@ -336,18 +338,7 @@ def hierarchy_sweep(
     # so it always equals P3.
     p3 = True
     for a, b in dict.fromkeys((a, b) for a, b, _ in comparisons):
-        sig = [
-            (a, b, lv) in comparisons and comparisons[(a, b, lv)].p_value < alpha
-            for lv in levels
-        ]
-        if any(sig[i + 1] and not sig[i] for i in range(len(levels) - 1)):
-            p3 = False
-    return PropositionReport(
-        levels=list(levels),
-        estimates=estimates,
-        comparisons=comparisons,
-        p1_holds=p1,
-        p2_holds=p2,
-        p3_holds=p3,
-        p4_holds=p3,
-    )
+        sig = [(a, b, lv) in comparisons and comparisons[(a, b, lv)].p_value < alpha for lv in levels]
+        p3 = p3 and not any(sig[i + 1] and not sig[i] for i in range(len(levels) - 1))
+    return PropositionReport(levels=list(levels), estimates=estimates, comparisons=comparisons,
+                             p1_holds=p1, p2_holds=p2, p3_holds=p3, p4_holds=p3)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -169,8 +170,7 @@ class HierarchyMap:
     @classmethod
     def from_csv(cls, path: str | Path) -> "HierarchyMap":
         entries: dict[str, tuple[str, str, str]] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+        with _csv_rows(path, csv.DictReader) as reader:
             _require_columns(reader.fieldnames, path, ["pt_term", "hlt_term", "hlgt_term", "soc_term"])
             for line_no, row in enumerate(reader, start=2):
                 try:
@@ -237,6 +237,24 @@ class TrialDataset:
         return self.hierarchy
 
 
+@contextmanager
+def _csv_rows(path: str | Path, reader=csv.reader):
+    """Yield ``reader`` over ``path`` read as UTF-8. A malformed CSV line, such
+    as a field over the csv module's default size limit (kept), and bytes
+    that are not UTF-8 become input errors that name the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = reader(fh)
+        try:
+            yield rows
+        except csv.Error as exc:
+            reason = f"unreadable CSV: {exc}"
+            if "field limit" in reason:
+                reason += ", the csv module's default"
+            raise MalformedRow(path, rows.line_num, reason) from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _require_columns(fieldnames: list[str] | None, path, cols):
     missing = [c for c in cols if fieldnames is None or c not in fieldnames]
     if missing:
@@ -274,8 +292,7 @@ def _opt_bool(value: str, path, line_no, col) -> bool | None:
 
 def load_subjects(path: str | Path) -> list[SubjectRecord]:
     subjects = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_rows(path, csv.DictReader) as reader:
         _require_columns(reader.fieldnames, path, ["subject_id", "arm", "sex"])
         for line_no, row in enumerate(reader, start=2):
             sid = (row.get("subject_id") or "").strip()
@@ -340,8 +357,7 @@ def load_episodes(path: str | Path) -> list[AeEpisode]:
     column name reads its last column.
     """
     episodes = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(path) as reader:
         header = next(reader, None)
         _require_columns(header, path, ["subject_id", "arm", "pt_term"])
         width = len(header)
@@ -375,8 +391,7 @@ def load_episodes(path: str | Path) -> list[AeEpisode]:
 def load_exposure(path: str | Path) -> dict[str, int]:
     """Read an exposure CSV (subject_id,last_cycle) into subject_id -> last cycle."""
     exposure = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_rows(path, csv.DictReader) as reader:
         _require_columns(reader.fieldnames, path, ["subject_id", "last_cycle"])
         for line_no, row in enumerate(reader, start=2):
             sid = (row.get("subject_id") or "").strip()

@@ -16,10 +16,14 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
+from operator import attrgetter, mul
 
 from .data import HIERARCHY_LEVELS, AeEpisode, HierarchyMap
 from .errors import DegenerateVariance, EmptyProfile, MissingHierarchy
+
+_PT = attrgetter("pt_term")
 
 
 @dataclass(frozen=True)
@@ -49,48 +53,59 @@ class FrequencyProfile:
     def n_types(self) -> int:
         return len(self.counts)
 
-    @property
-    def proportions(self) -> dict[str, float]:
-        n = self.n_total
-        return {label: c / n for label, c in self.counts.items()}
-
 
 def profile_from_episodes(
     episodes: list[AeEpisode],
     level: str = "pt",
     hierarchy: HierarchyMap | None = None,
 ) -> FrequencyProfile:
-    """Tally episodes by term at the requested hierarchy level."""
+    """Tally episodes by PT, then roll the counts up to ``level``. Terms keep
+    the order of their first appearance in ``episodes``."""
+    return rollup(FrequencyProfile(Counter(map(_PT, episodes))), level, hierarchy)
+
+
+def rollup(profile: FrequencyProfile, level: str, hierarchy: HierarchyMap | None) -> FrequencyProfile:
+    """A PT-level profile with its counts summed into their terms at ``level``:
+    ``term_at`` runs once per PT, and terms keep first-appearance order."""
     if level not in HIERARCHY_LEVELS:
         raise ValueError(f"level must be one of {HIERARCHY_LEVELS}, got {level!r}")
     if level == "pt":
-        return FrequencyProfile(Counter(e.pt_term for e in episodes))
+        return profile
     if hierarchy is None:
         raise MissingHierarchy(f"level {level!r} requires a hierarchy mapping")
-    return FrequencyProfile(Counter(hierarchy.term_at(e.pt_term, level) for e in episodes))
+    counts: Counter = Counter()
+    for pt, c in profile.counts.items():
+        counts[hierarchy.term_at(pt, level)] += c
+    return FrequencyProfile(counts)
+
+
+def _adx_and_variance(counts: Collection[int]) -> tuple[float, float]:
+    """The one entropy kernel: ``(adx, variance)`` of positive counts per type.
+
+    adx is -sum p_i ln p_i, as ``0.0 - sum`` so a single type gives +0.0,
+    and the variance is (1/N) sum p_i (ln p_i + adx)^2. p and ln p are
+    computed once. Both sums are ``math.fsum``, which is exactly rounded,
+    so the result does not depend on the order of the counts.
+    """
+    n = sum(counts)
+    if n == 0:
+        raise EmptyProfile("profile has no episodes")
+    p = [c / n for c in counts]
+    log_p = list(map(math.log, p))
+    h = 0.0 - math.fsum(map(mul, p, log_p))
+    if len(set(counts)) == 1:
+        return h, 0.0  # all p_i equal: every ln p_i = -adx, exactly zero
+    return h, math.fsum([pi * (lp + h) ** 2 for pi, lp in zip(p, log_p)]) / n
 
 
 def adx(profile: FrequencyProfile) -> float:
-    """Point estimate: -sum p_i ln p_i over observed types.
-
-    Computed as ``0.0 - sum``, so a single-type profile gives +0.0, not -0.0.
-    """
-    n = profile.n_total
-    if n == 0:
-        raise EmptyProfile("profile has no episodes")
-    return 0.0 - sum((c / n) * math.log(c / n) for c in profile.counts.values())
+    """Point estimate: -sum p_i ln p_i over observed types."""
+    return _adx_and_variance(profile.counts.values())[0]
 
 
 def adx_variance(profile: FrequencyProfile) -> float:
     """Asymptotic variance (1/N) sum p_i (ln p_i + adx)^2."""
-    n = profile.n_total
-    if n == 0:
-        raise EmptyProfile("profile has no episodes")
-    counts = profile.counts.values()
-    if len(set(counts)) == 1:
-        return 0.0  # all p_i equal: every ln p_i = -adx, exactly zero
-    h = adx(profile)
-    return sum((c / n) * (math.log(c / n) + h) ** 2 for c in counts) / n
+    return _adx_and_variance(profile.counts.values())[1]
 
 
 def eals(adx_value: float) -> float:
@@ -120,32 +135,10 @@ def seals(estimate: AdxEstimate) -> float:
 
 def estimate(profile: FrequencyProfile) -> AdxEstimate:
     """Full point estimate with variance, SE and the EALS/SEALS transforms."""
-    h = adx(profile)
-    v = adx_variance(profile)
+    h, v = _adx_and_variance(profile.counts.values())
     k_star = eals(h)
-    return AdxEstimate(
-        adx=h,
-        variance=v,
-        se=math.sqrt(v),
-        k=profile.n_types,
-        n=profile.n_total,
-        eals=k_star,
-        seals=k_star / profile.n_types,
-    )
-
-
-def estimate_from_stats(adx_value: float, se: float, k: int, n: int = 0) -> AdxEstimate:
-    """Build an estimate from published summary numbers (golden-test aid)."""
-    k_star = eals(adx_value)
-    return AdxEstimate(
-        adx=adx_value,
-        variance=se * se,
-        se=se,
-        k=k,
-        n=n,
-        eals=k_star,
-        seals=k_star / k if k else float("nan"),
-    )
+    return AdxEstimate(adx=h, variance=v, se=math.sqrt(v), k=profile.n_types, n=profile.n_total,
+                       eals=k_star, seals=k_star / profile.n_types)
 
 
 _SQRT1_2 = math.sqrt(0.5)

@@ -6,12 +6,17 @@ and that caveat travels with every report.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .cohorts import AgeBinning, CohortKey, _cells, _estimate_and_pair
 from .data import TrialDataset
-from .entropy import AdxEstimate, ComparisonResult, estimate, profile_from_episodes
+from .entropy import AdxEstimate, ComparisonResult, FrequencyProfile, estimate, profile_from_episodes
 from .errors import NoCycleData, NoDatedEpisodes
+
+_CYCLE = attrgetter("cycle")
 
 SEQUENTIAL_CAVEAT = (
     "per-look tests are unadjusted for repeated looks (no alpha spending)"
@@ -81,14 +86,29 @@ def interim_series(
         schedule = default_schedule(data)
     cells = _cells(data, dated, dimensions or (), age_binning)
     series = InterimSeries(schedule=schedule, estimates={}, comparisons=[], excluded_undated=excluded)
-    for look, cutoff in enumerate(schedule.cutoff_days):
-        upto = {key: [e for e in eps if e.onset_day <= cutoff] for key, eps in cells.items()}
-        rep = _estimate_and_pair(
-            data, {key: eps for key, eps in upto.items() if eps}, level, control, alpha, two_sided
-        )
+    looks = _cumulative_profiles(data, cells, "onset_day", schedule.cutoff_days, level)
+    for look, profiles in enumerate(looks):
+        rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
         series.estimates.update(((key, look), est) for key, est in rep.estimates.items())
         series.comparisons += [(ka, kb, look, res) for ka, kb, res in rep.comparisons]
     return series
+
+
+def _cumulative_profiles(data: TrialDataset, cells: dict, attr: str, cutoffs, level: str):
+    """Per ascending cutoff, the profile of each cell's episodes whose ``attr``
+    is at most the cutoff (cells with none left out). Each cell is sorted once
+    and each look tallies only the episodes it adds: O(N log N + looks x K)."""
+    by_attr = attrgetter(attr)
+    ordered = {key: sorted(eps, key=by_attr) for key, eps in cells.items()}
+    running = {key: Counter() for key in cells}
+    done = dict.fromkeys(cells, 0)
+    for cutoff in cutoffs:
+        for key, eps in ordered.items():
+            upto = bisect_right(eps, cutoff, lo=done[key], key=by_attr)
+            if upto > done[key]:
+                running[key].update(profile_from_episodes(eps[done[key]:upto], level, data.hierarchy).counts)
+                done[key] = upto
+        yield {key: FrequencyProfile(counts) for key, counts in running.items() if counts}
 
 
 @dataclass
@@ -111,30 +131,24 @@ def exposure_curves(
     ``exposure`` map of subject_id -> last_cycle, else the subject's max
     episode cycle) reaches cycle c.
     """
-    cycled = [e for e in data.episodes if e.cycle is not None]
+    cycled = sorted((e for e in data.episodes if e.cycle is not None), key=_CYCLE)
     excluded = len(data.episodes) - len(cycled)
     if not cycled:
         raise NoCycleData("no episode carries a cycle number")
-    top = max_cycle or max(e.cycle for e in cycled)
+    top = max_cycle or cycled[-1].cycle
 
-    last_cycle: dict[str, int] = {}
-    for e in cycled:
-        last_cycle[e.subject_id] = max(last_cycle.get(e.subject_id, 0), e.cycle)
+    # in cycle order, a subject's last episode carries its highest cycle
+    last_cycle = dict(zip(map(attrgetter("subject_id"), cycled), map(_CYCLE, cycled)))
     if exposure:
         last_cycle.update(exposure)
+    exposed = {arm: sorted(last_cycle.get(s.subject_id, 0) for s in data.subjects if s.arm == arm)
+               for arm in data.arms}
 
-    curves: dict[str, list[tuple[int, float, int, int, int]]] = {}
-    for arm in data.arms:
-        arm_eps = [e for e in cycled if e.arm == arm]
-        arm_subjects = [s.subject_id for s in data.subjects if s.arm == arm]
-        rows = []
-        for c in range(1, top + 1):
-            upto = [e for e in arm_eps if e.cycle <= c]
-            at_cycle = sum(1 for sid in arm_subjects if last_cycle.get(sid, 0) >= c)
-            if upto:
-                est = estimate(profile_from_episodes(upto, level, data.hierarchy))
-                rows.append((c, est.adx, est.k, est.n, at_cycle))
-            else:
-                rows.append((c, 0.0, 0, 0, at_cycle))
-        curves[arm] = rows
+    cycles = range(1, top + 1)
+    curves: dict[str, list[tuple[int, float, int, int, int]]] = {arm: [] for arm in data.arms}
+    for c, profiles in zip(cycles, _cumulative_profiles(data, _cells(data, cycled), "cycle", cycles, level)):
+        for arm, rows in curves.items():
+            at_cycle = len(exposed[arm]) - bisect_left(exposed[arm], c)
+            est = estimate(profiles[CohortKey(arm)]) if CohortKey(arm) in profiles else None
+            rows.append((c, est.adx, est.k, est.n, at_cycle) if est else (c, 0.0, 0, 0, at_cycle))
     return ExposureCurves(max_cycle=top, curves=curves, excluded_no_cycle=excluded)

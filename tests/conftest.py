@@ -1,8 +1,42 @@
 import csv
+import math
 
 import pytest
 
 from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
+from adx.entropy import AdxEstimate, eals
+
+
+def estimate_from_stats(adx_value: float, se: float, k: int, n: int = 0) -> AdxEstimate:
+    """Build an estimate from published summary numbers (golden-test aid)."""
+    k_star = eals(adx_value)
+    return AdxEstimate(
+        adx=adx_value,
+        variance=se * se,
+        se=se,
+        k=k,
+        n=n,
+        eals=k_star,
+        seals=k_star / k if k else float("nan"),
+    )
+
+
+def ordered_adx(counts) -> float:
+    """The ordered-sum oracle: -sum p_i ln p_i summed left to right over the
+    positive counts, as ``entropy.adx`` did before its sums became ``fsum``."""
+    counts = [c for c in counts if c > 0]
+    n = sum(counts)
+    return 0.0 - sum((c / n) * math.log(c / n) for c in counts)
+
+
+def ordered_adx_variance(counts) -> float:
+    """The ordered-sum oracle of ``entropy.adx_variance``."""
+    counts = [c for c in counts if c > 0]
+    n = sum(counts)
+    if len(set(counts)) == 1:
+        return 0.0
+    h = ordered_adx(counts)
+    return sum((c / n) * (math.log(c / n) + h) ** 2 for c in counts) / n
 
 
 def dataset_from_counts(arm_counts, hierarchy=None, subjects_per_arm=1):

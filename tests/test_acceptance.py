@@ -18,7 +18,6 @@ from adx.entropy import (
     compare,
     eals,
     estimate,
-    estimate_from_stats,
     profile_from_episodes,
     seals,
 )
@@ -26,7 +25,7 @@ from adx.errors import DegenerateVariance
 from adx.simulate import ArmScenario, Scenario, validate_normality, validate_variance
 from adx.temporal import LookSchedule, exposure_curves, interim_series
 
-from conftest import dataset_from_counts, write_csv
+from conftest import dataset_from_counts, estimate_from_stats, write_csv
 from test_cohorts import man_like_trial
 
 

@@ -12,10 +12,10 @@ from adx.benefit_risk import (
     read_score,
 )
 from adx.data import HierarchyMap
-from adx.entropy import FrequencyProfile, adx, estimate, estimate_from_stats
+from adx.entropy import FrequencyProfile, adx, estimate
 from adx.errors import DivisionByZeroBenefit, InsufficientData, ZeroAdversity
 
-from conftest import dataset_from_counts, write_csv
+from conftest import dataset_from_counts, estimate_from_stats, write_csv
 
 
 def test_read_golden_el():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -425,6 +429,8 @@ def test_validate_both_flags_uniform_arm(capsys, tmp_path):
     ("benefit-risk", ["--efficacy", "efficacy.csv"], ["--alpha", "0.2"]),
     ("benefit-risk", ["--efficacy", "efficacy.csv"], ["--one-sided"]),
     ("benefit-risk", ["--efficacy", "efficacy.csv"], ["--control", "A"]),
+    ("soc", [], ["--level", "soc"]),
+    ("hierarchy", [], ["--level", "hlt"]),
 ])
 def test_unused_test_flags_are_usage_errors(capsys, tiny_trial_files, tmp_path, command, extra,
                                             flag):
@@ -436,3 +442,58 @@ def test_unused_test_flags_are_usage_errors(capsys, tiny_trial_files, tmp_path, 
               "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
+# A field over the csv module's default limit (131,072 characters) and a
+# Latin-1 byte: each is one line naming the file, exit 2, in every loader.
+UNREADABLE = {
+    "long_field": (("x" * 200_000 + "\n").encode(), "field limit (131072), the csv module's default"),
+    "latin1": ("caf\xe9\n".encode("latin-1"), "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+@pytest.mark.parametrize("which", ["episodes", "subjects", "hierarchy"])
+def test_unreadable_csv_is_one_line_input_error(capsys, tiny_trial_files, tmp_path, which, fault):
+    line, reason = UNREADABLE[fault]
+    path = tiny_trial_files[which]
+    path.write_bytes(path.read_bytes() + line)
+    code, _, err = run(capsys, "summary", "--episodes", str(tiny_trial_files["episodes"]),
+                       "--subjects", str(tiny_trial_files["subjects"]),
+                       "--hierarchy", str(tiny_trial_files["hierarchy"]),
+                       "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.count("\n") == 1 and str(path) in err and reason in err
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+def test_unreadable_exposure_file_is_input_error(capsys, tiny_trial_files, tmp_path, fault):
+    line, reason = UNREADABLE[fault]
+    exposure = write_csv(tmp_path / "exposure.csv", ["subject_id", "last_cycle"], [["S1", "3"]])
+    exposure.write_bytes(exposure.read_bytes() + line)
+    code, _, err = run(capsys, "exposure", "--episodes", str(tiny_trial_files["episodes"]),
+                       "--subjects", str(tiny_trial_files["subjects"]),
+                       "--exposure-file", str(exposure), "--out", str(tmp_path / "o"))
+    assert code == 2 and err.count("\n") == 1 and reason in err
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+def test_unreadable_efficacy_file_is_input_error(capsys, efficacy_trial, fault):
+    line, reason = UNREADABLE[fault]
+    files, write = efficacy_trial
+    eff = write([["Arm1", "pfs", "5.3", "true"], ["Arm2", "pfs", "3.5", "true"]])
+    eff.write_bytes(eff.read_bytes() + line)
+    code, _, err = _benefit_risk(capsys, files, eff, "--arms", "Arm1,Arm2")
+    assert code == 2 and err.count("\n") == 1 and reason in err
+
+
+def test_unreadable_csv_prints_no_traceback(tiny_trial_files, tmp_path):
+    episodes = tiny_trial_files["episodes"]
+    episodes.write_bytes(episodes.read_bytes() + UNREADABLE["long_field"][0])
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "adx.cli", "summary", "--episodes", str(episodes),
+         "--subjects", str(tiny_trial_files["subjects"]), "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1

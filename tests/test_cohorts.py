@@ -367,3 +367,78 @@ def test_degenerate_variance_is_caught_in_one_place():
                 sites |= {(path.name, fn.name) for node in ast.walk(fn)
                           if isinstance(node, ast.ExceptHandler) and node.type and catches(node)}
     assert sites == {("cohorts.py", "_estimate_and_pair"), ("cli.py", "main")}
+
+
+# --- rolled-up counts against direct estimates ------------------------------------
+
+def _rollup_trial():
+    """Two arms over 12 PTs in a 12 -> 6 -> 3 -> 2 hierarchy, episodes
+    interleaved across subjects of both sexes."""
+    import random
+    rng = random.Random(7)
+    pts = [f"p{i}" for i in range(12)]
+    hier = HierarchyMap({pt: (f"h{i // 2}", f"g{i // 4}", f"soc{i // 8}") for i, pt in enumerate(pts)})
+    subjects = [dict(subject_id=f"{arm}{j}", arm=arm, sex="FM"[j % 2], age_years=30 + 9 * j)
+                for arm in ("A", "B") for j in range(4)]
+    episodes = [dict(subject_id=f"{arm}{rng.randrange(4)}", arm=arm,
+                     pt_term=pts[min(rng.randrange(12), rng.randrange(12)) if arm == "A"
+                                 else rng.randrange(12)],
+                     serious=rng.random() < 0.3)
+                for _ in range(300) for arm in ("A", "B")]
+    return make_trial(subjects, episodes, hierarchy=hier)
+
+
+def test_hierarchy_sweep_rollup_equals_direct_estimates():
+    t = _rollup_trial()
+    levels = ("pt", "hlt", "hlgt", "soc")
+    rep = hierarchy_sweep(t, levels=levels)
+    for arm in t.arms:
+        for level in levels:
+            direct = estimate(profile_from_episodes(t.episodes_for_arm(arm), level, t.hierarchy))
+            assert rep.estimates[(arm, level)] == direct
+
+
+def test_subgroup_at_hlt_equals_direct_estimates():
+    t = _rollup_trial()
+    rep = subgroup_analysis(t, ["sex", "seriousness"], level="hlt")
+    assert len(rep.estimates) == 8
+    for key, est in rep.estimates.items():
+        cell = dict(key.filters)
+        eps = [e for e in t.episodes if e.arm == key.arm
+               and t.subject(e.subject_id).sex == cell["sex"]
+               and ("serious" if e.serious else "non-serious") == cell["seriousness"]]
+        assert est == estimate(profile_from_episodes(eps, "hlt", t.hierarchy))
+
+
+def _drilldown_oracle(data, soc, arms, top_n):
+    """The per-episode loop ``drilldown`` replaced: ``term_at`` on every
+    episode of the listed arms."""
+    hierarchy = data.require_hierarchy()
+    counts = {}
+    for ep in data.episodes:
+        if ep.arm not in arms:
+            continue
+        if hierarchy.term_at(ep.pt_term, "soc") != soc:
+            continue
+        counts.setdefault(ep.pt_term, {a: 0 for a in arms})[ep.arm] += 1
+    ranked = sorted(counts, key=lambda pt: (-max(counts[pt].values()), pt))
+    top = ranked[: max(top_n, 0)]
+    rest = ranked[len(top):]
+    return {
+        "rows": [(pt, dict(counts[pt])) for pt in top],
+        "others": {a: sum(counts[pt][a] for pt in rest) for a in arms},
+        "zero_count_types": {a: sum(1 for pt in counts if counts[pt][a] == 0) for a in arms},
+        "totals": {a: sum(counts[pt][a] for pt in counts) for a in arms},
+        "total_types": len(counts),
+    }
+
+
+@pytest.mark.parametrize("soc, arms, top_n", [
+    ("soc0", None, 2), ("soc1", ["B"], 3), ("soc1", ["B", "A"], 0), ("soc0", ["A", "C"], 20),
+])
+def test_drilldown_equals_per_episode_loop(soc, arms, top_n):
+    t = _rollup_trial()
+    table = drilldown(t, soc, arms, top_n)
+    expected = _drilldown_oracle(t, soc, list(arms) if arms else list(t.arms), top_n)
+    assert {name: getattr(table, name) for name in expected} == expected
+    assert table.arms == (list(arms) if arms else list(t.arms))

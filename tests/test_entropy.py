@@ -13,12 +13,13 @@ from adx.entropy import (
     compare,
     eals,
     estimate,
-    estimate_from_stats,
     normal_cdf,
     profile_from_episodes,
     seals,
 )
 from adx.errors import DegenerateVariance, EmptyProfile, MissingHierarchy
+
+from conftest import estimate_from_stats, ordered_adx, ordered_adx_variance
 
 counts_strategy = st.dictionaries(
     st.text(alphabet="abcdefghij", min_size=1, max_size=3),
@@ -272,6 +273,33 @@ def test_unevening_move_never_increases(counts):
     moved[lo] -= 1
     moved[hi] += 1
     assert adx(FrequencyProfile(moved)) <= adx(p) + 1e-12
+
+
+# --- the fsum kernel against the ordered-sum oracle ------------------------------
+
+@given(counts_strategy)
+def test_fsum_kernel_matches_ordered_sum_oracle(counts):
+    p = FrequencyProfile(counts)
+    assert adx(p) == pytest.approx(ordered_adx(counts.values()), rel=1e-12, abs=0.0)
+    assert adx_variance(p) == pytest.approx(ordered_adx_variance(counts.values()), rel=1e-12, abs=0.0)
+    est = estimate(p)
+    assert (est.adx, est.variance) == (adx(p), adx_variance(p))
+
+
+@given(counts_strategy.flatmap(lambda d: st.tuples(st.just(d), st.permutations(list(d.items())))))
+def test_every_order_of_the_counts_gives_a_bit_identical_estimate(case):
+    counts, reordered = case
+    assert estimate(FrequencyProfile(dict(reordered))) == estimate(FrequencyProfile(counts))
+
+
+@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=50))
+def test_kernel_single_type_and_equal_counts_are_exact(count, k):
+    single = estimate(FrequencyProfile({"only": count}))
+    assert single.adx == 0.0 and math.copysign(1.0, single.adx) == 1.0
+    assert single.variance == 0.0
+    even = FrequencyProfile({f"t{i}": count for i in range(k)})
+    assert adx_variance(even) == 0.0
+    assert estimate(even).se == 0.0
 
 
 @settings(max_examples=50)

@@ -1,7 +1,7 @@
 import pytest
 
 from adx.cohorts import subgroup_analysis
-from adx.data import AeEpisode, SubjectRecord, TrialDataset
+from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
 from adx.entropy import estimate, profile_from_episodes
 from adx.errors import NoCycleData, NoDatedEpisodes
 from adx.temporal import (
@@ -204,3 +204,27 @@ def test_exposure_explicit_exposure_table():
     t = dated_trial({"A": [("a", None, 1)]})
     curves = exposure_curves(t, max_cycle=3, exposure={"A-1": 3})
     assert [r[4] for r in curves.curves["A"]] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("level", ["pt", "hlt", "soc"])
+def test_exposure_rows_equal_direct_estimates(level):
+    # episodes in no particular cycle order, two arms, a hierarchy: every
+    # cumulative row equals a direct estimate on the episodes up to its cycle
+    import random
+    rng = random.Random(13)
+    hier = HierarchyMap({f"t{i}": (f"h{i // 3}", f"g{i // 6}", f"s{i // 6}") for i in range(12)})
+    subjects = tuple(SubjectRecord(subject_id=f"{arm}{j}", arm=arm) for arm in "AB" for j in range(5))
+    episodes = tuple(AeEpisode(subject_id=s.subject_id, arm=s.arm, pt_term=f"t{rng.randrange(12)}",
+                               cycle=rng.choice([None, 1, 2, 2, 3, 5, 8]))
+                     for _ in range(40) for s in subjects)
+    t = TrialDataset(subjects=subjects, episodes=episodes, hierarchy=hier)
+    curves = exposure_curves(t, max_cycle=9, level=level)
+    for arm, rows in curves.curves.items():
+        assert [r[0] for r in rows] == list(range(1, 10))
+        for cycle, h, k, n, _ in rows:
+            upto = [e for e in episodes if e.arm == arm and e.cycle is not None and e.cycle <= cycle]
+            if not upto:
+                assert (h, k, n) == (0.0, 0, 0)
+                continue
+            direct = estimate(profile_from_episodes(upto, level, hier))
+            assert (h, k, n) == (direct.adx, direct.k, direct.n)
