@@ -220,16 +220,21 @@ def cmd_summary(args) -> int:
     for r in rows:
         arm = r["arm"]
         cells = [arm, str(r["subjects"]), str(r["episodes"]), str(r["distinct_types"]),
-                 f"{r['subjects_with_ae']} ({r['pct_subjects_with_ae']:.1f}%)", "", ""]
-        rec = {"record": "summary", **r}
+                 f"{r['subjects_with_ae']} ({r['pct_subjects_with_ae']:.1f}%)"]
         if arm in est:
-            e = est[arm]
-            cells[-2:] = [report.fmt_adx(e.adx), report.fmt_se(e.se)]
-            rec.update(adx=e.adx, se=e.se, k=e.k, n=e.n, eals=e.eals, seals=e.seals)
+            cells += [report.fmt_adx(est[arm].adx), report.fmt_se(est[arm].se)]
+        else:
+            cells += ["", ""]
         table_rows.append(cells)
-        records.append(rec)
+        rec = dict(r)
+        if arm in est:
+            rec.update(adx=est[arm].adx, se=est[arm].se, k=est[arm].k, n=est[arm].n,
+                       eals=est[arm].eals, seals=est[arm].seals)
+        records.append({"record": "summary", **rec})
     body = report.render_table(
-        ["arm", "subjects", "episodes", "distinct_types", "subjects_with_ae", "adx", "se"], table_rows)
+        ["arm", "subjects", "episodes", "distinct_types", "subjects_with_ae", "adx", "se"],
+        table_rows,
+    )
     for ka, kb, res in rep.comparisons:
         body += (
             f"difference adx({ka.arm}) - adx({kb.arm}) = {report.fmt_adx(res.diff)}"
@@ -253,8 +258,12 @@ def cmd_compare(args) -> int:
         if len(trial.arms) < 2:
             raise ConfigError("dataset has fewer than two arms; use --arms")
         pair = list(trial.arms[:2])
-    ests = [entropy.estimate(entropy.profile_from_episodes(trial.episodes_for_arm(a), args.level,
-                                                           trial.hierarchy)) for a in pair]
+    ests = [
+        entropy.estimate(
+            entropy.profile_from_episodes(trial.episodes_for_arm(a), args.level, trial.hierarchy)
+        )
+        for a in pair
+    ]
     res = entropy.compare(ests[0], ests[1], args.alpha, _sided(args))
     rows = [
         [a, report.fmt_adx(e.adx), report.fmt_se(e.se), str(e.k), str(e.n),
@@ -453,9 +462,12 @@ def cmd_benefit_risk(args) -> int:
         if len(arms) < 2:
             raise ConfigError("need two arms with efficacy values (or --arms)")
         pairs = [(a, arms[-1]) for a in arms[:-1]]
-    ests = {arm: entropy.estimate(entropy.profile_from_episodes(trial.episodes_for_arm(arm), args.level,
-                                                                trial.hierarchy))
-            for arm in {a for p in pairs for a in p}}
+    ests = {
+        arm: entropy.estimate(
+            entropy.profile_from_episodes(trial.episodes_for_arm(arm), args.level, trial.hierarchy)
+        )
+        for arm in {a for p in pairs for a in p}
+    }
     result = benefit_risk.benefit_risk(ests, efficacy, pairs)
     rows = [[arm, f"{efficacy[arm].benefit:g}", report.fmt_adx(ests[arm].adx), f"{r:.3f}"]
             for arm, r in result.read_values.items()]
@@ -490,12 +502,15 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data.write_trial(trial, out / "episodes.csv", out / "subjects.csv")
-    sizes = {arm: (sum(1 for s in trial.subjects if s.arm == arm), len(trial.episodes_for_arm(arm)))
-             for arm in trial.arms}
-    body = report.render_table(["arm", "subjects", "episodes"],
-                               [[arm, str(n_subj), str(n_eps)] for arm, (n_subj, n_eps) in sizes.items()])
-    records = [{"record": "simulated", "arm": arm, "subjects": n_subj, "episodes": n_eps,
-                "seed": scenario.seed} for arm, (n_subj, n_eps) in sizes.items()]
+    body = report.render_table(
+        ["arm", "subjects", "episodes"],
+        [[arm, str(sum(1 for s in trial.subjects if s.arm == arm)),
+          str(len(trial.episodes_for_arm(arm)))] for arm in trial.arms],
+    )
+    records = [{"record": "simulated", "arm": arm,
+                "subjects": sum(1 for s in trial.subjects if s.arm == arm),
+                "episodes": len(trial.episodes_for_arm(arm)), "seed": scenario.seed}
+               for arm in trial.arms]
     _emit(args, "simulate", body, records)
     return EXIT_OK
 

@@ -10,9 +10,7 @@ import itertools
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, partial
-from itertools import repeat
-from operator import attrgetter
+from functools import cache
 
 from .data import AeEpisode, SubjectRecord, TrialDataset, normalize_term
 from .entropy import (
@@ -94,10 +92,21 @@ class SubgroupReport:
     footnotes: list[str] = field(default_factory=list)
 
 
-_SERIOUSNESS = {None: UNKNOWN, True: "serious", False: "non-serious"}
-# the AeEpisode field each episode dimension is read from
-_EPISODE_FIELD = {"soc": "pt_term", "seriousness": "serious", "severity": "severity", "tier": "tier"}
-_SUBJECT_ID = attrgetter("subject_id")
+def _episode_dimension_value(fields: tuple, dim: str, data: TrialDataset) -> str:
+    """``dim``'s value for an episode whose (pt_term, serious, severity, tier)
+    are ``fields``."""
+    pt_term, serious, severity, tier = fields
+    if dim == "soc":
+        return data.require_hierarchy().term_at(pt_term, "soc")
+    if dim == "seriousness":
+        if serious is None:
+            return UNKNOWN
+        return "serious" if serious else "non-serious"
+    if dim == "severity":
+        return UNKNOWN if severity is None else str(severity)
+    if dim == "tier":
+        return tier
+    raise UnknownDimension(dim)
 
 
 def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> str:
@@ -109,26 +118,6 @@ def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> st
     return value if value is not None else UNKNOWN
 
 
-def _episode_filters(data: TrialDataset, dims: list[str], episodes: Sequence[AeEpisode]):
-    """Each episode's ``(dimension, value)`` pairs for ``dims``, worked out
-    once per distinct combination of the fields they read."""
-    if not dims:
-        return repeat(())
-    for dim in dims:
-        if dim not in EPISODE_DIMENSIONS:
-            raise UnknownDimension(dim)
-    value_of = {"seriousness": _SERIOUSNESS.__getitem__, "tier": str,
-                "severity": lambda v: UNKNOWN if v is None else str(v)}
-    if "soc" in dims:
-        value_of["soc"] = cache(partial(data.require_hierarchy().term_at, level="soc"))  # per PT
-
-    @cache
-    def filters(raw):
-        return tuple((d, value_of[d](v)) for d, v in zip(dims, raw if len(dims) > 1 else (raw,)))
-
-    return map(filters, map(attrgetter(*(_EPISODE_FIELD[d] for d in dims)), episodes))
-
-
 def _cells(
     data: TrialDataset,
     episodes: Sequence[AeEpisode],
@@ -137,22 +126,28 @@ def _cells(
 ) -> dict[CohortKey, list[AeEpisode]]:
     """Group episodes into (arm x subgroup) cells, keeping episode order.
 
-    A cell key is two lookups prepared once: the subject's arm and
-    subject-dimension values, and the episode-dimension values.
+    Subject dimensions are worked out once per subject, and episode
+    dimensions once per distinct combination of the episode fields they read.
     """
     binning = age_binning or AgeBinning()
     subject_dims = [d for d in dimensions if d in SUBJECT_DIMENSIONS]
+    episode_dims = [d for d in dimensions if d not in SUBJECT_DIMENSIONS]
     by_subject = {
-        s.subject_id: (s.arm, tuple((d, _subject_value(s, d, binning)) for d in subject_dims))
+        s.subject_id: tuple((d, _subject_value(s, d, binning)) for d in subject_dims)
         for s in data.subjects
     }
-    episode_dims = [d for d in dimensions if d not in SUBJECT_DIMENSIONS]
-    keys = zip(map(by_subject.__getitem__, map(_SUBJECT_ID, episodes)),
-               _episode_filters(data, episode_dims, episodes))
-    groups = defaultdict(list)  # in order of first appearance
-    for ep, cell in zip(episodes, map(groups.__getitem__, keys)):
-        cell.append(ep)
-    return {CohortKey(arm, filters + more): eps for ((arm, filters), more), eps in groups.items()}
+
+    @cache
+    def episode_filters(fields: tuple) -> tuple:
+        return tuple((d, _episode_dimension_value(fields, d, data)) for d in episode_dims)
+
+    groups: dict[tuple, list[AeEpisode]] = defaultdict(list)  # in order of first appearance
+    for ep in episodes:
+        filters = by_subject[ep.subject_id]
+        if episode_dims:
+            filters += episode_filters((ep.pt_term, ep.serious, ep.severity, ep.tier))
+        groups[ep.arm, filters].append(ep)
+    return {CohortKey(arm, filters): eps for (arm, filters), eps in groups.items()}
 
 
 def _estimate_and_pair(
@@ -218,7 +213,9 @@ def subgroup_analysis(
     report = _estimate_and_pair(data, profiles, control, alpha, two_sided)
     report.low_n = {key for key, est in report.estimates.items() if est.n < min_episodes}
     if "age" in dimensions:
-        report.footnotes.append("age bins are left-closed right-open: " + ", ".join(binning.labels()))
+        report.footnotes.append(
+            "age bins are left-closed right-open: " + ", ".join(binning.labels())
+        )
     return report
 
 
@@ -230,7 +227,10 @@ def soc_analysis(
 ) -> SubgroupReport:
     """Per-SOC AdX per arm (PT-level profiles restricted to the SOC) with
     active-vs-control comparisons."""
-    return subgroup_analysis(data, ["soc"], level="pt", control=control, alpha=alpha, two_sided=two_sided)
+    data.require_hierarchy()
+    return subgroup_analysis(
+        data, ["soc"], level="pt", control=control, alpha=alpha, two_sided=two_sided
+    )
 
 
 @dataclass
@@ -258,12 +258,10 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n
         raise UnknownSoc(f"soc {soc_n!r} not present in hierarchy")
     arms = list(arms) if arms else list(data.arms)
 
-    cells = _cells(data, data.episodes)
-    soc_of = cache(partial(hierarchy.term_at, level="soc"))
     counts: dict[str, dict[str, int]] = {}
     for arm in dict.fromkeys(arms):
-        for pt, c in profile_from_episodes(cells.get(CohortKey(arm), [])).counts.items():
-            if soc_of(pt) == soc_n:
+        for pt, c in profile_from_episodes(data.episodes_for_arm(arm)).counts.items():
+            if hierarchy.term_at(pt, "soc") == soc_n:
                 counts.setdefault(pt, {a: 0 for a in arms})[arm] = c
 
     ranked = sorted(counts, key=lambda pt: (-max(counts[pt].values()), pt))
@@ -272,8 +270,15 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n
     others = {a: sum(counts[pt][a] for pt in rest) for a in arms}
     zero = {a: sum(1 for pt in counts if counts[pt][a] == 0) for a in arms}
     totals = {a: sum(counts[pt][a] for pt in counts) for a in arms}
-    return DrilldownTable(soc=soc_n, arms=arms, rows=[(pt, dict(counts[pt])) for pt in top],
-                          others=others, zero_count_types=zero, totals=totals, total_types=len(counts))
+    return DrilldownTable(
+        soc=soc_n,
+        arms=arms,
+        rows=[(pt, dict(counts[pt])) for pt in top],
+        others=others,
+        zero_count_types=zero,
+        totals=totals,
+        total_types=len(counts),
+    )
 
 
 @dataclass
@@ -329,7 +334,9 @@ def hierarchy_sweep(
     if not p1:
         raise AssertionError("coarsening increased AdX; entropy rollup is broken")
 
-    rankings = [tuple(sorted(arms, key=lambda a: estimates[(a, level)].adx)) for level in levels]
+    rankings = [
+        tuple(sorted(arms, key=lambda a: estimates[(a, level)].adx)) for level in levels
+    ]
     p2 = all(r == rankings[0] for r in rankings)
 
     # finer level = earlier in `levels`. P3: significance at a coarser level
@@ -338,7 +345,18 @@ def hierarchy_sweep(
     # so it always equals P3.
     p3 = True
     for a, b in dict.fromkeys((a, b) for a, b, _ in comparisons):
-        sig = [(a, b, lv) in comparisons and comparisons[(a, b, lv)].p_value < alpha for lv in levels]
-        p3 = p3 and not any(sig[i + 1] and not sig[i] for i in range(len(levels) - 1))
-    return PropositionReport(levels=list(levels), estimates=estimates, comparisons=comparisons,
-                             p1_holds=p1, p2_holds=p2, p3_holds=p3, p4_holds=p3)
+        sig = [
+            (a, b, lv) in comparisons and comparisons[(a, b, lv)].p_value < alpha
+            for lv in levels
+        ]
+        if any(sig[i + 1] and not sig[i] for i in range(len(levels) - 1)):
+            p3 = False
+    return PropositionReport(
+        levels=list(levels),
+        estimates=estimates,
+        comparisons=comparisons,
+        p1_holds=p1,
+        p2_holds=p2,
+        p3_holds=p3,
+        p4_holds=p3,
+    )

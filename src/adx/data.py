@@ -241,7 +241,8 @@ class TrialDataset:
 def _csv_rows(path: str | Path, reader=csv.reader):
     """Yield ``reader`` over ``path`` read as UTF-8. A malformed CSV line, such
     as a field over the csv module's default size limit (kept), and bytes
-    that are not UTF-8 become input errors that name the file."""
+    that are not UTF-8 become input errors that name the file; a malformed
+    line is named by its physical line number."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = reader(fh)
         try:
@@ -250,7 +251,8 @@ def _csv_rows(path: str | Path, reader=csv.reader):
             reason = f"unreadable CSV: {exc}"
             if "field limit" in reason:
                 reason += ", the csv module's default"
-            raise MalformedRow(path, rows.line_num, reason) from None
+            # a DictReader counts a record only once its inner reader returns it
+            raise MalformedRow(path, getattr(rows, "reader", rows).line_num, reason) from None
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

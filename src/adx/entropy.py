@@ -64,7 +64,9 @@ def profile_from_episodes(
     return rollup(FrequencyProfile(Counter(map(_PT, episodes))), level, hierarchy)
 
 
-def rollup(profile: FrequencyProfile, level: str, hierarchy: HierarchyMap | None) -> FrequencyProfile:
+def rollup(
+    profile: FrequencyProfile, level: str, hierarchy: HierarchyMap | None
+) -> FrequencyProfile:
     """A PT-level profile with its counts summed into their terms at ``level``:
     ``term_at`` runs once per PT, and terms keep first-appearance order."""
     if level not in HIERARCHY_LEVELS:
@@ -137,8 +139,15 @@ def estimate(profile: FrequencyProfile) -> AdxEstimate:
     """Full point estimate with variance, SE and the EALS/SEALS transforms."""
     h, v = _adx_and_variance(profile.counts.values())
     k_star = eals(h)
-    return AdxEstimate(adx=h, variance=v, se=math.sqrt(v), k=profile.n_types, n=profile.n_total,
-                       eals=k_star, seals=k_star / profile.n_types)
+    return AdxEstimate(
+        adx=h,
+        variance=v,
+        se=math.sqrt(v),
+        k=profile.n_types,
+        n=profile.n_total,
+        eals=k_star,
+        seals=k_star / profile.n_types,
+    )
 
 
 _SQRT1_2 = math.sqrt(0.5)

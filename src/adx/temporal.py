@@ -13,7 +13,13 @@ from operator import attrgetter
 
 from .cohorts import AgeBinning, CohortKey, _cells, _estimate_and_pair
 from .data import TrialDataset
-from .entropy import AdxEstimate, ComparisonResult, FrequencyProfile, estimate, profile_from_episodes
+from .entropy import (
+    AdxEstimate,
+    ComparisonResult,
+    FrequencyProfile,
+    estimate,
+    profile_from_episodes,
+)
 from .errors import NoCycleData, NoDatedEpisodes
 
 _CYCLE = attrgetter("cycle")
@@ -106,7 +112,8 @@ def _cumulative_profiles(data: TrialDataset, cells: dict, attr: str, cutoffs, le
         for key, eps in ordered.items():
             upto = bisect_right(eps, cutoff, lo=done[key], key=by_attr)
             if upto > done[key]:
-                running[key].update(profile_from_episodes(eps[done[key]:upto], level, data.hierarchy).counts)
+                added = profile_from_episodes(eps[done[key]:upto], level, data.hierarchy)
+                running[key].update(added.counts)
                 done[key] = upto
         yield {key: FrequencyProfile(counts) for key, counts in running.items() if counts}
 
@@ -138,17 +145,23 @@ def exposure_curves(
     top = max_cycle or cycled[-1].cycle
 
     # in cycle order, a subject's last episode carries its highest cycle
-    last_cycle = dict(zip(map(attrgetter("subject_id"), cycled), map(_CYCLE, cycled)))
+    last_cycle = {e.subject_id: e.cycle for e in cycled}
     if exposure:
         last_cycle.update(exposure)
-    exposed = {arm: sorted(last_cycle.get(s.subject_id, 0) for s in data.subjects if s.arm == arm)
-               for arm in data.arms}
+    exposed = {
+        arm: sorted(last_cycle.get(s.subject_id, 0) for s in data.subjects if s.arm == arm)
+        for arm in data.arms
+    }
 
     cycles = range(1, top + 1)
+    looks = _cumulative_profiles(data, _cells(data, cycled), "cycle", cycles, level)
     curves: dict[str, list[tuple[int, float, int, int, int]]] = {arm: [] for arm in data.arms}
-    for c, profiles in zip(cycles, _cumulative_profiles(data, _cells(data, cycled), "cycle", cycles, level)):
+    for c, profiles in zip(cycles, looks):
         for arm, rows in curves.items():
             at_cycle = len(exposed[arm]) - bisect_left(exposed[arm], c)
-            est = estimate(profiles[CohortKey(arm)]) if CohortKey(arm) in profiles else None
-            rows.append((c, est.adx, est.k, est.n, at_cycle) if est else (c, 0.0, 0, 0, at_cycle))
+            if CohortKey(arm) in profiles:
+                est = estimate(profiles[CohortKey(arm)])
+                rows.append((c, est.adx, est.k, est.n, at_cycle))
+            else:
+                rows.append((c, 0.0, 0, 0, at_cycle))
     return ExposureCurves(max_cycle=top, curves=curves, excluded_no_cycle=excluded)

@@ -464,6 +464,19 @@ def test_unreadable_csv_is_one_line_input_error(capsys, tiny_trial_files, tmp_pa
                        "--out", str(tmp_path / "o"))
     assert code == 2
     assert err.count("\n") == 1 and str(path) in err and reason in err
+    if fault == "long_field":  # named by the physical line it is on, the last one
+        last_line = len(path.read_bytes().splitlines())
+        assert err.startswith(f"adx: input error: {path}:{last_line}: ")
+
+
+@pytest.mark.parametrize("which", ["episodes", "subjects"])
+def test_unreadable_csv_header_is_line_1(capsys, tiny_trial_files, tmp_path, which):
+    path = tiny_trial_files[which]
+    path.write_bytes(b"x" * 200_000 + b"," + path.read_bytes())
+    code, _, err = run(capsys, "summary", "--episodes", str(tiny_trial_files["episodes"]),
+                       "--subjects", str(tiny_trial_files["subjects"]),
+                       "--out", str(tmp_path / "o"))
+    assert code == 2 and err.startswith(f"adx: input error: {path}:1: unreadable CSV: field larger")
 
 
 @pytest.mark.parametrize("fault", sorted(UNREADABLE))
