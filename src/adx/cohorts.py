@@ -92,21 +92,22 @@ class SubgroupReport:
     footnotes: list[str] = field(default_factory=list)
 
 
-def _episode_dimension_value(fields: tuple, dim: str, data: TrialDataset) -> str:
-    """``dim``'s value for an episode whose (pt_term, serious, severity, tier)
-    are ``fields``."""
-    pt_term, serious, severity, tier = fields
+# the AeEpisode field each episode dimension is read from
+_EPISODE_FIELD = {"soc": "pt_term", "seriousness": "serious", "severity": "severity", "tier": "tier"}
+
+
+def _episode_dimension_value(dim: str, value, data: TrialDataset) -> str:
+    """Episode dimension ``dim`` for an episode whose ``_EPISODE_FIELD[dim]``
+    holds ``value``."""
     if dim == "soc":
-        return data.require_hierarchy().term_at(pt_term, "soc")
+        return data.require_hierarchy().term_at(value, "soc")
     if dim == "seriousness":
-        if serious is None:
+        if value is None:
             return UNKNOWN
-        return "serious" if serious else "non-serious"
+        return "serious" if value else "non-serious"
     if dim == "severity":
-        return UNKNOWN if severity is None else str(severity)
-    if dim == "tier":
-        return tier
-    raise UnknownDimension(dim)
+        return UNKNOWN if value is None else str(value)
+    return value  # tier
 
 
 def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> str:
@@ -126,26 +127,29 @@ def _cells(
 ) -> dict[CohortKey, list[AeEpisode]]:
     """Group episodes into (arm x subgroup) cells, keeping episode order.
 
-    Subject dimensions are worked out once per subject, and episode
-    dimensions once per distinct combination of the episode fields they read.
+    Subject dimensions are worked out once per subject, and an episode
+    dimension once per distinct value of the episode field it reads.
     """
+    for dim in dimensions:
+        if dim not in DIMENSIONS:
+            raise UnknownDimension(f"{dim!r}; valid: {', '.join(DIMENSIONS)}")
     binning = age_binning or AgeBinning()
     subject_dims = [d for d in dimensions if d in SUBJECT_DIMENSIONS]
-    episode_dims = [d for d in dimensions if d not in SUBJECT_DIMENSIONS]
+    episode_fields = [(d, _EPISODE_FIELD[d]) for d in dimensions if d in EPISODE_DIMENSIONS]
     by_subject = {
         s.subject_id: tuple((d, _subject_value(s, d, binning)) for d in subject_dims)
         for s in data.subjects
     }
 
     @cache
-    def episode_filters(fields: tuple) -> tuple:
-        return tuple((d, _episode_dimension_value(fields, d, data)) for d in episode_dims)
+    def episode_filter(dim: str, value) -> tuple[str, str]:
+        return dim, _episode_dimension_value(dim, value, data)
 
     groups: dict[tuple, list[AeEpisode]] = defaultdict(list)  # in order of first appearance
     for ep in episodes:
         filters = by_subject[ep.subject_id]
-        if episode_dims:
-            filters += episode_filters((ep.pt_term, ep.serious, ep.severity, ep.tier))
+        for dim, name in episode_fields:
+            filters += (episode_filter(dim, getattr(ep, name)),)
         groups[ep.arm, filters].append(ep)
     return {CohortKey(arm, filters): eps for (arm, filters), eps in groups.items()}
 
@@ -204,9 +208,6 @@ def subgroup_analysis(
     below ``min_episodes`` are still estimated but flagged low-N; empty
     cells are flagged, not fatal.
     """
-    for dim in dimensions:
-        if dim not in DIMENSIONS:
-            raise UnknownDimension(f"{dim!r}; valid: {', '.join(DIMENSIONS)}")
     binning = age_binning or AgeBinning()
     cells = _cells(data, data.episodes, dimensions, binning)
     profiles = {key: profile_from_episodes(eps, level, data.hierarchy) for key, eps in cells.items()}

@@ -444,6 +444,16 @@ def test_unused_test_flags_are_usage_errors(capsys, tiny_trial_files, tmp_path, 
     assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["subgroup", "interim"])
+def test_unknown_dimension_lists_the_valid_ones(capsys, tiny_trial_files, tmp_path, command):
+    code, _, err = run(capsys, command, "--by", "sex,blood",
+                       "--episodes", str(tiny_trial_files["episodes"]),
+                       "--subjects", str(tiny_trial_files["subjects"]),
+                       "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.count("\n") == 1 and "'blood'; valid: sex, age," in err
+
+
 # A field over the csv module's default limit (131,072 characters) and a
 # Latin-1 byte: each is one line naming the file, exit 2, in every loader.
 UNREADABLE = {
