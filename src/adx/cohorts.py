@@ -93,7 +93,9 @@ class SubgroupReport:
 
 
 # the AeEpisode field each episode dimension is read from
-_EPISODE_FIELD = {"soc": "pt_term", "seriousness": "serious", "severity": "severity", "tier": "tier"}
+_EPISODE_FIELD = {
+    "soc": "pt_term", "seriousness": "serious", "severity": "severity", "tier": "tier"
+}
 
 
 def _episode_dimension_value(dim: str, value, data: TrialDataset) -> str:
@@ -210,7 +212,9 @@ def subgroup_analysis(
     """
     binning = age_binning or AgeBinning()
     cells = _cells(data, data.episodes, dimensions, binning)
-    profiles = {key: profile_from_episodes(eps, level, data.hierarchy) for key, eps in cells.items()}
+    profiles = {
+        key: profile_from_episodes(eps, level, data.hierarchy) for key, eps in cells.items()
+    }
     report = _estimate_and_pair(data, profiles, control, alpha, two_sided)
     report.low_n = {key for key, est in report.estimates.items() if est.n < min_episodes}
     if "age" in dimensions:
