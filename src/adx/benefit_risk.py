@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +26,20 @@ from .errors import (
 from .kernel import entropy_and_variance
 
 
-@dataclass(frozen=True)
-class EfficacyInput:
+class _EfficacyFields(NamedTuple):
     arm: str
     value: float
-    higher_is_better: bool = True
-    label: str = ""
+    higher_is_better: bool
+    label: str
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+
+class EfficacyInput(_EfficacyFields):
+    __slots__ = ()
+
+    def __new__(cls, arm: str, value: float, higher_is_better: bool = True, label: str = ""):
+        if not math.isfinite(value):
             raise ValueError("efficacy value must be finite")
+        return tuple.__new__(cls, (arm, value, higher_is_better, label))
 
     @property
     def benefit(self) -> float:
@@ -100,8 +104,7 @@ def check_sign_consistency(inputs: dict[str, EfficacyInput]) -> None:
         )
 
 
-@dataclass
-class BenefitRiskResult:
+class BenefitRiskResult(NamedTuple):
     read_values: dict[str, float]
     re_read_values: dict[tuple[str, str], float]
 

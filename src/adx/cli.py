@@ -169,16 +169,17 @@ def _load(args) -> data.TrialDataset:
     return trial
 
 
-def _arm_pair(spec: str, *known: tuple) -> tuple[str, str]:
-    """Parse ``--arms A,B``; each arm must be in every ``(arms, where)`` of ``known``."""
-    pair = tuple(a.strip() for a in spec.split(","))
-    if len(pair) != 2:
+def _arms(spec: str, *known: tuple, pair: bool = False) -> tuple[str, ...]:
+    """Parse ``--arms A,B,...``, exactly two labels with ``pair``; each arm
+    must be in every ``(arms, where)`` of ``known``."""
+    arms = tuple(a.strip() for a in spec.split(","))
+    if pair and len(arms) != 2:
         raise ConfigError("--arms needs exactly two comma-separated labels")
-    for arms, where in known:
-        missing = [a for a in pair if a not in arms]
+    for present, where in known:
+        missing = [a for a in arms if a not in present]
         if missing:
             raise ConfigError(f"arm(s) not in {where}: {', '.join(missing)}")
-    return pair
+    return arms
 
 
 def _config_dict(args) -> dict:
@@ -253,7 +254,7 @@ def cmd_summary(args) -> int:
 def cmd_compare(args) -> int:
     trial = _load(args)
     if args.arms:
-        pair = _arm_pair(args.arms, (trial.arms, "dataset"))
+        pair = _arms(args.arms, (trial.arms, "dataset"), pair=True)
     else:
         if len(trial.arms) < 2:
             raise ConfigError("dataset has fewer than two arms; use --arms")
@@ -340,7 +341,7 @@ def cmd_soc(args) -> int:
 
 def cmd_drilldown(args) -> int:
     trial = _load(args)
-    arms = [a.strip() for a in args.arms.split(",")] if args.arms else None
+    arms = _arms(args.arms, (trial.arms, "dataset")) if args.arms else None
     table = cohorts.drilldown(trial, args.soc, arms, args.top)
     rows = [[pt] + [str(counts[a]) for a in table.arms] for pt, counts in table.rows]
     rows.append(["Others"] + [str(table.others[a]) for a in table.arms])
@@ -456,7 +457,7 @@ def cmd_benefit_risk(args) -> int:
     trial = _load(args)
     efficacy = benefit_risk.load_efficacy(args.efficacy)
     if args.arms:
-        pairs = [_arm_pair(args.arms, (trial.arms, "dataset"), (efficacy, "efficacy file"))]
+        pairs = [_arms(args.arms, (trial.arms, "dataset"), (efficacy, "efficacy file"), pair=True)]
     else:
         arms = [a for a in trial.arms if a in efficacy]
         if len(arms) < 2:

@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from .data import AeEpisode, SubjectRecord, TrialDataset, normalize_term
 from .entropy import (
@@ -31,21 +31,24 @@ DIMENSIONS = SUBJECT_DIMENSIONS + EPISODE_DIMENSIONS
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class AgeBinning:
+class _AgeBinningFields(NamedTuple):
+    cut_points: tuple[float, ...]
+
+
+class AgeBinning(_AgeBinningFields):
     """Half-open age bins: [cut0, cut1), ..., [last, inf); below cut0 is
     its own bin. The convention is printed in report footers because
     published boundary labels are ambiguous."""
 
-    cut_points: tuple[float, ...] = (40.0, 50.0, 65.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        cuts = tuple(float(c) for c in self.cut_points)
+    def __new__(cls, cut_points: tuple[float, ...] = (40.0, 50.0, 65.0)):
+        cuts = tuple(float(c) for c in cut_points)
         if list(cuts) != sorted(set(cuts)):
             raise ValueError("cut_points must be strictly ascending")
         if not cuts:
             raise ValueError("at least one cut point required")
-        object.__setattr__(self, "cut_points", cuts)
+        return tuple.__new__(cls, (cuts,))
 
     def label(self, age: float | None) -> str:
         if age is None:
@@ -66,30 +69,38 @@ class AgeBinning:
         return out
 
 
-@dataclass(frozen=True)
-class CohortKey:
+class _CohortKeyFields(NamedTuple):
     arm: str
-    filters: tuple[tuple[str, str], ...] = ()
+    filters: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        dims = [d for d, _ in self.filters]
+
+class CohortKey(_CohortKeyFields):
+    """One (arm x subgroup) cell, an immutable named tuple; the filters are
+    sorted at construction, so a key hashes as ``(arm, sorted filters)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, arm: str, filters: tuple[tuple[str, str], ...] = ()):
+        dims = [d for d, _ in filters]
         if len(dims) != len(set(dims)):
             raise ValueError("at most one filter per dimension")
-        object.__setattr__(self, "filters", tuple(sorted(self.filters)))
+        return tuple.__new__(cls, (arm, tuple(sorted(filters))))
 
     def __str__(self) -> str:
         parts = [self.arm] + [f"{d}={v}" for d, v in self.filters]
         return " | ".join(parts)
 
 
-@dataclass
 class SubgroupReport:
-    estimates: dict[CohortKey, AdxEstimate]
-    comparisons: list[tuple[CohortKey, CohortKey, ComparisonResult]]
-    low_n: set[CohortKey] = field(default_factory=set)
-    empty: set[CohortKey] = field(default_factory=set)
-    degenerate: list[tuple[CohortKey, CohortKey]] = field(default_factory=list)
-    footnotes: list[str] = field(default_factory=list)
+    """Per-cell estimates and within-cell comparisons, filled in by the analysis."""
+
+    def __init__(self):
+        self.estimates: dict[CohortKey, AdxEstimate] = {}
+        self.comparisons: list[tuple[CohortKey, CohortKey, ComparisonResult]] = []
+        self.low_n: set[CohortKey] = set()
+        self.empty: set[CohortKey] = set()
+        self.degenerate: list[tuple[CohortKey, CohortKey]] = []
+        self.footnotes: list[str] = []
 
 
 # the AeEpisode field each episode dimension is read from
@@ -170,7 +181,7 @@ def _estimate_and_pair(
     Zero-variance pairs go to ``degenerate``; arms missing from a cell that
     has others go to ``empty``.
     """
-    report = SubgroupReport(estimates={}, comparisons=[])
+    report = SubgroupReport()
     by_cell: dict[tuple, dict[str, CohortKey]] = {}
     for key in sorted(profiles, key=lambda k: (k.filters, k.arm)):
         report.estimates[key] = estimate(profiles[key])
@@ -238,8 +249,7 @@ def soc_analysis(
     )
 
 
-@dataclass
-class DrilldownTable:
+class DrilldownTable(NamedTuple):
     soc: str
     arms: list[str]
     rows: list[tuple[str, dict[str, int]]]  # (pt term, counts per arm), top-n
@@ -286,8 +296,7 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n
     )
 
 
-@dataclass
-class PropositionReport:
+class PropositionReport(NamedTuple):
     """AdX by hierarchy level and the rollup diagnostics.
 
     Rolling the profile up one level can only merge types, so the index

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -94,28 +93,37 @@ def _check_tier(tier: str) -> None:
         raise ValueError(f"tier must be one of {TIER_VALUES}, got {tier!r}")
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
+class _SubjectFields(NamedTuple):
     subject_id: str
     arm: str
-    sex: str = "U"  # F, M or U (other/unknown)
-    age_years: float | None = None
-    background_therapy: str | None = None
-    substudy: str | None = None
-    first_dose_day: int | None = None
-    last_observed_day: int | None = None
+    sex: str  # F, M or U (other/unknown)
+    age_years: float | None
+    background_therapy: str | None
+    substudy: str | None
+    first_dose_day: int | None
+    last_observed_day: int | None
 
-    def __post_init__(self):
-        if self.sex not in ("F", "M", "U"):
-            raise ValueError(f"sex must be F, M or U, got {self.sex!r}")
-        if self.age_years is not None and self.age_years < 0:
+
+class SubjectRecord(_SubjectFields):
+    """One subject, an immutable named tuple checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject_id: str, arm: str, sex: str = "U", age_years: float | None = None,
+                background_therapy: str | None = None, substudy: str | None = None,
+                first_dose_day: int | None = None, last_observed_day: int | None = None):
+        if sex not in ("F", "M", "U"):
+            raise ValueError(f"sex must be F, M or U, got {sex!r}")
+        if age_years is not None and age_years < 0:
             raise ValueError("age_years < 0")
         if (
-            self.first_dose_day is not None
-            and self.last_observed_day is not None
-            and self.last_observed_day < self.first_dose_day
+            first_dose_day is not None
+            and last_observed_day is not None
+            and last_observed_day < first_dose_day
         ):
             raise ValueError("last_observed_day < first_dose_day")
+        return tuple.__new__(cls, (subject_id, arm, sex, age_years, background_therapy, substudy,
+                                   first_dose_day, last_observed_day))
 
 
 class HierarchyMap:
@@ -192,22 +200,19 @@ class HierarchyMap:
         return cls(entries)
 
 
-@dataclass(frozen=True)
 class TrialDataset:
     """Immutable validated container for one trial's safety data."""
 
-    subjects: tuple[SubjectRecord, ...]
-    episodes: tuple[AeEpisode, ...]
-    hierarchy: HierarchyMap | None = None
-    arms: tuple[str, ...] = field(default=())
+    __slots__ = ("subjects", "episodes", "hierarchy", "arms", "_subject_index")
 
-    def __post_init__(self):
+    def __init__(self, subjects: tuple[SubjectRecord, ...], episodes: tuple[AeEpisode, ...],
+                 hierarchy: HierarchyMap | None = None, arms: tuple[str, ...] = ()):
         by_id = {}
-        for s in self.subjects:
+        for s in subjects:
             if s.subject_id in by_id:
                 raise InputError(f"duplicate subject_id {s.subject_id!r}")
             by_id[s.subject_id] = s
-        for ep in self.episodes:
+        for ep in episodes:
             subj = by_id.get(ep.subject_id)
             if subj is None:
                 raise UnknownSubject(f"episode references unknown subject {ep.subject_id!r}")
@@ -216,14 +221,20 @@ class TrialDataset:
                     f"episode arm {ep.arm!r} != subject arm {subj.arm!r} for {ep.subject_id!r}"
                 )
         present = []
-        for s in self.subjects:
+        for s in subjects:
             if s.arm not in present:
                 present.append(s.arm)
-        if not self.arms:
-            object.__setattr__(self, "arms", tuple(present))
-        elif set(self.arms) != set(present):
+        if not arms:
+            arms = tuple(present)
+        elif set(arms) != set(present):
             raise InputError("declared arms differ from arms present in subjects")
-        object.__setattr__(self, "_subject_index", by_id)
+        for name, value in zip(self.__slots__, (subjects, episodes, hierarchy, arms, by_id)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TrialDataset is immutable, cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def subject(self, subject_id: str) -> SubjectRecord:
         return self._subject_index[subject_id]

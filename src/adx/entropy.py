@@ -17,8 +17,8 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass
 from operator import attrgetter, mul
+from typing import NamedTuple
 
 from .data import HIERARCHY_LEVELS, AeEpisode, HierarchyMap
 from .errors import DegenerateVariance, EmptyProfile, MissingHierarchy
@@ -26,24 +26,27 @@ from .errors import DegenerateVariance, EmptyProfile, MissingHierarchy
 _PT = attrgetter("pt_term")
 
 
-@dataclass(frozen=True)
-class FrequencyProfile:
-    """Episode counts per AE type for one cohort.
+class _ProfileFields(NamedTuple):
+    counts: dict[str, int]
+
+
+class FrequencyProfile(_ProfileFields):
+    """Episode counts per AE type for one cohort, an immutable named tuple.
 
     Zero-count types are dropped at construction: they contribute nothing
     to the sums (0*ln 0 := 0) and are excluded from K.
     """
 
-    counts: dict[str, int]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, counts: dict[str, int]):
         cleaned = {}
-        for label, c in self.counts.items():
+        for label, c in counts.items():
             if c < 0:
                 raise ValueError(f"negative count for {label!r}")
             if c > 0:
                 cleaned[label] = int(c)
-        object.__setattr__(self, "counts", cleaned)
+        return tuple.__new__(cls, (cleaned,))
 
     @property
     def n_total(self) -> int:
@@ -119,8 +122,7 @@ def eals(adx_value: float) -> float:
     return math.exp(adx_value)
 
 
-@dataclass(frozen=True)
-class AdxEstimate:
+class AdxEstimate(NamedTuple):
     adx: float
     variance: float
     se: float
@@ -167,8 +169,7 @@ def normal_cdf(a: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     diff: float
     se_diff: float
     z: float

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,27 +21,33 @@ from .errors import DegenerateScenario, InvalidScenario
 from .kernel import entropy_and_variance
 
 
-@dataclass(frozen=True)
-class ArmScenario:
+class _ArmScenarioFields(NamedTuple):
     name: str
     probs: tuple[float, ...]
     episodes_per_subject: float
     n_subjects: int
-    onset_span: int | None = None  # onset days uniform over [0, span]
-    cycle_dropout: float | None = None  # per-cycle geometric continuation failure
+    onset_span: int | None  # onset days uniform over [0, span]
+    cycle_dropout: float | None  # per-cycle geometric continuation failure
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+
+class ArmScenario(_ArmScenarioFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, probs: tuple[float, ...], episodes_per_subject: float,
+                n_subjects: int, onset_span: int | None = None, cycle_dropout: float | None = None):
+        p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or len(p) == 0:
-            raise InvalidScenario(f"arm {self.name!r}: empty probability vector")
+            raise InvalidScenario(f"arm {name!r}: empty probability vector")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise InvalidScenario(f"arm {self.name!r}: probabilities must be >= 0 and sum to 1")
-        if self.episodes_per_subject < 0:
-            raise InvalidScenario(f"arm {self.name!r}: negative episode rate")
-        if self.n_subjects < 1:
-            raise InvalidScenario(f"arm {self.name!r}: need at least one subject")
-        if self.cycle_dropout is not None and not 0.0 < self.cycle_dropout <= 1.0:
-            raise InvalidScenario(f"arm {self.name!r}: cycle_dropout must be in (0, 1]")
+            raise InvalidScenario(f"arm {name!r}: probabilities must be >= 0 and sum to 1")
+        if episodes_per_subject < 0:
+            raise InvalidScenario(f"arm {name!r}: negative episode rate")
+        if n_subjects < 1:
+            raise InvalidScenario(f"arm {name!r}: need at least one subject")
+        if cycle_dropout is not None and not 0.0 < cycle_dropout <= 1.0:
+            raise InvalidScenario(f"arm {name!r}: cycle_dropout must be in (0, 1]")
+        return tuple.__new__(cls, (name, probs, episodes_per_subject, n_subjects, onset_span,
+                                   cycle_dropout))
 
     def true_adx(self) -> float:
         p = np.asarray(self.probs)
@@ -49,17 +55,21 @@ class ArmScenario:
         return float(-(p * np.log(p)).sum())
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
     arms: tuple[ArmScenario, ...]
-    seed: int = 0
+    seed: int
 
-    def __post_init__(self):
-        if not self.arms:
+
+class Scenario(_ScenarioFields):
+    __slots__ = ()
+
+    def __new__(cls, arms: tuple[ArmScenario, ...], seed: int = 0):
+        if not arms:
             raise InvalidScenario("scenario needs at least one arm")
-        names = [a.name for a in self.arms]
+        names = [a.name for a in arms]
         if len(names) != len(set(names)):
             raise InvalidScenario("duplicate arm names")
+        return tuple.__new__(cls, (arms, seed))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -142,8 +152,7 @@ def generate_trial(scenario: Scenario) -> TrialDataset:
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes))
 
 
-@dataclass
-class ArmValidation:
+class ArmValidation(NamedTuple):
     arm: str
     true_adx: float
     replicates: int
@@ -159,11 +168,10 @@ class ArmValidation:
     ks_distance: float | None = None
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     scenario: Scenario
     replicates: int
-    arms: list[ArmValidation] = field(default_factory=list)
+    arms: list[ArmValidation]
 
 
 Draws = dict[str, tuple[np.ndarray, np.ndarray]]
@@ -232,10 +240,8 @@ def validate_variance(scenario: Scenario, replicates: int = 1000,
     if replicates < 2:
         raise InvalidScenario("need at least 2 replicates")
     draws = _scenario_draws(scenario, replicates, draws)
-    report = ValidationReport(scenario=scenario, replicates=replicates)
-    for arm in scenario.arms:
-        report.arms.append(_arm_validation(arm, *draws[arm.name], _is_uniform(arm.probs)))
-    return report
+    arms = [_arm_validation(arm, *draws[arm.name], _is_uniform(arm.probs)) for arm in scenario.arms]
+    return ValidationReport(scenario, replicates, arms)
 
 
 def _shape_diagnostics(z: np.ndarray) -> dict[str, float]:
@@ -270,11 +276,11 @@ def validate_normality(scenario: Scenario, replicates: int = 1000,
                 f"arm {arm.name!r}: uniform true vector has zero asymptotic variance"
             )
     draws = _scenario_draws(scenario, replicates, draws)
-    report = ValidationReport(scenario=scenario, replicates=replicates)
+    arms = []
     for arm in scenario.arms:
         adxs, ses = draws[arm.name]
         if arm.name in uniform:
-            report.arms.append(_arm_validation(arm, adxs, ses, True))
+            arms.append(_arm_validation(arm, adxs, ses, True))
             continue
         sd = float(adxs.std(ddof=1))
         if sd == 0.0:
@@ -282,5 +288,5 @@ def validate_normality(scenario: Scenario, replicates: int = 1000,
                 f"arm {arm.name!r}: every replicate has the same adx; nothing to standardize"
             )
         z = (adxs - adxs.mean()) / sd
-        report.arms.append(_arm_validation(arm, adxs, ses, False, **_shape_diagnostics(z)))
-    return report
+        arms.append(_arm_validation(arm, adxs, ses, False, **_shape_diagnostics(z)))
+    return ValidationReport(scenario, replicates, arms)

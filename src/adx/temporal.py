@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .cohorts import AgeBinning, CohortKey, _cells, _estimate_and_pair
 from .data import TrialDataset
@@ -29,17 +29,20 @@ SEQUENTIAL_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class LookSchedule:
+class _LookScheduleFields(NamedTuple):
     cutoff_days: tuple[int, ...]
 
-    def __post_init__(self):
-        cuts = tuple(int(c) for c in self.cutoff_days)
+
+class LookSchedule(_LookScheduleFields):
+    __slots__ = ()
+
+    def __new__(cls, cutoff_days: tuple[int, ...]):
+        cuts = tuple(int(c) for c in cutoff_days)
         if list(cuts) != sorted(set(cuts)):
             raise ValueError("cutoff_days must be strictly ascending")
         if not cuts:
             raise ValueError("at least one cutoff required")
-        object.__setattr__(self, "cutoff_days", cuts)
+        return tuple.__new__(cls, (cuts,))
 
 
 def default_schedule(data: TrialDataset, parts: int = 3) -> LookSchedule:
@@ -60,13 +63,15 @@ def default_schedule(data: TrialDataset, parts: int = 3) -> LookSchedule:
     return LookSchedule(tuple(cuts))
 
 
-@dataclass
 class InterimSeries:
-    schedule: LookSchedule
-    estimates: dict[tuple[CohortKey, int], AdxEstimate]  # (key, look index)
-    comparisons: list[tuple[CohortKey, CohortKey, int, ComparisonResult]]
-    excluded_undated: int
-    caveats: list[str] = field(default_factory=lambda: [SEQUENTIAL_CAVEAT])
+    """Per-look estimates and comparisons, filled in look by look."""
+
+    def __init__(self, schedule: LookSchedule, excluded_undated: int):
+        self.schedule = schedule
+        self.estimates: dict[tuple[CohortKey, int], AdxEstimate] = {}  # (key, look index)
+        self.comparisons: list[tuple[CohortKey, CohortKey, int, ComparisonResult]] = []
+        self.excluded_undated = excluded_undated
+        self.caveats = [SEQUENTIAL_CAVEAT]
 
 
 def interim_series(
@@ -91,7 +96,7 @@ def interim_series(
     if schedule is None:
         schedule = default_schedule(data)
     cells = _cells(data, dated, dimensions or (), age_binning)
-    series = InterimSeries(schedule=schedule, estimates={}, comparisons=[], excluded_undated=excluded)
+    series = InterimSeries(schedule, excluded)
     looks = _cumulative_profiles(data, cells, "onset_day", schedule.cutoff_days, level)
     for look, profiles in enumerate(looks):
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
@@ -118,8 +123,7 @@ def _cumulative_profiles(data: TrialDataset, cells: dict, attr: str, cutoffs, le
         yield {key: FrequencyProfile(counts) for key, counts in running.items() if counts}
 
 
-@dataclass
-class ExposureCurves:
+class ExposureCurves(NamedTuple):
     max_cycle: int
     # per arm: list of rows (cycle, adx, k, n, subjects_at_cycle)
     curves: dict[str, list[tuple[int, float, int, int, int]]]
@@ -136,13 +140,16 @@ def exposure_curves(
 
     subjects_at_cycle c counts subjects whose exposure (explicit
     ``exposure`` map of subject_id -> last_cycle, else the subject's max
-    episode cycle) reaches cycle c.
+    episode cycle) reaches cycle c. ``max_cycle`` defaults to the highest
+    episode cycle and must be at least 1.
     """
+    if max_cycle is not None and max_cycle < 1:
+        raise ValueError(f"max_cycle must be >= 1, got {max_cycle}")
     cycled = sorted((e for e in data.episodes if e.cycle is not None), key=_CYCLE)
     excluded = len(data.episodes) - len(cycled)
     if not cycled:
         raise NoCycleData("no episode carries a cycle number")
-    top = max_cycle or cycled[-1].cycle
+    top = cycled[-1].cycle if max_cycle is None else max_cycle
 
     # in cycle order, a subject's last episode carries its highest cycle
     last_cycle = {e.subject_id: e.cycle for e in cycled}

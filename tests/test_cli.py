@@ -272,12 +272,15 @@ def test_hierarchy_command(capsys, tiny_trial_files, tmp_path):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("summary", []), ("subgroup", ["--by", "sex"]), ("soc", []), ("hierarchy", []),
-    ("interim", []),
+    ("summary", ["--control", "Nope"]), ("subgroup", ["--by", "sex", "--control", "Nope"]),
+    ("soc", ["--control", "Nope"]), ("hierarchy", ["--control", "Nope"]),
+    ("interim", ["--control", "Nope"]),
+    # drilldown has no --control; an unknown arm in its --arms is the same mistake
+    ("drilldown", ["--soc", "gastrointestinal disorders", "--arms", "A,Nope"]),
 ])
 def test_unknown_control_is_config_error(capsys, tiny_trial_files, tmp_path, command, extra):
     code, _, err = run(
-        capsys, command, *extra, "--control", "Nope",
+        capsys, command, *extra,
         "--episodes", str(tiny_trial_files["episodes"]),
         "--subjects", str(tiny_trial_files["subjects"]),
         "--hierarchy", str(tiny_trial_files["hierarchy"]),
@@ -392,6 +395,20 @@ def test_exposure_file_is_read(capsys, tiny_trial_files, tmp_path):
     at_six = [r for r in _strict_jsonl(out_dir / "exposure.jsonl")
               if r.get("record") == "exposure" and r["cycle"] == 6]
     assert {r["arm"]: r["subjects_at_cycle"] for r in at_six} == {"A": 1, "B": 0}
+
+
+@pytest.mark.parametrize("max_cycle", ["-3", "0"])
+def test_exposure_max_cycle_below_one_is_config_error(capsys, tiny_trial_files, tmp_path,
+                                                      max_cycle):
+    code, out, err = run(
+        capsys, "exposure", "--max-cycle", max_cycle,
+        "--episodes", str(tiny_trial_files["episodes"]),
+        "--subjects", str(tiny_trial_files["subjects"]),
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 3 and out == ""
+    assert err == f"adx: configuration error: max_cycle must be >= 1, got {max_cycle}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_both_flags_uniform_arm(capsys, tmp_path):

@@ -1,5 +1,6 @@
-"""Start-up budget: the report commands load neither numpy nor scipy, and
-scipy is a test oracle only, never a runtime import."""
+"""Start-up budget: the report commands load neither numpy nor scipy, no
+command loads ``dataclasses`` or ``inspect``, and scipy is a test oracle
+only, never a runtime import."""
 import ast
 import os
 import subprocess
@@ -35,8 +36,19 @@ def test_report_modules_load_no_numpy():
     assert out.stdout.strip() == "[]"
 
 
-def test_no_module_imports_scipy():
-    offenders = []
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # records are named tuples; dataclasses, with the inspect it pulls in,
+    # would cost every command several milliseconds of start-up
+    code = ("import adx.cli, sys; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def _imports_of(module: str) -> list[str]:
+    """``file:line`` of every import of ``module`` (or a submodule) under ``src/adx``."""
+    found = []
     for path in sorted((SRC / "adx").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -45,5 +57,13 @@ def test_no_module_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            offenders += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
-    assert offenders == []
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == module]
+    return found
+
+
+def test_no_module_imports_scipy():
+    assert _imports_of("scipy") == []
+
+
+def test_no_module_imports_dataclasses():
+    assert _imports_of("dataclasses") == []
