@@ -63,11 +63,10 @@ def write_csv(path, header, rows):
     return path
 
 
-@pytest.fixture
-def tiny_trial_files(tmp_path):
+def tiny_trial(directory):
     """3 subjects, 5 episodes, 2 arms; all referentially consistent."""
     subjects = write_csv(
-        tmp_path / "subjects.csv",
+        directory / "subjects.csv",
         ["subject_id", "arm", "sex", "age_years", "background_therapy", "substudy",
          "first_dose_day", "last_observed_day"],
         [
@@ -77,7 +76,7 @@ def tiny_trial_files(tmp_path):
         ],
     )
     episodes = write_csv(
-        tmp_path / "episodes.csv",
+        directory / "episodes.csv",
         ["subject_id", "arm", "pt_term", "onset_day", "cycle", "serious", "severity", "tier"],
         [
             ["S1", "A", "nausea", 10, 1, "false", 1, ""],
@@ -88,7 +87,7 @@ def tiny_trial_files(tmp_path):
         ],
     )
     hierarchy = write_csv(
-        tmp_path / "hierarchy.csv",
+        directory / "hierarchy.csv",
         ["pt_term", "hlt_term", "hlgt_term", "soc_term"],
         [
             ["nausea", "nausea symptoms", "gi signs", "gastrointestinal disorders"],
@@ -96,7 +95,12 @@ def tiny_trial_files(tmp_path):
             ["fatigue", "asthenic conditions", "general signs", "general disorders"],
         ],
     )
-    return {"subjects": subjects, "episodes": episodes, "hierarchy": hierarchy, "dir": tmp_path}
+    return {"subjects": subjects, "episodes": episodes, "hierarchy": hierarchy, "dir": directory}
+
+
+@pytest.fixture
+def tiny_trial_files(tmp_path):
+    return tiny_trial(tmp_path)
 
 
 @pytest.fixture
