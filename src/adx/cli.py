@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 input error (files, referential integrity),
 3 configuration error (bad flags), 4 degenerate statistics (zero
 variance / zero adversity). Outputs go to --out DIR in any of the three
-formats; text also echoes to stdout.
+formats; text also echoes to stdout. Each command builds one list of
+JSON-lines records, and its text and CSV are column views of it (``_emit``).
 
 The report commands need neither numpy nor scipy, so start-up stays
 small: ``benefit_risk`` and ``simulate``, which resample with numpy, are
@@ -183,71 +184,100 @@ def _arms(spec: str, *known: tuple, pair: bool = False) -> tuple[str, ...]:
 
 
 def _config_dict(args) -> dict:
-    keep = {
-        "command", "episodes", "subjects", "hierarchy", "level", "control", "alpha",
-        "one_sided", "by", "age_cuts", "looks", "efficacy", "arms", "soc", "top",
-        "bootstrap", "seed", "ci", "bootstrap_unit", "scenario", "check",
-        "replicates", "max_cycle", "min_episodes", "unmapped", "exposure_file",
-    }
-    return {k: v for k, v in vars(args).items() if k in keep and v is not None}
+    return {k: v for k, v in vars(args).items() if k not in ("out", "format") and v is not None}
 
 
-def _emit(args, name: str, body: str, records: list[dict],
-          csv_cols: list[str] | None = None, csv_rows: list[list] | None = None):
+def _emit(args, name: str, records: list[dict], *pieces, csv: tuple | None = None):
+    """Write ``records`` as JSON lines, the text ``pieces`` as text and the
+    ``csv=(kind, columns)`` view of ``records`` as CSV.
+
+    A text piece is a string or a ``(kind, columns[, footnotes])`` table of
+    ``records`` (see ``report.table``). A table after the first is set off
+    by a blank line, and left out when it has no rows.
+    """
     fmts = _formats(args)
     cfg = _config_dict(args)
     out = Path(args.out)
     if "text" in fmts:
+        body = ""
+        for piece in pieces:
+            if isinstance(piece, tuple):
+                if body and not report.select(records, piece[0]):
+                    continue
+                piece = ("\n" if body else "") + report.table(records, *piece)
+            body += piece
         report.write_text(out / f"{name}.txt", cfg, body)
         sys.stdout.write(body)
     if "json-lines" in fmts:
         report.write_jsonl(out / f"{name}.jsonl", cfg, records)
-    if "csv" in fmts and csv_cols is not None:
-        report.write_csv(out / f"{name}.csv", cfg, csv_cols, csv_rows or [])
+    if "csv" in fmts and csv is not None:
+        report.write_csv(out / f"{name}.csv", cfg, *report.csv_view(records, *csv))
 
 
 def _sided(args) -> bool:
     return not getattr(args, "one_sided", False)
 
 
+def _estimate(kind: str, est: entropy.AdxEstimate, **fields) -> dict:
+    return {"record": kind, **fields, "adx": est.adx, "se": est.se, "k": est.k, "n": est.n,
+            "eals": est.eals, "seals": est.seals}
+
+
+def _comparison(arm_1: str, arm_2: str, res: entropy.ComparisonResult, **fields) -> dict:
+    return {"record": "comparison", "arm_1": arm_1, "arm_2": arm_2, **fields, "diff": res.diff,
+            "se_diff": res.se_diff, "z": res.z, "p_value": res.p_value,
+            "direction": res.direction}
+
+
+def _degenerate(rep: cohorts.SubgroupReport) -> tuple[list[dict], list[str]]:
+    """One record per zero-variance pair of ``rep``, and a footnote naming them."""
+    records = [{"record": "degenerate_comparison", "arm_1": ka.arm, "arm_2": kb.arm,
+                "cell": dict(ka.filters)} for ka, kb in rep.degenerate]
+    pairs = "; ".join(f"{ka} vs {kb}" for ka, kb in rep.degenerate)
+    return records, [f"not compared, both profiles uniform (se_diff 0): {pairs}"] if pairs else []
+
+
+def _arm_estimate(trial: data.TrialDataset, arm: str, level: str) -> entropy.AdxEstimate:
+    episodes = trial.episodes_for_arm(arm)
+    return entropy.estimate(entropy.profile_from_episodes(episodes, level, trial.hierarchy))
+
+
+def _cohort(arm_field: str):
+    """The cohort label of a record's ``arm_field`` and ``cell``."""
+    return lambda r: str(cohorts.CohortKey(r[arm_field], tuple(r["cell"].items())))
+
+
+# Table columns shared by several commands; see report.table.
+ADX = ("adx", "adx", report.fmt_adx)
+SE = ("se", "se", report.fmt_se)
+ESTIMATE = [ADX, SE, ("K", "k"), ("N", "n")]
+COHORT = ("cohort", _cohort("arm"))
+COHORTS = [("cohort_1", _cohort("arm_1")), ("cohort_2", _cohort("arm_2"))]
+DIFF = ("diff", "diff", report.fmt_adx)
+Z = ("z", "z", "{:.2f}".format)
+P = ("p", "p_value", report.fmt_p)
+
+
 def cmd_summary(args) -> int:
     trial = _load(args)
-    rows = data.dataset_summary(trial)
     rep = cohorts.subgroup_analysis(trial, [], args.level, control=args.control,
                                     alpha=args.alpha, two_sided=_sided(args))
     est = {key.arm: e for key, e in rep.estimates.items()}
-    table_rows = []
-    records = []
-    for r in rows:
-        arm = r["arm"]
-        cells = [arm, str(r["subjects"]), str(r["episodes"]), str(r["distinct_types"]),
-                 f"{r['subjects_with_ae']} ({r['pct_subjects_with_ae']:.1f}%)"]
-        if arm in est:
-            cells += [report.fmt_adx(est[arm].adx), report.fmt_se(est[arm].se)]
-        else:
-            cells += ["", ""]
-        table_rows.append(cells)
-        rec = dict(r)
-        if arm in est:
-            rec.update(adx=est[arm].adx, se=est[arm].se, k=est[arm].k, n=est[arm].n,
-                       eals=est[arm].eals, seals=est[arm].seals)
-        records.append({"record": "summary", **rec})
-    body = report.render_table(
-        ["arm", "subjects", "episodes", "distinct_types", "subjects_with_ae", "adx", "se"],
-        table_rows,
-    )
-    for ka, kb, res in rep.comparisons:
-        body += (
-            f"difference adx({ka.arm}) - adx({kb.arm}) = {report.fmt_adx(res.diff)}"
-            f" ({report.fmt_se(res.se_diff)}), z = {res.z:.2f}, p = {report.fmt_p(res.p_value)}\n"
-        )
-        records.append({"record": "comparison", "arm_1": ka.arm, "arm_2": kb.arm,
-                        "diff": res.diff, "se_diff": res.se_diff, "z": res.z,
-                        "p_value": res.p_value, "direction": res.direction})
-    csv_rows = [[r["arm"], r["subjects"], r["episodes"], r["distinct_types"],
-                 r["subjects_with_ae"]] for r in rows]
-    _emit(args, "summary", body, records,
-          ["arm", "subjects", "episodes", "distinct_types", "subjects_with_ae"], csv_rows)
+    records = [_estimate("summary", est[r["arm"]], **r) if r["arm"] in est
+               else {"record": "summary", **r} for r in data.dataset_summary(trial)]
+    records += [_comparison(ka.arm, kb.arm, res) for ka, kb, res in rep.comparisons]
+    degenerate, notes = _degenerate(rep)
+    records += degenerate
+    lines = [
+        f"difference adx({ka.arm}) - adx({kb.arm}) = {report.fmt_adx(res.diff)}"
+        f" ({report.fmt_se(res.se_diff)}), z = {res.z:.2f}, p = {report.fmt_p(res.p_value)}\n"
+        for ka, kb, res in rep.comparisons
+    ]
+    columns = ["arm", "subjects", "episodes", "distinct_types"]
+    with_ae = ("subjects_with_ae",
+               lambda r: f"{r['subjects_with_ae']} ({r['pct_subjects_with_ae']:.1f}%)")
+    _emit(args, "summary", records, ("summary", [*columns, with_ae, ADX, SE], notes), *lines,
+          csv=("summary", [*columns, "subjects_with_ae"]))
     return EXIT_OK
 
 
@@ -259,64 +289,34 @@ def cmd_compare(args) -> int:
         if len(trial.arms) < 2:
             raise ConfigError("dataset has fewer than two arms; use --arms")
         pair = list(trial.arms[:2])
-    ests = [
-        entropy.estimate(
-            entropy.profile_from_episodes(trial.episodes_for_arm(a), args.level, trial.hierarchy)
-        )
-        for a in pair
-    ]
+    ests = [_arm_estimate(trial, a, args.level) for a in pair]
     res = entropy.compare(ests[0], ests[1], args.alpha, _sided(args))
-    rows = [
-        [a, report.fmt_adx(e.adx), report.fmt_se(e.se), str(e.k), str(e.n),
-         report.fmt_eals(e.eals), report.fmt_seals(e.seals)]
-        for a, e in zip(pair, ests)
-    ]
-    body = report.render_table(["arm", "adx", "se", "K", "N", "eals", "seals"], rows)
-    body += (
-        f"difference = {report.fmt_adx(res.diff)} ({report.fmt_se(res.se_diff)}), "
-        f"z = {res.z:.2f}, p = {report.fmt_p(res.p_value)}, direction = {res.direction}\n"
-    )
-    records = [
-        {"record": "estimate", "arm": a, "adx": e.adx, "se": e.se, "k": e.k, "n": e.n,
-         "eals": e.eals, "seals": e.seals}
-        for a, e in zip(pair, ests)
-    ]
-    records.append({"record": "comparison", "arm_1": pair[0], "arm_2": pair[1],
-                    "diff": res.diff, "se_diff": res.se_diff, "z": res.z,
-                    "p_value": res.p_value, "direction": res.direction})
-    csv_rows = [[a, e.adx, e.se, e.k, e.n] for a, e in zip(pair, ests)]
-    _emit(args, "compare", body, records, ["arm", "adx", "se", "K", "N"], csv_rows)
+    records = [_estimate("estimate", e, arm=a) for a, e in zip(pair, ests)]
+    records.append(_comparison(pair[0], pair[1], res))
+    line = (f"difference = {report.fmt_adx(res.diff)} ({report.fmt_se(res.se_diff)}), "
+            f"z = {res.z:.2f}, p = {report.fmt_p(res.p_value)}, direction = {res.direction}\n")
+    columns = ["arm", *ESTIMATE]
+    _emit(args, "compare", records,
+          ("estimate", [*columns, ("eals", "eals", report.fmt_eals),
+                        ("seals", "seals", report.fmt_seals)]), line,
+          csv=("estimate", columns))
     return EXIT_OK
 
 
 def _subgroup_output(args, rep: cohorts.SubgroupReport, name: str) -> int:
-    rows = []
-    records = []
-    for key, est in rep.estimates.items():
-        flag = "low-N" if key in rep.low_n else ""
-        rows.append([str(key), report.fmt_adx(est.adx), report.fmt_se(est.se),
-                     str(est.k), str(est.n), flag])
-        records.append({"record": "estimate", "arm": key.arm,
-                        "cell": dict(key.filters), "adx": est.adx, "se": est.se,
-                        "k": est.k, "n": est.n, "eals": est.eals, "seals": est.seals,
-                        "low_n": key in rep.low_n})
-    body = report.render_table(["cohort", "adx", "se", "K", "N", "flags"], rows,
-                               footnotes=rep.footnotes)
-    comp_rows = []
-    for ka, kb, res in rep.comparisons:
-        comp_rows.append([str(ka), str(kb), report.fmt_adx(res.diff),
-                          report.fmt_se(res.se_diff), f"{res.z:.2f}", report.fmt_p(res.p_value)])
-        records.append({"record": "comparison", "arm_1": ka.arm, "arm_2": kb.arm,
-                        "cell": dict(ka.filters), "diff": res.diff, "se_diff": res.se_diff,
-                        "z": res.z, "p_value": res.p_value, "direction": res.direction})
-    if comp_rows:
-        body += "\n" + report.render_table(
-            ["cohort_1", "cohort_2", "diff", "se_diff", "z", "p"], comp_rows
-        )
-    for key in sorted(rep.empty, key=str):
-        records.append({"record": "empty_cohort", "arm": key.arm, "cell": dict(key.filters)})
-    csv_rows = [[str(k), e.adx, e.se, e.k, e.n] for k, e in rep.estimates.items()]
-    _emit(args, name, body, records, ["cohort", "adx", "se", "K", "N"], csv_rows)
+    records = [_estimate("estimate", est, arm=key.arm, cell=dict(key.filters),
+                         low_n=key in rep.low_n) for key, est in rep.estimates.items()]
+    records += [_comparison(ka.arm, kb.arm, res, cell=dict(ka.filters))
+                for ka, kb, res in rep.comparisons]
+    degenerate, notes = _degenerate(rep)
+    records += degenerate
+    records += [{"record": "empty_cohort", "arm": key.arm, "cell": dict(key.filters)}
+                for key in sorted(rep.empty, key=str)]
+    flags = ("flags", lambda r: "low-N" if r["low_n"] else "")
+    _emit(args, name, records,
+          ("estimate", [COHORT, *ESTIMATE, flags], rep.footnotes + notes),
+          ("comparison", [*COHORTS, DIFF, ("se_diff", "se_diff", report.fmt_se), Z, P]),
+          csv=("estimate", [COHORT, *ESTIMATE]))
     return EXIT_OK
 
 
@@ -339,25 +339,23 @@ def cmd_soc(args) -> int:
     return _subgroup_output(args, rep, "soc")
 
 
+# the JSON-lines name and the text label of each summary row of a drilldown
+_DRILLDOWN_TOTALS = {"_others": "Others", "_zero_count_types": "AE with zero count",
+                     "_total": "Total"}
+
+
 def cmd_drilldown(args) -> int:
     trial = _load(args)
     arms = _arms(args.arms, (trial.arms, "dataset")) if args.arms else None
     table = cohorts.drilldown(trial, args.soc, arms, args.top)
-    rows = [[pt] + [str(counts[a]) for a in table.arms] for pt, counts in table.rows]
-    rows.append(["Others"] + [str(table.others[a]) for a in table.arms])
-    rows.append(["AE with zero count"] + [str(table.zero_count_types[a]) for a in table.arms])
-    rows.append(["Total"] + [str(table.totals[a]) for a in table.arms])
-    body = report.render_table(
-        [f"AE (total # types {table.total_types})"] + table.arms, rows
-    )
+    rows = [*table.rows, ("_others", table.others),
+            ("_zero_count_types", table.zero_count_types), ("_total", table.totals)]
     records = [{"record": "drilldown", "soc": table.soc, "ae_type": pt, **counts}
-               for pt, counts in table.rows]
-    records.append({"record": "drilldown", "soc": table.soc, "ae_type": "_others", **table.others})
-    records.append({"record": "drilldown", "soc": table.soc, "ae_type": "_zero_count_types",
-                    **table.zero_count_types})
-    records.append({"record": "drilldown", "soc": table.soc, "ae_type": "_total", **table.totals})
-    csv_rows = [[pt] + [counts[a] for a in table.arms] for pt, counts in table.rows]
-    _emit(args, "drilldown", body, records, ["ae_type"] + table.arms, csv_rows)
+               for pt, counts in rows]
+    _emit(args, "drilldown", records,
+          ("drilldown", [(f"AE (total # types {table.total_types})", "ae_type",
+                          lambda t: _DRILLDOWN_TOTALS.get(t, t)), *table.arms]),
+          csv=(lambda r: r["ae_type"] not in _DRILLDOWN_TOTALS, ["ae_type", *table.arms]))
     return EXIT_OK
 
 
@@ -365,30 +363,20 @@ def cmd_hierarchy(args) -> int:
     trial = _load(args)
     rep = cohorts.hierarchy_sweep(trial, control=args.control, alpha=args.alpha,
                                   two_sided=_sided(args))
-    rows = []
-    records = []
-    for (arm, level), est in rep.estimates.items():
-        rows.append([arm, level, report.fmt_adx(est.adx), report.fmt_se(est.se),
-                     str(est.k), str(est.n)])
-        records.append({"record": "estimate", "arm": arm, "level": level, "adx": est.adx,
-                        "se": est.se, "k": est.k, "n": est.n})
-    body = report.render_table(["arm", "level", "adx", "se", "K", "N"], rows)
-    comp_rows = []
-    for (a, b, level), res in rep.comparisons.items():
-        comp_rows.append([a, b, level, report.fmt_p(res.p_value)])
-        records.append({"record": "comparison", "arm_1": a, "arm_2": b, "level": level,
-                        "diff": res.diff, "z": res.z, "p_value": res.p_value})
-    body += "\n" + report.render_table(["arm_1", "arm_2", "level", "p"], comp_rows)
-    body += (
+    records = [_estimate("estimate", est, arm=arm, level=level)
+               for (arm, level), est in rep.estimates.items()]
+    records += [_comparison(a, b, res, level=level)
+                for (a, b, level), res in rep.comparisons.items()]
+    records.append({"record": "propositions", "p1": rep.p1_holds, "p2": rep.p2_holds,
+                    "p3": rep.p3_holds, "p4": rep.p4_holds})
+    line = (
         f"\nrollup diagnostics: decline with coarsening (P1) {rep.p1_holds}; "
         f"rank preserved (P2) {rep.p2_holds}; significance propagates down (P3) {rep.p3_holds}; "
         f"non-significance propagates up (P4) {rep.p4_holds}\n"
     )
-    records.append({"record": "propositions", "p1": rep.p1_holds, "p2": rep.p2_holds,
-                    "p3": rep.p3_holds, "p4": rep.p4_holds})
-    csv_rows = [[arm, level, est.adx, est.se, est.k, est.n]
-                for (arm, level), est in rep.estimates.items()]
-    _emit(args, "hierarchy", body, records, ["arm", "level", "adx", "se", "K", "N"], csv_rows)
+    columns = ["arm", "level", *ESTIMATE]
+    _emit(args, "hierarchy", records, ("estimate", columns),
+          ("comparison", ["arm_1", "arm_2", "level", P]), line, csv=("estimate", columns))
     return EXIT_OK
 
 
@@ -404,30 +392,17 @@ def cmd_interim(args) -> int:
         age_binning=cohorts.AgeBinning(cuts), control=args.control,
         alpha=args.alpha, two_sided=_sided(args),
     )
-    rows, records, csv_rows = [], [], []
-    for (key, look), est in series.estimates.items():
-        cutoff = series.schedule.cutoff_days[look]
-        rows.append([str(look + 1), str(cutoff), str(key), report.fmt_adx(est.adx),
-                     report.fmt_se(est.se), str(est.k), str(est.n)])
-        records.append({"record": "estimate", "look": look + 1, "cutoff_day": cutoff,
-                        "arm": key.arm, "cell": dict(key.filters), "adx": est.adx,
-                        "se": est.se, "k": est.k, "n": est.n})
-        csv_rows.append([look + 1, key.arm if not key.filters else str(key),
-                         est.adx, est.se, est.k, est.n])
-    body = report.render_table(["look", "cutoff_day", "cohort", "adx", "se", "K", "N"], rows,
-                               footnotes=series.caveats +
-                               [f"episodes without onset_day excluded: {series.excluded_undated}"])
-    comp_rows = []
-    for ka, kb, look, res in series.comparisons:
-        comp_rows.append([str(look + 1), str(ka), str(kb),
-                          report.fmt_adx(res.diff), f"{res.z:.2f}", report.fmt_p(res.p_value)])
-        records.append({"record": "comparison", "look": look + 1, "arm_1": ka.arm,
-                        "arm_2": kb.arm, "cell": dict(ka.filters), "diff": res.diff,
-                        "se_diff": res.se_diff, "z": res.z, "p_value": res.p_value})
-    if comp_rows:
-        body += "\n" + report.render_table(["look", "cohort_1", "cohort_2", "diff", "z", "p"],
-                                           comp_rows)
-    _emit(args, "interim", body, records, ["look", "arm", "adx", "se", "K", "N"], csv_rows)
+    records = [_estimate("estimate", est, look=look + 1,
+                         cutoff_day=series.schedule.cutoff_days[look], arm=key.arm,
+                         cell=dict(key.filters))
+               for (key, look), est in series.estimates.items()]
+    records += [_comparison(ka.arm, kb.arm, res, look=look + 1, cell=dict(ka.filters))
+                for ka, kb, look, res in series.comparisons]
+    notes = series.caveats + [f"episodes without onset_day excluded: {series.excluded_undated}"]
+    _emit(args, "interim", records,
+          ("estimate", ["look", "cutoff_day", COHORT, *ESTIMATE], notes),
+          ("comparison", ["look", *COHORTS, DIFF, Z, P]),
+          csv=("estimate", ["look", ("arm", _cohort("arm")), *ESTIMATE]))
     return EXIT_OK
 
 
@@ -435,19 +410,13 @@ def cmd_exposure(args) -> int:
     trial = _load(args)
     exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
     curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
-    rows, records, csv_rows = [], [], []
-    for arm in sorted(curves.curves):
-        for cycle, h, k, n, subj in curves.curves[arm]:
-            rows.append([arm, str(cycle), report.fmt_adx(h), str(k), str(n), str(subj)])
-            records.append({"record": "exposure", "arm": arm, "cycle": cycle, "adx": h,
-                            "k": k, "n": n, "subjects_at_cycle": subj})
-            csv_rows.append([arm, cycle, h, k, n, subj])
-    body = report.render_table(
-        ["arm", "cycle", "adx", "K", "N", "subjects_at_cycle"], rows,
-        footnotes=[f"episodes without cycle excluded: {curves.excluded_no_cycle}"],
-    )
-    _emit(args, "exposure", body, records,
-          ["arm", "cycle", "adx", "K", "N", "subjects_at_cycle"], csv_rows)
+    records = [{"record": "exposure", "arm": arm, "cycle": cycle, "adx": h, "k": k, "n": n,
+                "subjects_at_cycle": subj}
+               for arm in sorted(curves.curves) for cycle, h, k, n, subj in curves.curves[arm]]
+    columns = ["arm", "cycle", ADX, ("K", "k"), ("N", "n"), "subjects_at_cycle"]
+    _emit(args, "exposure", records,
+          ("exposure", columns, [f"episodes without cycle excluded: {curves.excluded_no_cycle}"]),
+          csv=("exposure", columns))
     return EXIT_OK
 
 
@@ -463,19 +432,12 @@ def cmd_benefit_risk(args) -> int:
         if len(arms) < 2:
             raise ConfigError("need two arms with efficacy values (or --arms)")
         pairs = [(a, arms[-1]) for a in arms[:-1]]
-    ests = {
-        arm: entropy.estimate(
-            entropy.profile_from_episodes(trial.episodes_for_arm(arm), args.level, trial.hierarchy)
-        )
-        for arm in {a for p in pairs for a in p}
-    }
+    ests = {arm: _arm_estimate(trial, arm, args.level) for arm in {a for p in pairs for a in p}}
     result = benefit_risk.benefit_risk(ests, efficacy, pairs)
-    rows = [[arm, f"{efficacy[arm].benefit:g}", report.fmt_adx(ests[arm].adx), f"{r:.3f}"]
-            for arm, r in result.read_values.items()]
-    body = report.render_table(["arm", "benefit", "adx", "read"], rows)
     records = [{"record": "read", "arm": arm, "benefit": efficacy[arm].benefit,
                 "adx": ests[arm].adx, "read": r}
                for arm, r in result.read_values.items()]
+    lines = []
     for (a, b), rr in result.re_read_values.items():
         line = f"re-read({a}/{b}) = {rr:.2f}"
         rec = {"record": "re_read", "arm_1": a, "arm_2": b, "re_read": rr}
@@ -484,14 +446,15 @@ def cmd_benefit_risk(args) -> int:
                 trial, efficacy, (a, b), level=args.ci, replicates=args.bootstrap,
                 seed=args.seed, unit=args.bootstrap_unit, hierarchy_level=args.level,
             )
-            line += f", {args.ci:.0%} bootstrap CI [{lo:.2f}, {hi:.2f}] ({args.bootstrap} replicates, seed {args.seed})"
+            line += (f", {args.ci:.0%} bootstrap CI [{lo:.2f}, {hi:.2f}] "
+                     f"({args.bootstrap} replicates, seed {args.seed})")
             rec.update(ci_lo=lo, ci_hi=hi, ci_level=args.ci,
                        replicates=args.bootstrap, seed=args.seed, unit=args.bootstrap_unit)
-        body += line + "\n"
+        lines.append(line + "\n")
         records.append(rec)
-    csv_rows = [[arm, efficacy[arm].benefit, ests[arm].adx, r]
-                for arm, r in result.read_values.items()]
-    _emit(args, "benefit_risk", body, records, ["arm", "benefit", "adx", "read"], csv_rows)
+    columns = ["arm", ("benefit", "benefit", "{:g}".format), ADX,
+               ("read", "read", "{:.3f}".format)]
+    _emit(args, "benefit_risk", records, ("read", columns), *lines, csv=("read", columns))
     return EXIT_OK
 
 
@@ -503,24 +466,24 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data.write_trial(trial, out / "episodes.csv", out / "subjects.csv")
-    body = report.render_table(
-        ["arm", "subjects", "episodes"],
-        [[arm, str(sum(1 for s in trial.subjects if s.arm == arm)),
-          str(len(trial.episodes_for_arm(arm)))] for arm in trial.arms],
-    )
     records = [{"record": "simulated", "arm": arm,
                 "subjects": sum(1 for s in trial.subjects if s.arm == arm),
                 "episodes": len(trial.episodes_for_arm(arm)), "seed": scenario.seed}
                for arm in trial.arms]
-    _emit(args, "simulate", body, records)
+    _emit(args, "simulate", records, ("simulated", ["arm", "subjects", "episodes"]))
     return EXIT_OK
+
+
+def _validate_notes(r: dict) -> str:
+    if r.get("ks_distance") is not None:
+        return f"ks={r['ks_distance']:.4f}"
+    return "degenerate (uniform)" if r["degenerate"] else ""
 
 
 def cmd_validate(args) -> int:
     from . import simulate
 
     scenario = simulate.load_scenario(args.scenario)
-    records, rows = [], []
     draws = {}  # the first check draws the replicates, the second reuses them
     reports = []
     if args.check in ("variance", "both"):
@@ -528,33 +491,20 @@ def cmd_validate(args) -> int:
     if args.check in ("normality", "both"):
         reports.append(("normality", simulate.validate_normality(
             scenario, args.replicates, draws, flag_uniform=args.check == "both")))
+    records = []
     for kind, rep in reports:
         for av in rep.arms:
-            sd_over_se = "n/a" if av.sd_over_se is None else f"{av.sd_over_se:.3f}"
-            row = [kind, av.arm, f"{av.true_adx:.4f}", f"{av.mean_adx:.4f}",
-                   f"{av.sd_adx:.5f}", f"{av.mean_analytic_se:.5f}",
-                   sd_over_se, f"{av.bias:+.5f}"]
-            if av.ks_distance is not None:
-                row.append(f"ks={av.ks_distance:.4f}")
-            elif av.degenerate:
-                row.append("degenerate (uniform)")
-            else:
-                row.append("")
-            rows.append(row)
-            rec = {"record": f"validate_{kind}", "arm": av.arm, "true_adx": av.true_adx,
-                   "replicates": av.replicates, "mean_adx": av.mean_adx, "sd_adx": av.sd_adx,
-                   "mean_analytic_se": av.mean_analytic_se, "sd_over_se": av.sd_over_se,
-                   "bias": av.bias, "first_order_bias": av.first_order_bias,
-                   "degenerate": av.degenerate}
-            if kind == "normality":
-                rec.update(ks_distance=av.ks_distance, skew=av.skew,
-                           excess_kurtosis=av.excess_kurtosis)
+            rec = {"record": f"validate_{kind}", **av._asdict()}
+            if kind == "variance":  # the variance check leaves these unset
+                del rec["skew"], rec["excess_kurtosis"], rec["ks_distance"]
             records.append(rec)
-    body = report.render_table(
-        ["check", "arm", "true_adx", "mean_adx", "sd", "mean_se", "sd/se", "bias", "notes"],
-        rows,
-    )
-    _emit(args, "validate", body, records)
+    f4, f5 = "{:.4f}".format, "{:.5f}".format
+    columns = [("check", lambda r: r["record"][len("validate_"):]), "arm",
+               ("true_adx", "true_adx", f4), ("mean_adx", "mean_adx", f4), ("sd", "sd_adx", f5),
+               ("mean_se", "mean_analytic_se", f5),
+               ("sd/se", lambda r: "n/a" if r["sd_over_se"] is None else f"{r['sd_over_se']:.3f}"),
+               ("bias", "bias", "{:+.5f}".format), ("notes", _validate_notes)]
+    _emit(args, "validate", records, (lambda r: True, columns))
     return EXIT_OK
 
 

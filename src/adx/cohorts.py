@@ -267,6 +267,8 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n
     across the listed arms but absent from that arm. It is informational:
     per-arm totals are named rows + Others.
     """
+    if top_n < 0:
+        raise ValueError(f"top_n must be >= 0, got {top_n}")
     hierarchy = data.require_hierarchy()
     soc_n = normalize_term(soc)
     if soc_n not in hierarchy.socs():
@@ -280,7 +282,7 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n
                 counts.setdefault(pt, {a: 0 for a in arms})[arm] = c
 
     ranked = sorted(counts, key=lambda pt: (-max(counts[pt].values()), pt))
-    top = ranked[: max(top_n, 0)]
+    top = ranked[:top_n]
     rest = ranked[len(top):]
     others = {a: sum(counts[pt][a] for pt in rest) for a in arms}
     zero = {a: sum(1 for pt in counts if counts[pt][a] == 0) for a in arms}

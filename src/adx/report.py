@@ -1,5 +1,8 @@
 """Output formatting and atomic file emission.
 
+A command's results are one list of JSON-lines records; its text tables
+(``table``) and its CSV (``csv_view``) are column views of that list.
+
 Display rounding: AdX 2 dp, SE 4 dp, EALS nearest integer, SEALS 2 dp,
 p-values 3 dp with a "<0.001" floor. Rounding happens here only; every
 chained computation upstream uses unrounded values. Structured (JSON
@@ -37,19 +40,55 @@ def fmt_p(value: float) -> str:
     return f"{value:.3f}"
 
 
-def render_table(headers: list[str], rows: list[list[str]], footnotes: list[str] | None = None) -> str:
-    """Plain monospace table with a header rule."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+def select(records: list[dict], kind) -> list[dict]:
+    """The records of ``kind``: a record kind, or a predicate on records."""
+    if callable(kind):
+        return [r for r in records if kind(r)]
+    return [r for r in records if r["record"] == kind]
+
+
+def _view(records: list[dict], kind, columns: list) -> tuple[list[dict], list[tuple]]:
+    """The ``kind`` records, and the columns with a bare field name as ``(name, name)``."""
+    return select(records, kind), [(c, c) if isinstance(c, str) else c for c in columns]
+
+
+def _value(record: dict, get):
+    return get(record) if callable(get) else record.get(get)
+
+
+def _cell(record: dict, get, fmt=None) -> str:
+    value = _value(record, get)
+    if value is None:
+        return ""
+    return fmt(value) if fmt else str(value)
+
+
+def table(records: list[dict], kind, columns: list, footnotes: list[str] | None = None) -> str:
+    """Plain monospace table with a header rule, one row per ``kind``
+    record (see ``select``).
+
+    A column is ``(header, record field or function of the record[, display
+    format])``, or a field name that is also its header. A missing value
+    shows as an empty cell, a value without a format as ``str(value)``.
+    """
+    records, columns = _view(records, kind, columns)
+    headers = [c[0] for c in columns]
+    rows = [[_cell(r, *c[1:]) for c in columns] for r in records]
+    widths = [max(map(len, cells)) for cells in zip(headers, *rows)]
+
     def line(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     out = [line(headers), line(["-" * w for w in widths])]
     out += [line(r) for r in rows]
-    for note in footnotes or []:
-        out.append(f"note: {note}")
+    out += [f"note: {note}" for note in footnotes or []]
     return "\n".join(out) + "\n"
+
+
+def csv_view(records: list[dict], kind, columns: list) -> tuple[list[str], list[list]]:
+    """The header and rows of ``table`` for ``write_csv``: full precision,
+    no display formats."""
+    rows, columns = _view(records, kind, columns)
+    return [c[0] for c in columns], [[_value(r, c[1]) for c in columns] for r in rows]
 
 
 def atomic_write(path: str | Path, text: str) -> None:

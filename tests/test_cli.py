@@ -90,7 +90,9 @@ def test_bad_alpha_exit_code(capsys, tiny_trial_files, tmp_path):
     assert "alpha" in err
 
 
-def test_degenerate_exit_code(capsys, tmp_path):
+@pytest.fixture
+def uniform_arms(tmp_path):
+    """Two arms, each uniform over the same two PTs, so se(diff) is zero."""
     subjects = write_csv(tmp_path / "s.csv",
                          ["subject_id", "arm", "sex"],
                          [["S1", "A", "F"], ["S2", "B", "F"]])
@@ -99,10 +101,25 @@ def test_degenerate_exit_code(capsys, tmp_path):
     episodes = write_csv(tmp_path / "e.csv",
                          ["subject_id", "arm", "pt_term", "onset_day", "cycle", "serious",
                           "severity", "tier"], rows)
-    code, _, err = run(capsys, "compare", "--episodes", str(episodes),
-                       "--subjects", str(subjects), "--out", str(tmp_path))
+    return ["--episodes", str(episodes), "--subjects", str(subjects)]
+
+
+def test_degenerate_exit_code(capsys, uniform_arms, tmp_path):
+    code, _, err = run(capsys, "compare", *uniform_arms, "--out", str(tmp_path))
     assert code == 4
     assert "degenerate" in err.lower()
+
+
+def test_summary_reports_degenerate_comparison(capsys, uniform_arms, tmp_path):
+    out_dir = tmp_path / "o"
+    code, out, _ = run(capsys, "summary", *uniform_arms, "--out", str(out_dir),
+                       "--format", "text,json-lines")
+    assert code == 0
+    assert "difference" not in out
+    assert "note: not compared, both profiles uniform (se_diff 0): A vs B" in out.splitlines()
+    recs = _strict_jsonl(out_dir / "summary.jsonl")
+    assert [r for r in recs if r["record"] in ("comparison", "degenerate_comparison")] == [
+        {"record": "degenerate_comparison", "arm_1": "A", "arm_2": "B", "cell": {}}]
 
 
 def test_compare_output(capsys, table7_files, tmp_path):
@@ -397,17 +414,25 @@ def test_exposure_file_is_read(capsys, tiny_trial_files, tmp_path):
     assert {r["arm"]: r["subjects_at_cycle"] for r in at_six} == {"A": 1, "B": 0}
 
 
-@pytest.mark.parametrize("max_cycle", ["-3", "0"])
-def test_exposure_max_cycle_below_one_is_config_error(capsys, tiny_trial_files, tmp_path,
-                                                      max_cycle):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["exposure", "--max-cycle", "-3"], "max_cycle must be >= 1, got -3",
+                 id="max-cycle=-3"),
+    pytest.param(["exposure", "--max-cycle", "0"], "max_cycle must be >= 1, got 0",
+                 id="max-cycle=0"),
+    pytest.param(["drilldown", "--soc", "gastrointestinal disorders", "--top", "-3"],
+                 "top_n must be >= 0, got -3", id="top=-3"),
+])
+def test_count_flag_out_of_range_is_config_error(capsys, tiny_trial_files, tmp_path, argv,
+                                                 message):
     code, out, err = run(
-        capsys, "exposure", "--max-cycle", max_cycle,
+        capsys, *argv,
         "--episodes", str(tiny_trial_files["episodes"]),
         "--subjects", str(tiny_trial_files["subjects"]),
+        "--hierarchy", str(tiny_trial_files["hierarchy"]),
         "--out", str(tmp_path / "o"),
     )
     assert code == 3 and out == ""
-    assert err == f"adx: configuration error: max_cycle must be >= 1, got {max_cycle}\n"
+    assert err == f"adx: configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

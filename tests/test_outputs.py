@@ -12,6 +12,7 @@ and review its diff.
 """
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,8 @@ import pytest
 from conftest import tiny_trial, write_csv
 
 GOLDEN = Path(__file__).with_name("golden_outputs.txt")
+ESTIMATE_FIELDS = {"adx", "se", "k", "n", "eals", "seals"}
+COMPARISON_FIELDS = {"diff", "se_diff", "z", "p_value", "direction"}
 
 
 def _commands(d: Path) -> dict[str, list[str]]:
@@ -85,6 +88,20 @@ def rendered(tmp_path_factory):
 def test_outputs_match_golden(rendered):
     _, text = rendered
     assert text == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_estimate_and_comparison_records_carry_the_full_field_set(rendered):
+    d, _ = rendered
+    seen = set()
+    for path in sorted((d / "out").glob("*/*.jsonl")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            need = {"estimate": ESTIMATE_FIELDS, "comparison": COMPARISON_FIELDS}.get(rec["record"])
+            if need is not None:
+                assert need <= set(rec), f"{path.name}: {rec['record']} lacks {need - set(rec)}"
+                seen.add((path.stem, rec["record"]))
+    assert {(name, "estimate") for name in ("compare", "subgroup", "soc", "hierarchy", "interim")} \
+        | {(name, "comparison") for name in ("summary", "compare", "hierarchy", "interim")} <= seen
 
 
 if __name__ == "__main__":
