@@ -10,7 +10,7 @@ from adx.simulate import (
     validate_normality,
     validate_variance,
 )
-from adx.temporal import LookSchedule, interim_series
+from adx.temporal import SEQUENTIAL_CAVEAT, LookSchedule, interim_series
 
 
 def main() -> None:
@@ -32,8 +32,7 @@ def main() -> None:
             f"  day {schedule.cutoff_days[look]:>3}: AdX={fmt_adx(est.adx)} "
             f"(SE {fmt_se(est.se)}) K={est.k} N={est.n}"
         )
-    for caveat in series.caveats:
-        print(f"  ({caveat})")
+    print(f"  ({SEQUENTIAL_CAVEAT})")
 
     v = validate_variance(scenario, replicates=3000).arms[0]
     print(

@@ -112,15 +112,11 @@ class BenefitRiskResult(NamedTuple):
 def benefit_risk(
     estimates: dict[str, AdxEstimate],
     efficacy: dict[str, EfficacyInput],
-    pairs: list[tuple[str, str]] | None = None,
+    pairs: list[tuple[str, str]],
 ) -> BenefitRiskResult:
-    """REAd per arm and Re-REAd per requested pair (default: consecutive
-    arms against the last one)."""
+    """REAd per arm and Re-REAd per pair of ``pairs``."""
     check_sign_consistency(efficacy)
     reads = {arm: read_score(efficacy[arm], est) for arm, est in estimates.items() if arm in efficacy}
-    if pairs is None:
-        arms = list(reads)
-        pairs = [(a, arms[-1]) for a in arms[:-1]]
     rr = {(a, b): re_read(reads[a], reads[b]) for a, b in pairs}
     return BenefitRiskResult(read_values=reads, re_read_values=rr)
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 input error (files, referential integrity),
 3 configuration error (bad flags), 4 degenerate statistics (zero
-variance / zero adversity). Outputs go to --out DIR in any of the three
-formats; text also echoes to stdout. Each command builds one list of
+variance / zero adversity). Each command is declared once, next to its body
+(``command``), with its flags drawn from ``FLAGS``. It builds one list of
 JSON-lines records, and its text and CSV are column views of it (``_emit``).
 
 The report commands need neither numpy nor scipy, so start-up stays
@@ -33,33 +33,54 @@ EXIT_CONFIG = 3
 EXIT_DEGENERATE = 4
 
 
-def _add_trial_args(p: argparse.ArgumentParser, hierarchy: bool = True):
-    p.add_argument("--episodes", required=True, help="episodes CSV")
-    p.add_argument("--subjects", required=True, help="subjects CSV")
-    if hierarchy:
-        p.add_argument("--hierarchy", help="hierarchy CSV (pt,hlt,hlgt,soc)")
-        p.add_argument(
-            "--unmapped", choices=["reject", "synthetic"], default="reject",
-            help="handling of PTs absent from the hierarchy",
-        )
+# The add_argument keywords of every flag. A command declares the names of the
+# flags it takes with ``command``; a name ending in "!" is one it requires.
+FLAGS = {
+    "--episodes": dict(help="episodes CSV"),
+    "--subjects": dict(help="subjects CSV"),
+    "--hierarchy": dict(help="hierarchy CSV (pt,hlt,hlgt,soc)"),
+    "--unmapped": dict(choices=["reject", "synthetic"], default="reject",
+                       help="handling of PTs absent from the hierarchy"),
+    "--out": dict(default=".", help="output directory"),
+    "--format": dict(default="text", help="comma-separated subset of text,json-lines,csv"),
+    "--level": dict(choices=list(data.HIERARCHY_LEVELS), default="pt",
+                    help="hierarchy level the AE types are counted at"),
+    "--alpha": dict(type=float, default=0.05, help="significance level of the tests"),
+    "--one-sided": dict(action="store_true", help="one-sided p-values"),
+    "--control": dict(help="designated control arm"),
+    "--arms": dict(help="comma-separated arms: a pair for compare (default: first two arms) "
+                        "and benefit-risk's Re-REAd, any list for drilldown (default: all)"),
+    "--by": dict(help="comma-separated subgroup dimensions (sex,age,...)"),
+    "--age-cuts": dict(default="40,50,65", help="ascending age cut points"),
+    "--min-episodes": dict(type=int, default=10),
+    "--soc": dict(help="SOC to drill into"),
+    "--top": dict(type=int, default=2),
+    "--looks": dict(help="comma-separated cutoff days (default: thirds of onset span)"),
+    "--max-cycle": dict(type=int),
+    "--exposure-file": dict(help="optional CSV subject_id,last_cycle"),
+    "--efficacy": dict(help="CSV arm,endpoint_label,value,higher_is_better"),
+    "--bootstrap": dict(type=int, help="bootstrap replicates for the Re-REAd CI"),
+    "--seed": dict(type=int, default=0),
+    "--ci": dict(type=float, default=0.95),
+    "--bootstrap-unit": dict(choices=["episode", "subject"], default="episode"),
+    "--scenario": dict(help="scenario INI file"),
+    "--check": dict(choices=["variance", "normality", "both"], default="both"),
+    "--replicates": dict(type=int, default=1000),
+}
+TRIAL = ("--episodes!", "--subjects!", "--hierarchy", "--unmapped")
+TESTS = ("--alpha", "--one-sided")
+
+COMMANDS = {}  # command name -> its cmd_* function
+DECLARED = {}  # command name -> (help line, flag names)
 
 
-def _add_common_args(p: argparse.ArgumentParser, tests: bool = True, control: bool = True,
-                     level: bool = True):
-    """Output flags, plus the test flags (``--alpha``, ``--one-sided``),
-    ``--control`` and ``--level`` for the commands that use them."""
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument(
-        "--format", default="text",
-        help="comma-separated subset of text,json-lines,csv",
-    )
-    if level:
-        p.add_argument("--level", choices=list(data.HIERARCHY_LEVELS), default="pt")
-    if tests:
-        p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--one-sided", action="store_true")
-    if control:
-        p.add_argument("--control", help="designated control arm")
+def command(name: str, help_line: str, *flags: str):
+    """Declare ``adx name``: its help line and its flags, besides ``--out`` and ``--format``."""
+    def declare(fn):
+        COMMANDS[name] = fn
+        DECLARED[name] = (help_line, (*flags, "--out", "--format"))
+        return fn
+    return declare
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,72 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"adx-toolkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("summary", help="per-arm counts plus AdX and the pairwise difference")
-    _add_trial_args(p)
-    _add_common_args(p)
-
-    p = sub.add_parser("compare", help="two-arm AdX comparison")
-    _add_trial_args(p)
-    _add_common_args(p, control=False)
-    p.add_argument("--arms", help="comma-separated pair, e.g. A,B (default: first two arms)")
-
-    p = sub.add_parser("subgroup", help="AdX by arm x subgroup cells")
-    _add_trial_args(p)
-    _add_common_args(p)
-    p.add_argument("--by", required=True, help="comma-separated dimensions (sex,age,...)")
-    p.add_argument("--age-cuts", default="40,50,65", help="ascending age cut points")
-    p.add_argument("--min-episodes", type=int, default=10)
-
-    p = sub.add_parser("soc", help="SOC-wise AdX comparison")
-    _add_trial_args(p)
-    _add_common_args(p, level=False)
-
-    p = sub.add_parser("drilldown", help="leading AE types inside one SOC")
-    _add_trial_args(p)
-    _add_common_args(p, tests=False, control=False, level=False)
-    p.add_argument("--soc", required=True)
-    p.add_argument("--top", type=int, default=2)
-    p.add_argument("--arms", help="comma-separated arm list (default: all)")
-
-    p = sub.add_parser("hierarchy", help="AdX rollup across hierarchy levels")
-    _add_trial_args(p)
-    _add_common_args(p, level=False)
-
-    p = sub.add_parser("interim", help="cumulative AdX at interim looks")
-    _add_trial_args(p)
-    _add_common_args(p)
-    p.add_argument("--looks", help="comma-separated cutoff days (default: thirds of onset span)")
-    p.add_argument("--by", help="optional subgroup dimensions")
-    p.add_argument("--age-cuts", default="40,50,65")
-
-    p = sub.add_parser("exposure", help="cumulative AE profile by cycle")
-    _add_trial_args(p)
-    _add_common_args(p, tests=False, control=False)
-    p.add_argument("--max-cycle", type=int)
-    p.add_argument("--exposure-file", help="optional CSV subject_id,last_cycle")
-
-    p = sub.add_parser("benefit-risk", help="REAd / Re-REAd from an efficacy file")
-    _add_trial_args(p)
-    _add_common_args(p, tests=False, control=False)
-    p.add_argument("--efficacy", required=True, help="CSV arm,endpoint_label,value,higher_is_better")
-    p.add_argument("--arms", help="pair for Re-REAd, e.g. ACTIVE,PLACEBO")
-    p.add_argument("--bootstrap", type=int, help="bootstrap replicates for the Re-REAd CI")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ci", type=float, default=0.95)
-    p.add_argument("--bootstrap-unit", choices=["episode", "subject"], default="episode")
-
-    p = sub.add_parser("simulate", help="generate a synthetic trial from a scenario file")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--out", default=".")
-    p.add_argument("--format", default="text")
-
-    p = sub.add_parser("validate", help="Monte Carlo validation of variance/normality")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--check", choices=["variance", "normality", "both"], default="both")
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--out", default=".")
-    p.add_argument("--format", default="text")
+    for name, (help_line, flags) in DECLARED.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags:
+            p.add_argument(flag.rstrip("!"), required=flag.endswith("!"),
+                           **FLAGS[flag.rstrip("!")])
     return parser
 
 
@@ -159,11 +119,7 @@ def _check_config(args):
 
 
 def _load(args) -> data.TrialDataset:
-    trial = data.load_trial(
-        args.episodes, args.subjects,
-        getattr(args, "hierarchy", None),
-        unmapped=getattr(args, "unmapped", "reject"),
-    )
+    trial = data.load_trial(args.episodes, args.subjects, args.hierarchy, unmapped=args.unmapped)
     control = getattr(args, "control", None)
     if control is not None and control not in trial.arms:
         raise ConfigError(f"control arm not in dataset: {control}")
@@ -183,21 +139,19 @@ def _arms(spec: str, *known: tuple, pair: bool = False) -> tuple[str, ...]:
     return arms
 
 
-def _config_dict(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("out", "format") and v is not None}
-
-
-def _emit(args, name: str, records: list[dict], *pieces, csv: tuple | None = None):
+def _emit(args, records: list[dict], *pieces, csv: tuple | None = None):
     """Write ``records`` as JSON lines, the text ``pieces`` as text and the
-    ``csv=(kind, columns)`` view of ``records`` as CSV.
+    ``csv=(kind, columns)`` view of ``records`` as CSV, each to a file named
+    after the command (``benefit-risk`` writes ``benefit_risk.*``).
 
     A text piece is a string or a ``(kind, columns[, footnotes])`` table of
     ``records`` (see ``report.table``). A table after the first is set off
     by a blank line, and left out when it has no rows.
     """
     fmts = _formats(args)
-    cfg = _config_dict(args)
+    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "format") and v is not None}
     out = Path(args.out)
+    name = args.command.replace("-", "_")
     if "text" in fmts:
         body = ""
         for piece in pieces:
@@ -214,10 +168,6 @@ def _emit(args, name: str, records: list[dict], *pieces, csv: tuple | None = Non
         report.write_csv(out / f"{name}.csv", cfg, *report.csv_view(records, *csv))
 
 
-def _sided(args) -> bool:
-    return not getattr(args, "one_sided", False)
-
-
 def _estimate(kind: str, est: entropy.AdxEstimate, **fields) -> dict:
     return {"record": kind, **fields, "adx": est.adx, "se": est.se, "k": est.k, "n": est.n,
             "eals": est.eals, "seals": est.seals}
@@ -229,12 +179,24 @@ def _comparison(arm_1: str, arm_2: str, res: entropy.ComparisonResult, **fields)
             "direction": res.direction}
 
 
-def _degenerate(rep: cohorts.SubgroupReport) -> tuple[list[dict], list[str]]:
-    """One record per zero-variance pair of ``rep``, and a footnote naming them."""
-    records = [{"record": "degenerate_comparison", "arm_1": ka.arm, "arm_2": kb.arm,
-                "cell": dict(ka.filters)} for ka, kb in rep.degenerate]
-    pairs = "; ".join(f"{ka} vs {kb}" for ka, kb in rep.degenerate)
-    return records, [f"not compared, both profiles uniform (se_diff 0): {pairs}"] if pairs else []
+def _degenerate(pairs: list[tuple[str, dict]]) -> tuple[list[dict], list[str]]:
+    """A record per zero-variance pair of ``pairs``, each a ``(label, record
+    fields)``, and a footnote naming them by label."""
+    records = [{"record": "degenerate_comparison", **fields} for _, fields in pairs]
+    labels = "; ".join(label for label, _ in pairs)
+    return records, [f"not compared, both profiles uniform (se_diff 0): {labels}"] if labels else []
+
+
+def _cell_pair(ka: cohorts.CohortKey, kb: cohorts.CohortKey, prefix: str = "", **fields):
+    """The ``_degenerate`` entry of two cohorts of one cell."""
+    return (f"{prefix}{ka} vs {kb}",
+            {"arm_1": ka.arm, "arm_2": kb.arm, **fields, "cell": dict(ka.filters)})
+
+
+def _subgroups(args) -> tuple[list[str], cohorts.AgeBinning]:
+    """The ``--by`` dimensions, blank entries dropped, and the ``--age-cuts`` bins."""
+    dims = [d.strip() for d in (args.by or "").split(",") if d.strip()]
+    return dims, cohorts.AgeBinning(tuple(float(c) for c in args.age_cuts.split(",")))
 
 
 def _arm_estimate(trial: data.TrialDataset, arm: str, level: str) -> entropy.AdxEstimate:
@@ -258,15 +220,17 @@ Z = ("z", "z", "{:.2f}".format)
 P = ("p", "p_value", report.fmt_p)
 
 
-def cmd_summary(args) -> int:
+@command("summary", "per-arm counts plus AdX and the pairwise difference",
+         *TRIAL, "--level", *TESTS, "--control")
+def cmd_summary(args) -> None:
     trial = _load(args)
     rep = cohorts.subgroup_analysis(trial, [], args.level, control=args.control,
-                                    alpha=args.alpha, two_sided=_sided(args))
+                                    alpha=args.alpha, two_sided=not args.one_sided)
     est = {key.arm: e for key, e in rep.estimates.items()}
     records = [_estimate("summary", est[r["arm"]], **r) if r["arm"] in est
                else {"record": "summary", **r} for r in data.dataset_summary(trial)]
     records += [_comparison(ka.arm, kb.arm, res) for ka, kb, res in rep.comparisons]
-    degenerate, notes = _degenerate(rep)
+    degenerate, notes = _degenerate([_cell_pair(ka, kb) for ka, kb in rep.degenerate])
     records += degenerate
     lines = [
         f"difference adx({ka.arm}) - adx({kb.arm}) = {report.fmt_adx(res.diff)}"
@@ -276,12 +240,12 @@ def cmd_summary(args) -> int:
     columns = ["arm", "subjects", "episodes", "distinct_types"]
     with_ae = ("subjects_with_ae",
                lambda r: f"{r['subjects_with_ae']} ({r['pct_subjects_with_ae']:.1f}%)")
-    _emit(args, "summary", records, ("summary", [*columns, with_ae, ADX, SE], notes), *lines,
+    _emit(args, records, ("summary", [*columns, with_ae, ADX, SE], notes), *lines,
           csv=("summary", [*columns, "subjects_with_ae"]))
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
+@command("compare", "two-arm AdX comparison", *TRIAL, "--level", *TESTS, "--arms")
+def cmd_compare(args) -> None:
     trial = _load(args)
     if args.arms:
         pair = _arms(args.arms, (trial.arms, "dataset"), pair=True)
@@ -290,53 +254,52 @@ def cmd_compare(args) -> int:
             raise ConfigError("dataset has fewer than two arms; use --arms")
         pair = list(trial.arms[:2])
     ests = [_arm_estimate(trial, a, args.level) for a in pair]
-    res = entropy.compare(ests[0], ests[1], args.alpha, _sided(args))
+    res = entropy.compare(ests[0], ests[1], args.alpha, not args.one_sided)
     records = [_estimate("estimate", e, arm=a) for a, e in zip(pair, ests)]
     records.append(_comparison(pair[0], pair[1], res))
     line = (f"difference = {report.fmt_adx(res.diff)} ({report.fmt_se(res.se_diff)}), "
             f"z = {res.z:.2f}, p = {report.fmt_p(res.p_value)}, direction = {res.direction}\n")
     columns = ["arm", *ESTIMATE]
-    _emit(args, "compare", records,
+    _emit(args, records,
           ("estimate", [*columns, ("eals", "eals", report.fmt_eals),
                         ("seals", "seals", report.fmt_seals)]), line,
           csv=("estimate", columns))
-    return EXIT_OK
 
 
-def _subgroup_output(args, rep: cohorts.SubgroupReport, name: str) -> int:
+def _subgroup_output(args, rep: cohorts.SubgroupReport) -> None:
     records = [_estimate("estimate", est, arm=key.arm, cell=dict(key.filters),
                          low_n=key in rep.low_n) for key, est in rep.estimates.items()]
     records += [_comparison(ka.arm, kb.arm, res, cell=dict(ka.filters))
                 for ka, kb, res in rep.comparisons]
-    degenerate, notes = _degenerate(rep)
+    degenerate, notes = _degenerate([_cell_pair(ka, kb) for ka, kb in rep.degenerate])
     records += degenerate
     records += [{"record": "empty_cohort", "arm": key.arm, "cell": dict(key.filters)}
                 for key in sorted(rep.empty, key=str)]
     flags = ("flags", lambda r: "low-N" if r["low_n"] else "")
-    _emit(args, name, records,
+    _emit(args, records,
           ("estimate", [COHORT, *ESTIMATE, flags], rep.footnotes + notes),
           ("comparison", [*COHORTS, DIFF, ("se_diff", "se_diff", report.fmt_se), Z, P]),
           csv=("estimate", [COHORT, *ESTIMATE]))
-    return EXIT_OK
 
 
-def cmd_subgroup(args) -> int:
+@command("subgroup", "AdX by arm x subgroup cells", *TRIAL, "--level", *TESTS, "--control",
+         "--by!", "--age-cuts", "--min-episodes")
+def cmd_subgroup(args) -> None:
     trial = _load(args)
-    dims = [d.strip() for d in args.by.split(",") if d.strip()]
-    cuts = tuple(float(c) for c in args.age_cuts.split(","))
+    dims, binning = _subgroups(args)
     rep = cohorts.subgroup_analysis(
-        trial, dims, level=args.level, age_binning=cohorts.AgeBinning(cuts),
-        min_episodes=args.min_episodes, control=args.control,
-        alpha=args.alpha, two_sided=_sided(args),
+        trial, dims, level=args.level, age_binning=binning, min_episodes=args.min_episodes,
+        control=args.control, alpha=args.alpha, two_sided=not args.one_sided,
     )
-    return _subgroup_output(args, rep, "subgroup")
+    _subgroup_output(args, rep)
 
 
-def cmd_soc(args) -> int:
+@command("soc", "SOC-wise AdX comparison", *TRIAL, *TESTS, "--control")
+def cmd_soc(args) -> None:
     trial = _load(args)
     rep = cohorts.soc_analysis(trial, control=args.control, alpha=args.alpha,
-                               two_sided=_sided(args))
-    return _subgroup_output(args, rep, "soc")
+                               two_sided=not args.one_sided)
+    _subgroup_output(args, rep)
 
 
 # the JSON-lines name and the text label of each summary row of a drilldown
@@ -344,7 +307,8 @@ _DRILLDOWN_TOTALS = {"_others": "Others", "_zero_count_types": "AE with zero cou
                      "_total": "Total"}
 
 
-def cmd_drilldown(args) -> int:
+@command("drilldown", "leading AE types inside one SOC", *TRIAL, "--soc!", "--top", "--arms")
+def cmd_drilldown(args) -> None:
     trial = _load(args)
     arms = _arms(args.arms, (trial.arms, "dataset")) if args.arms else None
     table = cohorts.drilldown(trial, args.soc, arms, args.top)
@@ -352,21 +316,25 @@ def cmd_drilldown(args) -> int:
             ("_zero_count_types", table.zero_count_types), ("_total", table.totals)]
     records = [{"record": "drilldown", "soc": table.soc, "ae_type": pt, **counts}
                for pt, counts in rows]
-    _emit(args, "drilldown", records,
+    _emit(args, records,
           ("drilldown", [(f"AE (total # types {table.total_types})", "ae_type",
                           lambda t: _DRILLDOWN_TOTALS.get(t, t)), *table.arms]),
           csv=(lambda r: r["ae_type"] not in _DRILLDOWN_TOTALS, ["ae_type", *table.arms]))
-    return EXIT_OK
 
 
-def cmd_hierarchy(args) -> int:
+@command("hierarchy", "AdX rollup across hierarchy levels", *TRIAL, *TESTS, "--control")
+def cmd_hierarchy(args) -> None:
     trial = _load(args)
     rep = cohorts.hierarchy_sweep(trial, control=args.control, alpha=args.alpha,
-                                  two_sided=_sided(args))
+                                  two_sided=not args.one_sided)
     records = [_estimate("estimate", est, arm=arm, level=level)
                for (arm, level), est in rep.estimates.items()]
     records += [_comparison(a, b, res, level=level)
                 for (a, b, level), res in rep.comparisons.items()]
+    degenerate, notes = _degenerate([(f"{a} vs {b} at {level}",
+                                      {"arm_1": a, "arm_2": b, "level": level})
+                                     for a, b, level in rep.degenerate])
+    records += degenerate
     records.append({"record": "propositions", "p1": rep.p1_holds, "p2": rep.p2_holds,
                     "p3": rep.p3_holds, "p4": rep.p4_holds})
     line = (
@@ -375,22 +343,21 @@ def cmd_hierarchy(args) -> int:
         f"non-significance propagates up (P4) {rep.p4_holds}\n"
     )
     columns = ["arm", "level", *ESTIMATE]
-    _emit(args, "hierarchy", records, ("estimate", columns),
+    _emit(args, records, ("estimate", columns, notes),
           ("comparison", ["arm_1", "arm_2", "level", P]), line, csv=("estimate", columns))
-    return EXIT_OK
 
 
-def cmd_interim(args) -> int:
+@command("interim", "cumulative AdX at interim looks", *TRIAL, "--level", *TESTS, "--control",
+         "--looks", "--by", "--age-cuts")
+def cmd_interim(args) -> None:
     trial = _load(args)
     schedule = None
     if args.looks:
         schedule = temporal.LookSchedule(tuple(int(x) for x in args.looks.split(",")))
-    dims = [d.strip() for d in args.by.split(",")] if args.by else None
-    cuts = tuple(float(c) for c in args.age_cuts.split(","))
+    dims, binning = _subgroups(args)
     series = temporal.interim_series(
-        trial, schedule, dims, level=args.level,
-        age_binning=cohorts.AgeBinning(cuts), control=args.control,
-        alpha=args.alpha, two_sided=_sided(args),
+        trial, schedule, dims, level=args.level, age_binning=binning, control=args.control,
+        alpha=args.alpha, two_sided=not args.one_sided,
     )
     records = [_estimate("estimate", est, look=look + 1,
                          cutoff_day=series.schedule.cutoff_days[look], arm=key.arm,
@@ -398,15 +365,20 @@ def cmd_interim(args) -> int:
                for (key, look), est in series.estimates.items()]
     records += [_comparison(ka.arm, kb.arm, res, look=look + 1, cell=dict(ka.filters))
                 for ka, kb, look, res in series.comparisons]
-    notes = series.caveats + [f"episodes without onset_day excluded: {series.excluded_undated}"]
-    _emit(args, "interim", records,
+    degenerate, notes = _degenerate([_cell_pair(ka, kb, f"look {look + 1}: ", look=look + 1)
+                                     for ka, kb, look in series.degenerate])
+    records += degenerate
+    notes = [temporal.SEQUENTIAL_CAVEAT,
+             f"episodes without onset_day excluded: {series.excluded_undated}", *notes]
+    _emit(args, records,
           ("estimate", ["look", "cutoff_day", COHORT, *ESTIMATE], notes),
           ("comparison", ["look", *COHORTS, DIFF, Z, P]),
           csv=("estimate", ["look", ("arm", _cohort("arm")), *ESTIMATE]))
-    return EXIT_OK
 
 
-def cmd_exposure(args) -> int:
+@command("exposure", "cumulative AE profile by cycle", *TRIAL, "--level", "--max-cycle",
+         "--exposure-file")
+def cmd_exposure(args) -> None:
     trial = _load(args)
     exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
     curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
@@ -414,13 +386,14 @@ def cmd_exposure(args) -> int:
                 "subjects_at_cycle": subj}
                for arm in sorted(curves.curves) for cycle, h, k, n, subj in curves.curves[arm]]
     columns = ["arm", "cycle", ADX, ("K", "k"), ("N", "n"), "subjects_at_cycle"]
-    _emit(args, "exposure", records,
+    _emit(args, records,
           ("exposure", columns, [f"episodes without cycle excluded: {curves.excluded_no_cycle}"]),
           csv=("exposure", columns))
-    return EXIT_OK
 
 
-def cmd_benefit_risk(args) -> int:
+@command("benefit-risk", "REAd / Re-REAd from an efficacy file", *TRIAL, "--level",
+         "--efficacy!", "--arms", "--bootstrap", "--seed", "--ci", "--bootstrap-unit")
+def cmd_benefit_risk(args) -> None:
     from . import benefit_risk
 
     trial = _load(args)
@@ -454,11 +427,11 @@ def cmd_benefit_risk(args) -> int:
         records.append(rec)
     columns = ["arm", ("benefit", "benefit", "{:g}".format), ADX,
                ("read", "read", "{:.3f}".format)]
-    _emit(args, "benefit_risk", records, ("read", columns), *lines, csv=("read", columns))
-    return EXIT_OK
+    _emit(args, records, ("read", columns), *lines, csv=("read", columns))
 
 
-def cmd_simulate(args) -> int:
+@command("simulate", "generate a synthetic trial from a scenario file", "--scenario!")
+def cmd_simulate(args) -> None:
     from . import simulate
 
     scenario = simulate.load_scenario(args.scenario)
@@ -470,8 +443,7 @@ def cmd_simulate(args) -> int:
                 "subjects": sum(1 for s in trial.subjects if s.arm == arm),
                 "episodes": len(trial.episodes_for_arm(arm)), "seed": scenario.seed}
                for arm in trial.arms]
-    _emit(args, "simulate", records, ("simulated", ["arm", "subjects", "episodes"]))
-    return EXIT_OK
+    _emit(args, records, ("simulated", ["arm", "subjects", "episodes"]))
 
 
 def _validate_notes(r: dict) -> str:
@@ -480,7 +452,9 @@ def _validate_notes(r: dict) -> str:
     return "degenerate (uniform)" if r["degenerate"] else ""
 
 
-def cmd_validate(args) -> int:
+@command("validate", "Monte Carlo validation of variance/normality", "--scenario!", "--check",
+         "--replicates")
+def cmd_validate(args) -> None:
     from . import simulate
 
     scenario = simulate.load_scenario(args.scenario)
@@ -504,23 +478,7 @@ def cmd_validate(args) -> int:
                ("mean_se", "mean_analytic_se", f5),
                ("sd/se", lambda r: "n/a" if r["sd_over_se"] is None else f"{r['sd_over_se']:.3f}"),
                ("bias", "bias", "{:+.5f}".format), ("notes", _validate_notes)]
-    _emit(args, "validate", records, (lambda r: True, columns))
-    return EXIT_OK
-
-
-COMMANDS = {
-    "summary": cmd_summary,
-    "compare": cmd_compare,
-    "subgroup": cmd_subgroup,
-    "soc": cmd_soc,
-    "drilldown": cmd_drilldown,
-    "hierarchy": cmd_hierarchy,
-    "interim": cmd_interim,
-    "exposure": cmd_exposure,
-    "benefit-risk": cmd_benefit_risk,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
-}
+    _emit(args, records, (lambda r: True, columns))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -528,7 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_config(args)
-        return COMMANDS[args.command](args)
+        COMMANDS[args.command](args)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"adx: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

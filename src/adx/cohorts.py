@@ -312,6 +312,7 @@ class PropositionReport(NamedTuple):
     levels: list[str]
     estimates: dict[tuple[str, str], AdxEstimate]  # (arm, level) -> estimate
     comparisons: dict[tuple[str, str, str], ComparisonResult]  # (a, b, level)
+    degenerate: list[tuple[str, str, str]]  # (a, b, level) of the zero-variance pairs
     p1_holds: bool
     p2_holds: bool
     p3_holds: bool
@@ -333,6 +334,7 @@ def hierarchy_sweep(
         raise EmptyProfile(f"no episodes in arm(s): {', '.join(missing)}")
     estimates: dict[tuple[str, str], AdxEstimate] = {}
     comparisons: dict[tuple[str, str, str], ComparisonResult] = {}
+    degenerate: list[tuple[str, str, str]] = []
     by_pt = {key: profile_from_episodes(eps) for key, eps in cells.items()}
     for level in levels:
         profiles = {key: rollup(profile, level, data.hierarchy) for key, profile in by_pt.items()}
@@ -340,6 +342,7 @@ def hierarchy_sweep(
         by_arm = {key.arm: est for key, est in rep.estimates.items()}
         estimates.update(((arm, level), by_arm[arm]) for arm in arms)
         comparisons.update(((ka.arm, kb.arm, level), res) for ka, kb, res in rep.comparisons)
+        degenerate += [(ka.arm, kb.arm, level) for ka, kb in rep.degenerate]
 
     # P1: coarsening never increases the index (theorem; tiny float slack)
     p1 = all(
@@ -371,6 +374,7 @@ def hierarchy_sweep(
         levels=list(levels),
         estimates=estimates,
         comparisons=comparisons,
+        degenerate=degenerate,
         p1_holds=p1,
         p2_holds=p2,
         p3_holds=p3,

@@ -45,9 +45,9 @@ class LookSchedule(_LookScheduleFields):
         return tuple.__new__(cls, (cuts,))
 
 
-def default_schedule(data: TrialDataset, parts: int = 3) -> LookSchedule:
-    """Divide the observed onset-day span into equal parts; the last
-    cutoff is the max onset day so the final look sees every dated episode."""
+def default_schedule(data: TrialDataset) -> LookSchedule:
+    """Divide the observed onset-day span into thirds; the last cutoff is
+    the max onset day so the final look sees every dated episode."""
     days = [e.onset_day for e in data.episodes if e.onset_day is not None]
     if not days:
         raise NoDatedEpisodes("no episode carries onset_day")
@@ -55,8 +55,8 @@ def default_schedule(data: TrialDataset, parts: int = 3) -> LookSchedule:
     if lo == hi:
         return LookSchedule((hi,))
     cuts = []
-    for i in range(1, parts + 1):
-        c = lo + round(i * (hi - lo) / parts)
+    for i in (1, 2, 3):
+        c = lo + round(i * (hi - lo) / 3)
         if not cuts or c > cuts[-1]:
             cuts.append(c)
     cuts[-1] = hi
@@ -64,14 +64,15 @@ def default_schedule(data: TrialDataset, parts: int = 3) -> LookSchedule:
 
 
 class InterimSeries:
-    """Per-look estimates and comparisons, filled in look by look."""
+    """Per-look estimates, comparisons and zero-variance pairs, filled in
+    look by look."""
 
     def __init__(self, schedule: LookSchedule, excluded_undated: int):
         self.schedule = schedule
         self.estimates: dict[tuple[CohortKey, int], AdxEstimate] = {}  # (key, look index)
         self.comparisons: list[tuple[CohortKey, CohortKey, int, ComparisonResult]] = []
+        self.degenerate: list[tuple[CohortKey, CohortKey, int]] = []
         self.excluded_undated = excluded_undated
-        self.caveats = [SEQUENTIAL_CAVEAT]
 
 
 def interim_series(
@@ -102,6 +103,7 @@ def interim_series(
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
         series.estimates.update(((key, look), est) for key, est in rep.estimates.items())
         series.comparisons += [(ka, kb, look, res) for ka, kb, res in rep.comparisons]
+        series.degenerate += [(ka, kb, look) for ka, kb in rep.degenerate]
     return series
 
 

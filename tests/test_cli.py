@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from adx import cli
 from adx.cli import main
 
 from conftest import write_csv
@@ -494,6 +496,63 @@ def test_unknown_dimension_lists_the_valid_ones(capsys, tiny_trial_files, tmp_pa
                        "--out", str(tmp_path / "o"))
     assert code == 2
     assert err.count("\n") == 1 and "'blood'; valid: sex, age," in err
+
+
+@pytest.mark.parametrize("command", ["subgroup", "interim"])
+def test_blank_dimension_entries_are_dropped(capsys, tiny_trial_files, tmp_path, command):
+    trial = ["--episodes", str(tiny_trial_files["episodes"]),
+             "--subjects", str(tiny_trial_files["subjects"])]
+    outs = []
+    for by in ("sex,", "sex"):
+        code, out, err = run(capsys, command, "--by", by, *trial, "--out", str(tmp_path / by))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] and "sex=F" in outs[0]
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_lists_exactly_its_declared_flags(capsys, command):
+    _, flags = cli.DECLARED[command]
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _help(capsys, command)))
+    assert listed == {"--help"} | {f.rstrip("!") for f in flags}
+    assert cli.COMMANDS[command].__name__ == "cmd_" + command.replace("-", "_")
+
+
+def test_help_lists_every_command(capsys):
+    out = _help(capsys)
+    assert len(cli.COMMANDS) == 11
+    for name, (line, _) in cli.DECLARED.items():
+        assert re.search(rf"^ +{name} +{re.escape(line)}$", out, re.M), name
+
+
+def test_subgroup_requires_by(capsys, tiny_trial_files, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["subgroup", "--episodes", str(tiny_trial_files["episodes"]),
+              "--subjects", str(tiny_trial_files["subjects"]), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --by" in capsys.readouterr().err
+
+
+def test_hierarchy_reports_degenerate_comparisons(capsys, uniform_arms, tmp_path):
+    hierarchy = write_csv(tmp_path / "h.csv", ["pt_term", "hlt_term", "hlgt_term", "soc_term"],
+                          [["x", "h1", "g1", "s1"], ["y", "h2", "g1", "s1"]])
+    out_dir = tmp_path / "o"
+    code, out, _ = run(capsys, "hierarchy", *uniform_arms, "--hierarchy", str(hierarchy),
+                       "--out", str(out_dir), "--format", "text,json-lines")
+    assert code == 0
+    assert ("note: not compared, both profiles uniform (se_diff 0): "
+            "A vs B at pt; A vs B at hlt; A vs B at hlgt") in out.splitlines()
+    recs = _strict_jsonl(out_dir / "hierarchy.jsonl")
+    assert [r for r in recs if r["record"] in ("comparison", "degenerate_comparison")] == [
+        {"record": "degenerate_comparison", "arm_1": "A", "arm_2": "B", "level": level}
+        for level in ("pt", "hlt", "hlgt")]
 
 
 # A field over the csv module's default limit (131,072 characters) and a

@@ -345,6 +345,15 @@ def test_p1_on_randomized_datasets(two_level_hierarchy):
     assert p2_violations > 0  # P2 is empirical, not a theorem
 
 
+def test_sweep_keeps_zero_variance_pairs(two_level_hierarchy):
+    # A is uneven over PTs only; both arms are uniform at HLT and single-type at HLGT
+    t = dataset_from_counts({"A": {"a": 1, "b": 1, "c": 2}, "B": {"a": 1, "c": 1}},
+                            hierarchy=two_level_hierarchy)
+    rep = hierarchy_sweep(t)
+    assert list(rep.comparisons) == [("A", "B", "pt")]
+    assert rep.degenerate == [("A", "B", "hlt"), ("A", "B", "hlgt")]
+
+
 def test_sweep_requires_hierarchy():
     t = dataset_from_counts({"A": {"a": 3}})
     with pytest.raises(MissingHierarchy):

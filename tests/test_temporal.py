@@ -1,6 +1,6 @@
 import pytest
 
-from adx.cohorts import subgroup_analysis
+from adx.cohorts import CohortKey, subgroup_analysis
 from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
 from adx.entropy import estimate, profile_from_episodes
 from adx.errors import NoCycleData, NoDatedEpisodes
@@ -49,6 +49,14 @@ def test_interim_look_equals_subgroup_on_restricted_data():
         )
         assert [(a, b, r) for a, b, lk, r in series.comparisons if lk == look] == rep.comparisons
     assert {b.arm for _, b, _, _ in series.comparisons} == {"Ctl"}
+
+
+def test_interim_keeps_zero_variance_pairs_per_look():
+    t = dated_trial({"A": [("x", 10, None), ("y", 20, None), ("x", 200, None)],
+                     "B": [("x", 15, None), ("y", 30, None), ("z", 210, None)]})
+    series = interim_series(t, LookSchedule((50, 300)))
+    assert series.degenerate == [(CohortKey("A"), CohortKey("B"), 0)]
+    assert [(a.arm, b.arm, look) for a, b, look, _ in series.comparisons] == [("A", "B", 1)]
 
 
 def test_schedule_validation():
