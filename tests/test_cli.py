@@ -517,12 +517,64 @@ def _help(capsys, *argv):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
-def test_command_help_lists_exactly_its_declared_flags(capsys, command):
-    _, flags = cli.DECLARED[command]
+# Every command's flags, written out by hand rather than read from cli, so
+# that dropping or changing a flag in the declarations fails here. A name
+# ending in "!" is required.
+_TRIAL = ("--episodes!", "--subjects!", "--hierarchy", "--unmapped", "--out", "--format")
+EXPECTED_FLAGS = {
+    "summary": (*_TRIAL, "--level", "--alpha", "--one-sided", "--control"),
+    "compare": (*_TRIAL, "--level", "--alpha", "--one-sided", "--arms"),
+    "subgroup": (*_TRIAL, "--level", "--alpha", "--one-sided", "--control",
+                 "--by!", "--age-cuts", "--min-episodes"),
+    "soc": (*_TRIAL, "--alpha", "--one-sided", "--control"),
+    "drilldown": (*_TRIAL, "--soc!", "--top", "--arms"),
+    "hierarchy": (*_TRIAL, "--alpha", "--one-sided", "--control"),
+    "interim": (*_TRIAL, "--level", "--alpha", "--one-sided", "--control",
+                "--looks", "--by", "--age-cuts"),
+    "exposure": (*_TRIAL, "--level", "--max-cycle", "--exposure-file"),
+    "benefit-risk": (*_TRIAL, "--level", "--efficacy!", "--arms", "--bootstrap", "--seed",
+                     "--ci", "--bootstrap-unit"),
+    "simulate": ("--scenario!", "--out", "--format"),
+    "validate": ("--scenario!", "--check", "--replicates", "--out", "--format"),
+}
+# The default, type, choices and nargs of each flag that are not None.
+EXPECTED_SPEC = {
+    "--unmapped": dict(default="reject", choices=["reject", "synthetic"]),
+    "--out": dict(default="."),
+    "--format": dict(default="text"),
+    "--level": dict(default="pt", choices=["pt", "hlt", "hlgt", "soc"]),
+    "--alpha": dict(default=0.05, type=float),
+    "--one-sided": dict(default=False, nargs=0),
+    "--age-cuts": dict(default="40,50,65"),
+    "--min-episodes": dict(default=10, type=int),
+    "--top": dict(default=2, type=int),
+    "--max-cycle": dict(type=int),
+    "--bootstrap": dict(type=int),
+    "--seed": dict(default=0, type=int),
+    "--ci": dict(default=0.95, type=float),
+    "--bootstrap-unit": dict(default="episode", choices=["episode", "subject"]),
+    "--check": dict(default="both", choices=["variance", "normality", "both"]),
+    "--replicates": dict(default=1000, type=int),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))
+def test_command_help_lists_exactly_its_flags(capsys, command):
     listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _help(capsys, command)))
-    assert listed == {"--help"} | {f.rstrip("!") for f in flags}
+    assert listed == {"--help"} | {f.rstrip("!") for f in EXPECTED_FLAGS[command]}
     assert cli.COMMANDS[command].__name__ == "cmd_" + command.replace("-", "_")
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))
+def test_command_flags_keep_defaults_types_and_choices(command):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    actions = {a.option_strings[0]: a for a in sub.choices[command]._actions}
+    for flag in EXPECTED_FLAGS[command]:
+        action = actions[flag.rstrip("!")]
+        spec = {key: getattr(action, key) for key in ("default", "type", "choices", "nargs")}
+        assert spec == {"default": None, "type": None, "choices": None, "nargs": None,
+                        **EXPECTED_SPEC.get(flag.rstrip("!"), {})}, flag
+        assert action.required == flag.endswith("!"), flag
 
 
 def test_help_lists_every_command(capsys):
