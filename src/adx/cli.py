@@ -6,9 +6,11 @@ variance / zero adversity). Each command is declared once, next to its body
 (``command``), with its flags drawn from ``FLAGS``. It builds one list of
 JSON-lines records, and its text and CSV are column views of it (``_emit``).
 
-The report commands need neither numpy nor scipy, so start-up stays
-small: ``benefit_risk`` and ``simulate``, which resample with numpy, are
-imported only by the commands that use them.
+The report commands and ``simulate`` need neither numpy nor scipy, so
+start-up stays small: ``benefit_risk`` and ``simulate`` are imported only by
+the commands that use them, and only ``benefit-risk`` and ``validate``,
+which resample, load numpy. The list flags (``--by``, ``--arms``,
+``--looks``, ``--age-cuts``) are read by one helper, ``_entries``.
 """
 from __future__ import annotations
 
@@ -126,10 +128,27 @@ def _load(args) -> data.TrialDataset:
     return trial
 
 
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _entries(spec: str | None, flag: str, kind: type = str) -> list:
+    """The comma-separated entries of ``flag``'s value ``spec``, blank ones
+    dropped, each read as ``kind`` (``str``, ``int`` or ``float``)."""
+    entries = []
+    for entry in (spec or "").split(","):
+        entry = entry.strip()
+        if entry:
+            try:
+                entries.append(kind(entry))
+            except ValueError:
+                raise ConfigError(f"{flag}: {entry!r} is not {_KINDS[kind]}") from None
+    return entries
+
+
 def _arms(spec: str, *known: tuple, pair: bool = False) -> tuple[str, ...]:
     """Parse ``--arms A,B,...``, exactly two labels with ``pair``; each arm
     must be in every ``(arms, where)`` of ``known``."""
-    arms = tuple(a.strip() for a in spec.split(","))
+    arms = tuple(_entries(spec, "--arms"))
     if pair and len(arms) != 2:
         raise ConfigError("--arms needs exactly two comma-separated labels")
     for present, where in known:
@@ -194,9 +213,9 @@ def _cell_pair(ka: cohorts.CohortKey, kb: cohorts.CohortKey, prefix: str = "", *
 
 
 def _subgroups(args) -> tuple[list[str], cohorts.AgeBinning]:
-    """The ``--by`` dimensions, blank entries dropped, and the ``--age-cuts`` bins."""
-    dims = [d.strip() for d in (args.by or "").split(",") if d.strip()]
-    return dims, cohorts.AgeBinning(tuple(float(c) for c in args.age_cuts.split(",")))
+    """The ``--by`` dimensions and the ``--age-cuts`` bins."""
+    return (_entries(args.by, "--by"),
+            cohorts.AgeBinning(_entries(args.age_cuts, "--age-cuts", float)))
 
 
 def _arm_estimate(trial: data.TrialDataset, arm: str, level: str) -> entropy.AdxEstimate:
@@ -353,7 +372,7 @@ def cmd_interim(args) -> None:
     trial = _load(args)
     schedule = None
     if args.looks:
-        schedule = temporal.LookSchedule(tuple(int(x) for x in args.looks.split(",")))
+        schedule = temporal.LookSchedule(_entries(args.looks, "--looks", int))
     dims, binning = _subgroups(args)
     series = temporal.interim_series(
         trial, schedule, dims, level=args.level, age_binning=binning, control=args.control,

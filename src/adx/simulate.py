@@ -3,22 +3,28 @@
 Episode counts per subject are Poisson at the arm rate and AE types are
 drawn iid from the arm's true probability vector, which is exactly the
 multinomial sampling model under which the asymptotic variance formula is
-derived. Replicate r of any validation run draws from the stream seeded
-by (scenario seed, r), so aggregation is order-independent.
+derived. ``generate_trial`` draws every variate from the
+``random.Random(seed).random()`` stream, which Python keeps the same across
+versions, so it loads no numpy. The Monte Carlo validation draws replicate
+r from numpy's stream seeded by (scenario seed, r), so aggregation is
+order-independent; its functions import numpy when first called.
 """
 from __future__ import annotations
 
 import configparser
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
+from random import Random
+from typing import TYPE_CHECKING, NamedTuple
 
 from .data import AeEpisode, SubjectRecord, TrialDataset
 from .entropy import normal_cdf
 from .errors import DegenerateScenario, InvalidScenario
-from .kernel import entropy_and_variance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _ArmScenarioFields(NamedTuple):
@@ -35,21 +41,26 @@ class ArmScenario(_ArmScenarioFields):
 
     def __new__(cls, name: str, probs: tuple[float, ...], episodes_per_subject: float,
                 n_subjects: int, onset_span: int | None = None, cycle_dropout: float | None = None):
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or len(p) == 0:
+        if not probs:
             raise InvalidScenario(f"arm {name!r}: empty probability vector")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if not (all(p >= 0 for p in probs) and abs(math.fsum(probs) - 1.0) <= 1e-12):
             raise InvalidScenario(f"arm {name!r}: probabilities must be >= 0 and sum to 1")
         if episodes_per_subject < 0:
             raise InvalidScenario(f"arm {name!r}: negative episode rate")
+        if not math.isfinite(episodes_per_subject):
+            raise InvalidScenario(f"arm {name!r}: episode rate must be finite")
         if n_subjects < 1:
             raise InvalidScenario(f"arm {name!r}: need at least one subject")
+        if onset_span is not None and onset_span < 0:
+            raise InvalidScenario(f"arm {name!r}: onset_span must be >= 0")
         if cycle_dropout is not None and not 0.0 < cycle_dropout <= 1.0:
             raise InvalidScenario(f"arm {name!r}: cycle_dropout must be in (0, 1]")
         return tuple.__new__(cls, (name, probs, episodes_per_subject, n_subjects, onset_span,
                                    cycle_dropout))
 
     def true_adx(self) -> float:
+        import numpy as np
+
         p = np.asarray(self.probs)
         p = p[p > 0]
         return float(-(p * np.log(p)).sum())
@@ -69,6 +80,8 @@ class Scenario(_ScenarioFields):
         names = [a.name for a in arms]
         if len(names) != len(set(names)):
             raise InvalidScenario("duplicate arm names")
+        if seed < 0:
+            raise InvalidScenario(f"scenario seed must be >= 0, got {seed}")
         return tuple.__new__(cls, (arms, seed))
 
 
@@ -114,41 +127,62 @@ def type_label(i: int) -> str:
     return f"ae_{i + 1:03d}"
 
 
+# A Poisson rate above this is drawn as a sum of parts of at most this rate,
+# so exp(-part) stays far from underflow.
+_POISSON_PART = 500.0
+
+
+def _poisson(random, rate: float) -> int:
+    """A Poisson(rate) count by inversion of the cdf, one ``random()`` per part."""
+    n = 0
+    while rate > 0:
+        part = min(rate, _POISSON_PART)
+        rate -= part
+        u = random()
+        k = 0
+        p = cdf = math.exp(-part)
+        while u > cdf:
+            k += 1
+            p *= part / k
+            if cdf + p == cdf:  # the float sum can stop short of u: end the loop here
+                break
+            cdf += p
+        n += k
+    return n
+
+
 def generate_trial(scenario: Scenario) -> TrialDataset:
-    """Draw one synthetic TrialDataset; deterministic given the seed."""
-    rng = np.random.default_rng(scenario.seed)
+    """Draw one synthetic TrialDataset; deterministic given the seed.
+
+    Every variate comes from ``random.Random(seed).random()``. Per subject,
+    in arm order: the Poisson episode count, then per episode its AE type
+    (``bisect`` on the cumulative probabilities, so a type of probability 0
+    is never drawn), its onset day (uniform on ``0..onset_span``) and its
+    cycle (geometric by inversion, at least 1), the last two only where the
+    arm sets them.
+    """
+    random = Random(scenario.seed).random
     subjects: list[SubjectRecord] = []
     episodes: list[AeEpisode] = []
     sid = 0
     for arm in scenario.arms:
+        labels = [type_label(i) for i in range(len(arm.probs))]
+        cum = list(accumulate(arm.probs))
+        total = cum[-1]
+        span = arm.onset_span
+        # log(1 - dropout), -inf at dropout 1, where every cycle comes out 1
+        log_stay = None if arm.cycle_dropout is None else (
+            math.log1p(-arm.cycle_dropout) if arm.cycle_dropout < 1.0 else -math.inf)
         for _ in range(arm.n_subjects):
             sid += 1
             subject_id = f"S{sid:05d}"
             subjects.append(SubjectRecord(subject_id=subject_id, arm=arm.name))
-            n_ep = int(rng.poisson(arm.episodes_per_subject))
-            if n_ep == 0:
-                continue
-            types = rng.choice(len(arm.probs), size=n_ep, p=arm.probs)
-            onsets = (
-                rng.integers(0, arm.onset_span + 1, size=n_ep)
-                if arm.onset_span is not None
-                else [None] * n_ep
-            )
-            cycles = (
-                rng.geometric(arm.cycle_dropout, size=n_ep)
-                if arm.cycle_dropout is not None
-                else [None] * n_ep
-            )
-            for t, onset, cyc in zip(types, onsets, cycles):
-                episodes.append(
-                    AeEpisode(
-                        subject_id=subject_id,
-                        arm=arm.name,
-                        pt_term=type_label(int(t)),
-                        onset_day=None if onset is None else int(onset),
-                        cycle=None if cyc is None else int(cyc),
-                    )
-                )
+            for _ in range(_poisson(random, arm.episodes_per_subject)):
+                pt_term = labels[bisect_right(cum, random() * total)]
+                onset = None if span is None else int(random() * (span + 1))
+                cycle = None if log_stay is None else 1 + int(math.log1p(-random()) / log_stay)
+                episodes.append(AeEpisode(subject_id=subject_id, arm=arm.name, pt_term=pt_term,
+                                          onset_day=onset, cycle=cycle))
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes))
 
 
@@ -174,13 +208,17 @@ class ValidationReport(NamedTuple):
     arms: list[ArmValidation]
 
 
-Draws = dict[str, tuple[np.ndarray, np.ndarray]]
+Draws = dict[str, tuple["np.ndarray", "np.ndarray"]]
 
 
 def _replicate_draws(arm: ArmScenario, seed: int, replicates: int) -> tuple[np.ndarray, np.ndarray]:
     """adx and analytic se per replicate, via direct multinomial draws on
     the arm's expected total episode count (the model generate_trial uses,
     with the Poisson subject layer marginalized out)."""
+    import numpy as np
+
+    from .kernel import entropy_and_variance
+
     adxs = np.empty(replicates)
     ses = np.empty(replicates)
     n_total = max(1, round(arm.n_subjects * arm.episodes_per_subject))
@@ -203,6 +241,8 @@ def _scenario_draws(scenario: Scenario, replicates: int, draws: Draws | None) ->
 
 
 def _is_uniform(probs: tuple[float, ...]) -> bool:
+    import numpy as np
+
     p = np.asarray(probs)
     p = p[p > 0]
     return bool(np.allclose(p, p[0]))
@@ -213,7 +253,7 @@ def _arm_validation(arm: ArmScenario, adxs: np.ndarray, ses: np.ndarray,
     sd = float(adxs.std(ddof=1))
     mean_se = float(ses.mean())
     true_h = arm.true_adx()
-    k = int(np.count_nonzero(np.asarray(arm.probs)))
+    k = sum(p > 0 for p in arm.probs)
     n_total = max(1, round(arm.n_subjects * arm.episodes_per_subject))
     return ArmValidation(
         arm=arm.name,
@@ -248,6 +288,8 @@ def _shape_diagnostics(z: np.ndarray) -> dict[str, float]:
     """Skew and excess kurtosis of ``z`` (biased moment estimators, as
     scipy.stats uses by default) and its Kolmogorov-Smirnov distance from
     the standard normal."""
+    import numpy as np
+
     d = z - z.mean()
     d2 = d ** 2
     m2 = d2.mean()

@@ -510,6 +510,50 @@ def test_blank_dimension_entries_are_dropped(capsys, tiny_trial_files, tmp_path,
     assert outs[0] == outs[1] and "sex=F" in outs[0]
 
 
+@pytest.mark.parametrize("argv, spaced, tidy", [
+    (["compare"], ["--arms", "A,B,"], ["--arms", "A,B"]),
+    (["drilldown", "--soc", "gastrointestinal disorders"], ["--arms", "A,,B"], ["--arms", "A,B"]),
+    (["interim"], ["--looks", "50,,150"], ["--looks", "50,150"]),
+    (["interim", "--by", "age"], ["--age-cuts", " 40,,50, "], ["--age-cuts", "40,50"]),
+    (["subgroup", "--by", "age"], ["--age-cuts", "40,,50"], ["--age-cuts", "40,50"]),
+])
+def test_blank_list_entries_are_dropped(capsys, tiny_trial_files, tmp_path, argv, spaced, tidy):
+    trial = ["--episodes", str(tiny_trial_files["episodes"]),
+             "--subjects", str(tiny_trial_files["subjects"]),
+             "--hierarchy", str(tiny_trial_files["hierarchy"])]
+    outs = []
+    for i, flag in enumerate((spaced, tidy)):
+        code, out, err = run(capsys, *argv, *flag, *trial, "--out", str(tmp_path / str(i)))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--arms", "A,"], "--arms needs exactly two comma-separated labels"),
+    (["interim", "--looks", "50,x"], "--looks: 'x' is not an integer"),
+    (["interim", "--looks", "50,1.5"], "--looks: '1.5' is not an integer"),
+    (["interim", "--by", "age", "--age-cuts", "40,old"], "--age-cuts: 'old' is not a number"),
+    (["subgroup", "--by", "age", "--age-cuts", "forty"], "--age-cuts: 'forty' is not a number"),
+])
+def test_bad_list_entry_is_config_error_naming_the_flag(capsys, tiny_trial_files, tmp_path, argv,
+                                                       message):
+    code, _, err = run(capsys, *argv, "--episodes", str(tiny_trial_files["episodes"]),
+                       "--subjects", str(tiny_trial_files["subjects"]),
+                       "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err == f"adx: configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_negative_scenario_seed_is_input_error(capsys, tmp_path, command):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[scenario]\nseed = -4\n\n[arm A]\nprobs = 0.5 0.5\n")
+    code, _, err = run(capsys, command, "--scenario", str(scenario), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == "adx: error: scenario seed must be >= 0, got -4\n"
+
+
 def _help(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--help"])

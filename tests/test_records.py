@@ -78,6 +78,17 @@ def test_records_are_immutable(make):
     (lambda: _arm(n_subjects=0), InvalidScenario, "arm 'A': need at least one subject"),
     (lambda: _arm(cycle_dropout=0.0), InvalidScenario,
      "arm 'A': cycle_dropout must be in (0, 1]"),
+    (lambda: _arm(probs=(math.nan, 1.0)), InvalidScenario,
+     "arm 'A': probabilities must be >= 0 and sum to 1"),
+    (lambda: _arm(probs=(-0.5, 1.5)), InvalidScenario,
+     "arm 'A': probabilities must be >= 0 and sum to 1"),
+    (lambda: _arm(episodes_per_subject=math.inf), InvalidScenario,
+     "arm 'A': episode rate must be finite"),
+    (lambda: _arm(episodes_per_subject=math.nan), InvalidScenario,
+     "arm 'A': episode rate must be finite"),
+    (lambda: _arm(onset_span=-1), InvalidScenario, "arm 'A': onset_span must be >= 0"),
+    (lambda: Scenario(arms=(_arm(),), seed=-1), InvalidScenario,
+     "scenario seed must be >= 0, got -1"),
     (lambda: Scenario(arms=()), InvalidScenario, "scenario needs at least one arm"),
     (lambda: Scenario(arms=(_arm(), _arm())), InvalidScenario, "duplicate arm names"),
 ])

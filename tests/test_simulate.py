@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from adx.errors import DegenerateScenario, InvalidScenario
 from adx.simulate import (
     ArmScenario,
     Scenario,
+    _poisson,
     generate_trial,
     load_scenario,
     validate_normality,
@@ -29,6 +35,81 @@ def test_scenario_validation():
         ArmScenario(name="A", probs=(), episodes_per_subject=1, n_subjects=10)
     with pytest.raises(InvalidScenario):
         Scenario(arms=())
+
+
+def test_probability_sum_tolerance_is_1e_12():
+    # ten 0.1s sum to 1 within rounding; one of them 2e-12 larger does not
+    assert ArmScenario(name="A", probs=(0.1,) * 10, episodes_per_subject=1.0, n_subjects=1)
+    with pytest.raises(InvalidScenario):
+        ArmScenario(name="A", probs=(0.1,) * 9 + (0.1 + 2e-12,), episodes_per_subject=1.0,
+                    n_subjects=1)
+
+
+@pytest.mark.parametrize("rate, draws", [(0.5, 20_000), (11.0, 20_000), (1000.0, 4_000)])
+def test_poisson_mean_and_variance(rate, draws):
+    # 1000 is drawn in two parts of 500; exp(-1000) underflows to 0.0, so an
+    # unsplit inversion would return 1 every time. Tolerance: five standard
+    # errors of the sample mean (rate / n) and variance ((2 rate^2 + rate) / n).
+    random = Random(1).random
+    counts = [_poisson(random, rate) for _ in range(draws)]
+    mean = sum(counts) / draws
+    var = sum((c - mean) ** 2 for c in counts) / (draws - 1)
+    assert abs(mean - rate) <= 5 * math.sqrt(rate / draws)
+    assert abs(var - rate) <= 5 * math.sqrt((2 * rate ** 2 + rate) / draws)
+
+
+def test_poisson_zero_rate_draws_nothing():
+    random = Random(2).random
+    assert [_poisson(random, 0.0) for _ in range(10)] == [0] * 10
+
+
+def test_cycles_are_geometric():
+    # about 10,000 episodes; tolerance five standard errors, sqrt(1 - p) / p / sqrt(n)
+    t = generate_trial(one_arm((1.0,), rate=5.0, subjects=2000, cycle_dropout=0.3))
+    cycles = [e.cycle for e in t.episodes]
+    n = len(cycles)
+    assert min(cycles) == 1
+    assert abs(sum(cycles) / n - 1 / 0.3) <= 5 * math.sqrt(0.7) / 0.3 / math.sqrt(n)
+
+
+def test_cycle_dropout_one_gives_cycle_one():
+    t = generate_trial(one_arm((1.0,), rate=5.0, subjects=200, cycle_dropout=1.0))
+    assert t.episodes and {e.cycle for e in t.episodes} == {1}
+
+
+@pytest.mark.parametrize("span", [0, 3, 720])
+def test_onsets_stay_within_span(span):
+    t = generate_trial(one_arm((1.0,), rate=5.0, subjects=400, onset_span=span))
+    onsets = {e.onset_day for e in t.episodes}
+    assert min(onsets) >= 0 and max(onsets) <= span
+    if span <= 3:  # about 2000 draws: each of the span + 1 days comes up
+        assert onsets == set(range(span + 1))
+
+
+def test_zero_probability_type_is_never_drawn():
+    t = generate_trial(one_arm((0.0, 0.5, 0.0, 0.5, 0.0), rate=5.0, subjects=400))
+    assert {e.pt_term for e in t.episodes} == {"ae_002", "ae_004"}
+
+
+def test_simulated_episodes_are_byte_identical_across_runs_and_hash_seeds(tmp_path):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(
+        "[scenario]\nseed = 9\n\n"
+        "[arm A]\nprobs = 0.5 0.3 0.2\nepisodes_per_subject = 3.0\nsubjects = 50\n"
+        "onset_span = 100\ncycle_dropout = 0.4\n\n"
+        "[arm B]\nprobs = 0.1 0 0.9\nepisodes_per_subject = 2.0\nsubjects = 50\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    blobs = []
+    for i, hash_seed in enumerate(("0", "0", "3")):
+        out = tmp_path / f"out{i}"
+        subprocess.run([sys.executable, "-m", "adx.cli", "simulate", "--scenario", str(scenario),
+                        "--out", str(out)],
+                       env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed),
+                       capture_output=True, check=True, timeout=60)
+        blobs.append((out / "episodes.csv").read_bytes())
+    assert blobs[0].count(b"\n") > 100
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_generate_zero_rate():

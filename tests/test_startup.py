@@ -1,6 +1,6 @@
-"""Start-up budget: the report commands load neither numpy nor scipy, no
-command loads ``dataclasses`` or ``inspect``, and scipy is a test oracle
-only, never a runtime import."""
+"""Start-up budget: the report commands and ``simulate`` load neither numpy
+nor scipy, no command loads ``dataclasses`` or ``inspect``, and scipy is a
+test oracle only, never a runtime import."""
 import ast
 import os
 import subprocess
@@ -34,6 +34,44 @@ def test_report_modules_load_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+SCENARIO = ("[scenario]\nseed = 3\n\n[arm A]\nprobs = 0.5 0.3 0.2\nepisodes_per_subject = 2.0\n"
+            "subjects = 30\nonset_span = 90\ncycle_dropout = 0.5\n\n"
+            "[arm B]\nprobs = 0.4 0.3 0.2 0.1\nsubjects = 30\n")
+
+
+def _numpy_after(argv: list[str]) -> tuple[int, str]:
+    """Exit code of ``adx argv`` run in a child, and the numpy modules it loaded."""
+    code = (f"import sys; from adx.cli import main; code = main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    code, numpy = out.stdout.splitlines()[-1].split(" ", 1)
+    return int(code), numpy
+
+
+def test_simulate_loads_no_numpy(tmp_path):
+    code = ("import adx.simulate, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIO)
+    argv = ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "sim"),
+            "--format", "text,json-lines"]
+    assert _numpy_after(argv) == (0, "[]")
+    assert (tmp_path / "sim" / "episodes.csv").stat().st_size > 0
+
+
+def test_validate_still_runs_on_numpy(tmp_path):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIO)
+    code, numpy = _numpy_after(["validate", "--scenario", str(scenario), "--replicates", "50",
+                                "--out", str(tmp_path / "val"), "--format", "json-lines"])
+    assert code == 0 and "'numpy'" in numpy
+    assert (tmp_path / "val" / "validate.jsonl").read_text().count("\n") == 5
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
