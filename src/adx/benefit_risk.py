@@ -7,7 +7,6 @@ AdX sampling variability only.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import TrialDataset, _csv_rows, _require_columns
+from .data import Column, Fault, TrialDataset, read_table
 from .entropy import AdxEstimate, estimate, profile_from_episodes
 from .errors import (
     DivisionByZeroBenefit,
@@ -48,26 +47,41 @@ class EfficacyInput(_EfficacyFields):
         return self.value if self.higher_is_better else abs(self.value)
 
 
+def _bad_row(parse, check=lambda value: value):
+    """``parse``, then ``check``; a failure to parse is a bad efficacy row."""
+    def checked(raw):
+        try:
+            value = parse(raw)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise Fault(f"bad efficacy row: {exc}", 1) from None
+        return check(value)
+    return checked
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise Fault("bad efficacy row: efficacy value must be finite")
+    return value
+
+
+_EFFICACY_COLUMNS = (
+    Column("arm", _bad_row(lambda raw: raw.strip()), required=True),
+    Column("value", _bad_row(float, _finite), required=True),
+    Column("higher_is_better",
+           _bad_row(lambda raw: raw.strip().lower() in ("1", "true", "yes", "y")), absent="true"),
+    Column("endpoint_label", lambda raw: (raw or "").strip()),
+)
+
+
 def load_efficacy(path: str | Path) -> dict[str, EfficacyInput]:
     """Read the efficacy CSV: arm,endpoint_label,value,higher_is_better,
     one row per arm."""
     out: dict[str, EfficacyInput] = {}
-    with _csv_rows(path, csv.DictReader) as reader:
-        _require_columns(reader.fieldnames, path, ["arm", "value"])
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                arm = row["arm"].strip()
-                value = float(row["value"])
-                hib = row.get("higher_is_better", "true").strip().lower() in ("1", "true", "yes", "y")
-                entry = EfficacyInput(
-                    arm=arm, value=value, higher_is_better=hib,
-                    label=(row.get("endpoint_label") or "").strip(),
-                )
-            except (KeyError, ValueError, AttributeError) as exc:
-                raise MalformedRow(path, line_no, f"bad efficacy row: {exc}")
-            if arm in out:
-                raise MalformedRow(path, line_no, f"second efficacy row for arm {arm!r}")
-            out[arm] = entry
+
+    def check(entry: EfficacyInput, line_no: int) -> None:
+        if out.setdefault(entry.arm, entry) is not entry:
+            raise ValueError(f"second efficacy row for arm {entry.arm!r}")
+    read_table(path, EfficacyInput, _EFFICACY_COLUMNS, check)
     if not out:
         raise MalformedRow(path, 1, "efficacy file has no rows")
     return out

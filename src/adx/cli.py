@@ -7,18 +7,20 @@ variance / zero adversity). Each command is declared once, next to its body
 JSON-lines records, and its text and CSV are column views of it (``_emit``).
 
 The report commands and ``simulate`` need neither numpy nor scipy, so
-start-up stays small: ``benefit_risk`` and ``simulate`` are imported only by
-the commands that use them, and only ``benefit-risk`` and ``validate``,
-which resample, load numpy. The list flags (``--by``, ``--arms``,
+start-up stays small: ``temporal``, ``benefit_risk`` and ``simulate`` are
+imported only by the commands that use them, and only ``benefit-risk`` and
+``validate``, which resample, load numpy. ``main`` runs a command with the
+cyclic garbage collector off. The list flags (``--by``, ``--arms``,
 ``--looks``, ``--age-cuts``) are read by one helper, ``_entries``.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
-from . import __version__, cohorts, data, entropy, report, temporal
+from . import __version__, cohorts, data, entropy, report
 from .errors import (
     AdxError,
     ConfigError,
@@ -118,6 +120,10 @@ def _check_config(args):
     ci = getattr(args, "ci", None)
     if ci is not None and not 0.0 < ci < 1.0:
         raise ConfigError("ci level must be in (0, 1)")
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {args.out}: {path} is a file, not a directory")
 
 
 def _load(args) -> data.TrialDataset:
@@ -369,6 +375,8 @@ def cmd_hierarchy(args) -> None:
 @command("interim", "cumulative AdX at interim looks", *TRIAL, "--level", *TESTS, "--control",
          "--looks", "--by", "--age-cuts")
 def cmd_interim(args) -> None:
+    from . import temporal
+
     trial = _load(args)
     schedule = None
     if args.looks:
@@ -398,6 +406,8 @@ def cmd_interim(args) -> None:
 @command("exposure", "cumulative AE profile by cycle", *TRIAL, "--level", "--max-cycle",
          "--exposure-file")
 def cmd_exposure(args) -> None:
+    from . import temporal
+
     trial = _load(args)
     exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
     curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
@@ -501,9 +511,12 @@ def cmd_validate(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A command builds no reference cycles, so the cyclic collector would
+    # only cost time; the caller's setting is restored on return.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         _check_config(args)
         COMMANDS[args.command](args)
         return EXIT_OK
@@ -513,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateVariance, ZeroAdversity, EmptyProfile, DegenerateScenario) as exc:
         print(f"adx: degenerate statistics: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"adx: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AdxError as exc:
@@ -522,6 +535,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"adx: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

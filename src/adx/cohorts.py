@@ -7,6 +7,7 @@ identical to a direct estimate on the restricted episode list.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from collections.abc import Sequence
 from functools import cache
@@ -44,6 +45,8 @@ class AgeBinning(_AgeBinningFields):
 
     def __new__(cls, cut_points: tuple[float, ...] = (40.0, 50.0, 65.0)):
         cuts = tuple(float(c) for c in cut_points)
+        if not all(map(math.isfinite, cuts)):
+            raise ValueError(f"cut_points must be finite, got {', '.join(map(str, cuts))}")
         if list(cuts) != sorted(set(cuts)):
             raise ValueError("cut_points must be strictly ascending")
         if not cuts:

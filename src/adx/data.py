@@ -3,15 +3,19 @@
 The counting unit throughout the toolkit is the AE *episode*: one recorded
 occurrence of an adverse-event term in one subject. Repeated identical
 (subject, term, onset_day) rows are kept as distinct episodes on purpose.
+
+All five CSV loaders share one table reader, ``read_table``. It reads a file
+in chunks of ``CHUNK_ROWS`` records and parses and checks each distinct raw
+value of a column once; the records are built without a per-row Python step.
 """
 from __future__ import annotations
 
 import csv
 import re
-from contextlib import contextmanager
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     ArmMismatch,
@@ -30,6 +34,8 @@ _TRIPLE_INDEX = {"hlt": 0, "hlgt": 1, "soc": 2}  # position in a PT's (hlt, hlgt
 
 _WS = re.compile(r"\s+")
 
+CHUNK_ROWS = 1024  # records per chunk: only one chunk's raw text is held at a time
+
 
 def normalize_term(text: str) -> str:
     """Case-fold, trim and collapse internal whitespace.
@@ -38,6 +44,180 @@ def normalize_term(text: str) -> str:
     form, so CSV exports that differ only in casing or spacing match.
     """
     return _WS.sub(" ", text.strip()).casefold()
+
+
+class Fault(ValueError):
+    """A raw value's fault, worded as its ``MalformedRow`` reason. A row's
+    checks run in passes over the columns in table order: identifiers
+    (``stage`` 0), parsing (1), then checks of the parsed values (2)."""
+
+    def __init__(self, reason: str, stage: int = 2):
+        super().__init__(reason)
+        self.stage = stage
+
+
+class Column(NamedTuple):
+    """A ``read_table`` column: its header ``name``; ``parse``, from a raw
+    value (``None`` in a short row) to the field, raising ``ValueError`` on a
+    fault (a plain one at stage 2); whether a file must have it; and the raw
+    value every row reads in a file without it."""
+
+    name: str
+    parse: Callable
+    required: bool = False
+    absent: str | None = None
+
+
+def _require_columns(fieldnames: list[str] | None, path, cols):
+    missing = [c for c in cols if fieldnames is None or c not in fieldnames]
+    if missing:
+        raise MalformedRow(path, 1, f"missing required column(s): {', '.join(missing)}")
+
+
+def read_table(path: str | Path, cls: type, columns: tuple[Column, ...],
+               check: Callable | None = None) -> list:
+    """The records of the CSV at ``path``, read as UTF-8: ``cls`` tuples of
+    the parsed ``columns``, each passed to ``check`` with its line number.
+
+    Records are numbered as ``csv.DictReader`` numbers them, blank lines not
+    counted; a short row reads ``None`` for what it lacks, extra fields are
+    ignored, and a repeated column name reads its last column. The first
+    faulty record (a ``ValueError`` of ``check`` faults its record), a
+    malformed CSV line (named by its physical line) and bytes that are not
+    UTF-8 end the reading with an input error naming the file.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            _require_columns(header, path, [c.name for c in columns if c.required])
+            width, index = len(header), {name: i for i, name in enumerate(header)}
+            picks = [index.get(c.name) for c in columns]
+            memos = [{} for _ in columns]  # raw value -> parsed value or Fault
+            records, failure, last = [], None, False
+            while not last:
+                rows = []
+                try:
+                    rows.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before an error
+                except (csv.Error, UnicodeDecodeError) as exc:
+                    failure = exc
+                last = failure is not None or len(rows) < CHUNK_ROWS
+                if set(map(len, rows)) - {width}:  # blank, short or long rows
+                    rows = [(row + [None] * width)[:width] for row in rows if row]
+                if rows:
+                    records += _parse_chunk(rows, path, 2 + len(records), cls, columns, picks,
+                                            memos, check)
+            if failure:
+                raise failure
+            return records
+        except csv.Error as exc:
+            reason = f"unreadable CSV: {exc}"
+            if "field limit" in reason:
+                reason += ", the csv module's default"
+            raise MalformedRow(path, reader.line_num, reason) from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_chunk(rows, path, line, cls, columns, picks, memos, check) -> list:
+    """``read_table`` on one chunk, its first record on ``line``: parse the
+    raw values not met before, and check the records up to the first faulty
+    one before raising its fault."""
+    n = len(rows)
+    raw = list(zip(*rows))
+    values, parsed, first_fault = [], [], n
+    for column, pick, memo in zip(columns, picks, memos):
+        col = raw[pick] if pick is not None else (column.absent,) * n
+        values.append(col)
+        try:
+            parsed.append(_lookup(memo, col))
+            continue
+        except KeyError:
+            pass
+        faulty = set()
+        for value in set(col).difference(memo):
+            try:
+                memo[value] = column.parse(value)
+            except ValueError as exc:
+                memo[value] = exc if isinstance(exc, Fault) else Fault(str(exc))
+                faulty.add(value)
+        if faulty:
+            first_fault = min(first_fault, next(i for i, v in enumerate(col) if v in faulty))
+        parsed.append(_lookup(memo, col))
+    records = list(islice(map(tuple.__new__, repeat(cls), zip(*parsed)), first_fault))
+    for line_no, record in enumerate(records if check else (), line):
+        try:
+            check(record, line_no)
+        except ValueError as exc:
+            raise MalformedRow(path, line_no, str(exc)) from None
+    if first_fault < n:
+        found = [memo[col[first_fault]] for memo, col in zip(memos, values)]
+        found = [(f.stage, j, f) for j, f in enumerate(found) if isinstance(f, Fault)]
+        raise MalformedRow(path, line + first_fault, str(min(found, key=itemgetter(0, 1))[2]))
+    return records
+
+
+def _lookup(memo: dict, col: tuple) -> tuple:
+    """``memo``'s value of each of ``col``; a KeyError if it lacks one."""
+    return itemgetter(*col)(memo) if len(col) > 1 else (memo[col[0]],)
+
+
+def _nonblank(reason: str, stage: int = 2) -> Callable:
+    """Parser of a column that must not be blank: the value stripped."""
+    def parse(raw):
+        value = (raw or "").strip()
+        if not value:
+            raise Fault(reason, stage)
+        return value
+    return parse
+
+
+_NOUNS = {int: "an integer", float: "a number", bool: "a boolean"}
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "y"), True),
+          **dict.fromkeys(("0", "false", "no", "n"), False)}
+
+
+def _optional(kind: type, col: str, check: Callable = lambda value: value) -> Callable:
+    """Parser of an optional ``kind`` column: blank reads ``None``, and
+    ``check`` sees each other parsed value."""
+    def parse(raw):
+        if raw is None or not raw.strip():
+            return None
+        try:
+            value = _BOOLS[raw.strip().lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise Fault(f"column {col!r}: {raw!r} is not {_NOUNS[kind]}", 1) from None
+        return check(value)
+    return parse
+
+
+def _at_least(low: int, name: str) -> Callable:
+    def check(value):
+        if value is not None and value < low:
+            raise ValueError(f"{name} {value} < {low}")
+        return value
+    return check
+
+
+def _pt(pt_term: str) -> str:
+    pt = normalize_term(pt_term)
+    if not pt:
+        raise ValueError("pt_term is empty after normalization")
+    return pt
+
+
+def _tier(tier: str) -> str:
+    if tier not in TIER_VALUES:
+        raise ValueError(f"tier must be one of {TIER_VALUES}, got {tier!r}")
+    return tier
+
+
+_onset_day, _cycle = _at_least(0, "onset_day"), _at_least(1, "cycle")
+_ID = _nonblank("empty subject_id or arm", 0)
 
 
 class _EpisodeFields(NamedTuple):
@@ -55,8 +235,7 @@ class AeEpisode(_EpisodeFields):
     """One AE episode, an immutable named tuple.
 
     The constructor normalizes ``pt_term`` and checks the values;
-    ``load_episodes`` runs the same checks once per distinct CSV value and
-    builds rows with ``tuple.__new__``.
+    ``load_episodes`` runs the same checks once per distinct CSV value.
     """
 
     __slots__ = ()
@@ -64,33 +243,20 @@ class AeEpisode(_EpisodeFields):
     def __new__(cls, subject_id: str, arm: str, pt_term: str, onset_day: int | None = None,
                 cycle: int | None = None, serious: bool | None = None,
                 severity: int | None = None, tier: str = "untiered"):
-        pt_term = _checked_pt(pt_term)
-        _check_onset_day(onset_day)
-        _check_cycle(cycle)
-        _check_tier(tier)
-        return tuple.__new__(cls, (subject_id, arm, pt_term, onset_day, cycle, serious, severity, tier))
+        return tuple.__new__(cls, (subject_id, arm, _pt(pt_term), _onset_day(onset_day),
+                                   _cycle(cycle), serious, severity, _tier(tier)))
 
 
-def _checked_pt(pt_term: str) -> str:
-    pt = normalize_term(pt_term)
-    if not pt:
-        raise ValueError("pt_term is empty after normalization")
-    return pt
-
-
-def _check_onset_day(onset_day: int | None) -> None:
-    if onset_day is not None and onset_day < 0:
-        raise ValueError(f"onset_day {onset_day} < 0")
-
-
-def _check_cycle(cycle: int | None) -> None:
-    if cycle is not None and cycle < 1:
-        raise ValueError(f"cycle {cycle} < 1")
-
-
-def _check_tier(tier: str) -> None:
-    if tier not in TIER_VALUES:
-        raise ValueError(f"tier must be one of {TIER_VALUES}, got {tier!r}")
+_EPISODE_COLUMNS = (
+    Column("subject_id", _ID, required=True),
+    Column("arm", _ID, required=True),
+    Column("pt_term", lambda raw: _pt(raw or ""), required=True),
+    Column("onset_day", _optional(int, "onset_day", _onset_day)),
+    Column("cycle", _optional(int, "cycle", _cycle)),
+    Column("serious", _optional(bool, "serious")),
+    Column("severity", _optional(int, "severity")),
+    Column("tier", lambda raw: _tier((raw or "").strip().lower() or "untiered")),
+)
 
 
 class _SubjectFields(NamedTuple):
@@ -114,16 +280,52 @@ class SubjectRecord(_SubjectFields):
                 first_dose_day: int | None = None, last_observed_day: int | None = None):
         if sex not in ("F", "M", "U"):
             raise ValueError(f"sex must be F, M or U, got {sex!r}")
-        if age_years is not None and age_years < 0:
-            raise ValueError("age_years < 0")
-        if (
-            first_dose_day is not None
-            and last_observed_day is not None
-            and last_observed_day < first_dose_day
-        ):
-            raise ValueError("last_observed_day < first_dose_day")
-        return tuple.__new__(cls, (subject_id, arm, sex, age_years, background_therapy, substudy,
-                                   first_dose_day, last_observed_day))
+        record = tuple.__new__(cls, (subject_id, arm, sex, _age(age_years), background_therapy,
+                                     substudy, first_dose_day, last_observed_day))
+        _check_observed(record)
+        return record
+
+
+def _age(age_years: float | None) -> float | None:
+    if age_years is not None and age_years < 0:
+        raise ValueError("age_years < 0")
+    return age_years
+
+
+def _check_observed(subject: SubjectRecord) -> None:
+    first, last = subject.first_dose_day, subject.last_observed_day
+    if first is not None and last is not None and last < first:
+        raise ValueError("last_observed_day < first_dose_day")
+
+
+def _sex(raw: str | None) -> str:
+    sex = (raw or "U").strip().upper() or "U"
+    return sex if sex in ("F", "M", "U") else "U"
+
+
+def _text(raw: str | None) -> str | None:
+    return (raw or "").strip() or None
+
+
+_SUBJECT_COLUMNS = (
+    Column("subject_id", _ID, required=True),
+    Column("arm", _ID, required=True),
+    Column("sex", _sex, required=True),
+    Column("age_years", _optional(float, "age_years", _age)),
+    Column("background_therapy", _text),
+    Column("substudy", _text),
+    Column("first_dose_day", _optional(int, "first_dose_day")),
+    Column("last_observed_day", _optional(int, "last_observed_day")),
+)
+
+
+def _term(raw: str | None) -> str:
+    if raw is None:
+        raise Fault("missing hierarchy columns", 1)
+    term = normalize_term(raw)
+    if not term:
+        raise Fault("empty term")
+    return term
 
 
 class HierarchyMap:
@@ -135,22 +337,20 @@ class HierarchyMap:
 
     def __init__(self, entries: dict[str, tuple[str, str, str]]):
         norm: dict[str, tuple[str, str, str]] = {}
-        hlt_parent: dict[str, str] = {}
-        hlgt_parent: dict[str, str] = {}
         for pt, (hlt, hlgt, soc) in entries.items():
             pt_n = normalize_term(pt)
             triple = (normalize_term(hlt), normalize_term(hlgt), normalize_term(soc))
             if pt_n in norm and norm[pt_n] != triple:
                 raise InputError(f"pt {pt_n!r} mapped to more than one hierarchy triple")
             norm[pt_n] = triple
-        for pt_n, (hlt, hlgt, soc) in norm.items():
-            if hlt in hlt_parent and hlt_parent[hlt] != hlgt:
-                raise InputError(f"hlt {hlt!r} mapped to more than one hlgt")
-            hlt_parent[hlt] = hlgt
-            if hlgt in hlgt_parent and hlgt_parent[hlgt] != soc:
-                raise InputError(f"hlgt {hlgt!r} mapped to more than one soc")
-            hlgt_parent[hlgt] = soc
-        self.entries = norm
+        self.entries = _chained(norm)
+
+    @classmethod
+    def _of_normalized(cls, entries: dict[str, tuple[str, str, str]]) -> "HierarchyMap":
+        """The map of ``entries``, whose terms are normalized already."""
+        hierarchy = cls.__new__(cls)
+        hierarchy.entries = _chained(entries)
+        return hierarchy
 
     # Keys are normalized and normalize_term is idempotent, so a term found
     # as given needs no normalizing; loaded PTs are already normalized.
@@ -178,26 +378,28 @@ class HierarchyMap:
     @classmethod
     def from_csv(cls, path: str | Path) -> "HierarchyMap":
         entries: dict[str, tuple[str, str, str]] = {}
-        with _csv_rows(path, csv.DictReader) as reader:
-            _require_columns(reader.fieldnames, path, ["pt_term", "hlt_term", "hlgt_term", "soc_term"])
-            for line_no, row in enumerate(reader, start=2):
-                try:
-                    pt = normalize_term(row["pt_term"])
-                    triple = (
-                        normalize_term(row["hlt_term"]),
-                        normalize_term(row["hlgt_term"]),
-                        normalize_term(row["soc_term"]),
-                    )
-                except (KeyError, AttributeError):
-                    raise MalformedRow(path, line_no, "missing hierarchy columns")
-                if not pt or not all(triple):
-                    raise MalformedRow(path, line_no, "empty term")
-                if pt in entries and entries[pt] != triple:
-                    raise InputError(
-                        f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path"
-                    )
-                entries[pt] = triple
-        return cls(entries)
+
+        def check(record: tuple, line_no: int) -> None:
+            pt, *terms = record
+            if entries.setdefault(pt, tuple(terms)) != tuple(terms):
+                raise InputError(
+                    f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path"
+                )
+        read_table(path, tuple, tuple(Column(f"{level}_term", _term, True)
+                                      for level in HIERARCHY_LEVELS), check)
+        return cls._of_normalized(entries)
+
+
+def _chained(entries: dict[str, tuple[str, str, str]]) -> dict[str, tuple[str, str, str]]:
+    """``entries``, once each HLT is found under one HLGT and each HLGT under one SOC."""
+    hlt_parent: dict[str, str] = {}
+    hlgt_parent: dict[str, str] = {}
+    for hlt, hlgt, soc in entries.values():
+        if hlt_parent.setdefault(hlt, hlgt) != hlgt:
+            raise InputError(f"hlt {hlt!r} mapped to more than one hlgt")
+        if hlgt_parent.setdefault(hlgt, soc) != soc:
+            raise InputError(f"hlgt {hlgt!r} mapped to more than one soc")
+    return entries
 
 
 class TrialDataset:
@@ -212,20 +414,19 @@ class TrialDataset:
             if s.subject_id in by_id:
                 raise InputError(f"duplicate subject_id {s.subject_id!r}")
             by_id[s.subject_id] = s
-        for ep in episodes:
-            subj = by_id.get(ep.subject_id)
+        # each distinct (subject, arm) pair in order of first appearance, so
+        # the first faulty episode is the one reported
+        for subject_id, arm in dict.fromkeys(map(itemgetter(0, 1), episodes)):
+            subj = by_id.get(subject_id)
             if subj is None:
-                raise UnknownSubject(f"episode references unknown subject {ep.subject_id!r}")
-            if subj.arm != ep.arm:
+                raise UnknownSubject(f"episode references unknown subject {subject_id!r}")
+            if subj.arm != arm:
                 raise ArmMismatch(
-                    f"episode arm {ep.arm!r} != subject arm {subj.arm!r} for {ep.subject_id!r}"
+                    f"episode arm {arm!r} != subject arm {subj.arm!r} for {subject_id!r}"
                 )
-        present = []
-        for s in subjects:
-            if s.arm not in present:
-                present.append(s.arm)
+        present = tuple(dict.fromkeys(s.arm for s in subjects))
         if not arms:
-            arms = tuple(present)
+            arms = present
         elif set(arms) != set(present):
             raise InputError("declared arms differ from arms present in subjects")
         for name, value in zip(self.__slots__, (subjects, episodes, hierarchy, arms, by_id)):
@@ -248,171 +449,28 @@ class TrialDataset:
         return self.hierarchy
 
 
-@contextmanager
-def _csv_rows(path: str | Path, reader=csv.reader):
-    """Yield ``reader`` over ``path`` read as UTF-8. A malformed CSV line, such
-    as a field over the csv module's default size limit (kept), and bytes
-    that are not UTF-8 become input errors that name the file; a malformed
-    line is named by its physical line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = reader(fh)
-        try:
-            yield rows
-        except csv.Error as exc:
-            reason = f"unreadable CSV: {exc}"
-            if "field limit" in reason:
-                reason += ", the csv module's default"
-            # a DictReader counts a record only once its inner reader returns it
-            raise MalformedRow(path, getattr(rows, "reader", rows).line_num, reason) from None
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _require_columns(fieldnames: list[str] | None, path, cols):
-    missing = [c for c in cols if fieldnames is None or c not in fieldnames]
-    if missing:
-        raise MalformedRow(path, 1, f"missing required column(s): {', '.join(missing)}")
-
-
-def _opt_int(value: str, path, line_no, col) -> int | None:
-    if value is None or value.strip() == "":
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise MalformedRow(path, line_no, f"column {col!r}: {value!r} is not an integer")
-
-
-def _opt_float(value: str, path, line_no, col) -> float | None:
-    if value is None or value.strip() == "":
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise MalformedRow(path, line_no, f"column {col!r}: {value!r} is not a number")
-
-
-def _opt_bool(value: str, path, line_no, col) -> bool | None:
-    if value is None or value.strip() == "":
-        return None
-    v = value.strip().lower()
-    if v in ("1", "true", "yes", "y"):
-        return True
-    if v in ("0", "false", "no", "n"):
-        return False
-    raise MalformedRow(path, line_no, f"column {col!r}: {value!r} is not a boolean")
-
-
 def load_subjects(path: str | Path) -> list[SubjectRecord]:
-    subjects = []
-    with _csv_rows(path, csv.DictReader) as reader:
-        _require_columns(reader.fieldnames, path, ["subject_id", "arm", "sex"])
-        for line_no, row in enumerate(reader, start=2):
-            sid = (row.get("subject_id") or "").strip()
-            arm = (row.get("arm") or "").strip()
-            if not sid or not arm:
-                raise MalformedRow(path, line_no, "empty subject_id or arm")
-            sex = (row.get("sex") or "U").strip().upper() or "U"
-            if sex not in ("F", "M", "U"):
-                sex = "U"
-            try:
-                subjects.append(
-                    SubjectRecord(
-                        subject_id=sid,
-                        arm=arm,
-                        sex=sex,
-                        age_years=_opt_float(row.get("age_years"), path, line_no, "age_years"),
-                        background_therapy=(row.get("background_therapy") or "").strip() or None,
-                        substudy=(row.get("substudy") or "").strip() or None,
-                        first_dose_day=_opt_int(row.get("first_dose_day"), path, line_no, "first_dose_day"),
-                        last_observed_day=_opt_int(row.get("last_observed_day"), path, line_no, "last_observed_day"),
-                    )
-                )
-            except ValueError as exc:
-                raise MalformedRow(path, line_no, str(exc))
-    return subjects
-
-
-_EPISODE_COLUMNS = ("subject_id", "arm", "pt_term", "onset_day", "cycle", "serious", "severity", "tier")
-
-
-def _parse_episode(raw: tuple, path, line_no: int) -> tuple:
-    """Parse and check one row's raw values (``None`` for a missing one)
-    in the fixed check order, so a row with several faults always reports
-    the same first one."""
-    sid_raw, arm_raw, pt_raw, onset_raw, cycle_raw, serious_raw, severity_raw, tier_raw = raw
-    sid = (sid_raw or "").strip()
-    arm = (arm_raw or "").strip()
-    if not sid or not arm:
-        raise MalformedRow(path, line_no, "empty subject_id or arm")
-    tier = (tier_raw or "").strip().lower() or "untiered"
-    onset_day = _opt_int(onset_raw, path, line_no, "onset_day")
-    cycle = _opt_int(cycle_raw, path, line_no, "cycle")
-    serious = _opt_bool(serious_raw, path, line_no, "serious")
-    severity = _opt_int(severity_raw, path, line_no, "severity")
-    try:
-        pt = _checked_pt(pt_raw or "")
-        _check_onset_day(onset_day)
-        _check_cycle(cycle)
-        _check_tier(tier)
-    except ValueError as exc:
-        raise MalformedRow(path, line_no, str(exc))
-    return sid, arm, pt, onset_day, cycle, serious, severity, tier
+    return read_table(path, SubjectRecord, _SUBJECT_COLUMNS,
+                      lambda subject, line_no: _check_observed(subject))
 
 
 def load_episodes(path: str | Path) -> list[AeEpisode]:
-    """Read the episodes CSV into validated ``AeEpisode`` rows.
+    """Read the episodes CSV into validated ``AeEpisode`` rows (see ``read_table``)."""
+    return read_table(path, AeEpisode, _EPISODE_COLUMNS)
 
-    Each distinct raw value of a column is parsed and checked once, on the
-    first row that holds it; later rows reuse the result. As with
-    ``csv.DictReader``, blank lines are skipped and not numbered, a short
-    row reads as missing values, extra fields are ignored and a repeated
-    column name reads its last column.
-    """
-    episodes = []
-    with _csv_rows(path) as reader:
-        header = next(reader, None)
-        _require_columns(header, path, ["subject_id", "arm", "pt_term"])
-        width = len(header)
-        index = {name: i for i, name in enumerate(header)}
-        # an absent optional column reads the None appended to every row
-        pick = itemgetter(*(index.get(c, width) for c in _EPISODE_COLUMNS))
-        memos = tuple({} for _ in _EPISODE_COLUMNS)
-        sids, arms, pts, onsets, cycles, serious, severities, tiers = memos
-        new = tuple.__new__
-        line_no = 1
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                del row[width:]
-                row += [None] * (width - len(row))
-            row.append(None)
-            line_no += 1
-            s, a, p, o, c, se, sv, t = raw = pick(row)
-            try:
-                values = (sids[s], arms[a], pts[p], onsets[o], cycles[c], serious[se],
-                          severities[sv], tiers[t])
-            except KeyError:
-                values = _parse_episode(raw, path, line_no)
-                for memo, key, value in zip(memos, raw, values):
-                    memo[key] = value
-            episodes.append(new(AeEpisode, values))
-    return episodes
+
+def _last_cycle(raw: str | None) -> int:
+    last = _optional(int, "last_cycle")(raw)
+    if last is None:
+        raise Fault("empty subject_id or last_cycle")
+    return last
 
 
 def load_exposure(path: str | Path) -> dict[str, int]:
     """Read an exposure CSV (subject_id,last_cycle) into subject_id -> last cycle."""
-    exposure = {}
-    with _csv_rows(path, csv.DictReader) as reader:
-        _require_columns(reader.fieldnames, path, ["subject_id", "last_cycle"])
-        for line_no, row in enumerate(reader, start=2):
-            sid = (row.get("subject_id") or "").strip()
-            last = _opt_int(row.get("last_cycle"), path, line_no, "last_cycle")
-            if not sid or last is None:
-                raise MalformedRow(path, line_no, "empty subject_id or last_cycle")
-            exposure[sid] = last
-    return exposure
+    return dict(read_table(path, tuple, (
+        Column("subject_id", _nonblank("empty subject_id or last_cycle"), required=True),
+        Column("last_cycle", _last_cycle, required=True))))
 
 
 def load_trial(
@@ -434,16 +492,14 @@ def load_trial(
     hierarchy = None
     if hierarchy_file is not None:
         hierarchy = HierarchyMap.from_csv(hierarchy_file)
-        missing = sorted({e.pt_term for e in episodes} - set(hierarchy.entries))
+        missing = sorted(set(map(attrgetter("pt_term"), episodes)) - set(hierarchy.entries))
         if missing:
             if unmapped == "reject":
                 raise UnmappedTerm(
                     f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}"
                 )
-            entries = dict(hierarchy.entries)
-            for pt in missing:
-                entries[pt] = ("unmapped", "unmapped", "unmapped")
-            hierarchy = HierarchyMap(entries)
+            hierarchy = HierarchyMap._of_normalized(
+                {**hierarchy.entries, **dict.fromkeys(missing, ("unmapped",) * 3)})
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes), hierarchy=hierarchy)
 
 
@@ -475,33 +531,19 @@ def dataset_summary(data: TrialDataset) -> list[dict]:
     return rows
 
 
+_SERIOUS_TEXT = {None: None, True: "true", False: "false"}
+
+
 def write_trial(data: TrialDataset, episodes_file: str | Path, subjects_file: str | Path) -> None:
-    """Serialize a dataset back to the two CSV schemas (order-normalized)."""
-    with open(subjects_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["subject_id", "arm", "sex", "age_years", "background_therapy", "substudy",
-             "first_dose_day", "last_observed_day"]
-        )
-        for s in sorted(data.subjects, key=lambda s: s.subject_id):
-            w.writerow(
-                [s.subject_id, s.arm, s.sex,
-                 "" if s.age_years is None else s.age_years,
-                 s.background_therapy or "", s.substudy or "",
-                 "" if s.first_dose_day is None else s.first_dose_day,
-                 "" if s.last_observed_day is None else s.last_observed_day]
-            )
-    with open(episodes_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subject_id", "arm", "pt_term", "onset_day", "cycle", "serious", "severity", "tier"])
-        key = lambda e: (e.subject_id, e.pt_term, e.onset_day if e.onset_day is not None else -1,
-                         e.cycle if e.cycle is not None else -1)
-        for e in sorted(data.episodes, key=key):
-            w.writerow(
-                [e.subject_id, e.arm, e.pt_term,
-                 "" if e.onset_day is None else e.onset_day,
-                 "" if e.cycle is None else e.cycle,
-                 "" if e.serious is None else str(e.serious).lower(),
-                 "" if e.severity is None else e.severity,
-                 e.tier]
-            )
+    """Serialize a dataset back to the two CSV schemas (order-normalized):
+    a header of the record's fields, and ``None`` as an empty cell."""
+    key = lambda e: (e.subject_id, e.pt_term, e.onset_day if e.onset_day is not None else -1,
+                     e.cycle if e.cycle is not None else -1)
+    episodes = ((*e[:5], _SERIOUS_TEXT[e.serious], *e[6:]) for e in sorted(data.episodes, key=key))
+    for path, cls, rows in ((subjects_file, SubjectRecord,
+                             sorted(data.subjects, key=attrgetter("subject_id"))),
+                            (episodes_file, AeEpisode, episodes)):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(cls._fields)
+            w.writerows(rows)

@@ -42,6 +42,8 @@ class LookSchedule(_LookScheduleFields):
             raise ValueError("cutoff_days must be strictly ascending")
         if not cuts:
             raise ValueError("at least one cutoff required")
+        if cuts[0] < 0:
+            raise ValueError(f"cutoff_days must be >= 0, got {cuts[0]}")
         return tuple.__new__(cls, (cuts,))
 
 

@@ -379,6 +379,9 @@ def test_benefit_risk_unknown_arm_is_config_error(capsys, efficacy_trial, arms, 
     (("arm", "endpoint_label", "value", "higher_is_better"),
      [["Arm1", "pfs", "nan", "true"], ["Arm2", "pfs", "3.5", "true"]],
      ":2: bad efficacy row: efficacy value must be finite"),
+    # a short row without a value
+    (("arm", "value"), [["Arm1"], ["Arm2", "3.5"]],
+     ":2: bad efficacy row: float() argument must be a string or a real number, not 'NoneType'"),
 ])
 def test_benefit_risk_malformed_efficacy_is_input_error(capsys, efficacy_trial, header, rows, reason):
     files, write = efficacy_trial
@@ -423,6 +426,9 @@ def test_exposure_file_is_read(capsys, tiny_trial_files, tmp_path):
                  id="max-cycle=0"),
     pytest.param(["drilldown", "--soc", "gastrointestinal disorders", "--top", "-3"],
                  "top_n must be >= 0, got -3", id="top=-3"),
+    pytest.param(["subgroup", "--by", "age", "--age-cuts", "nan"],
+                 "cut_points must be finite, got nan", id="age-cuts=nan"),
+    pytest.param(["interim", "--looks=-5,10"], "cutoff_days must be >= 0, got -5", id="looks=-5,10"),
 ])
 def test_count_flag_out_of_range_is_config_error(capsys, tiny_trial_files, tmp_path, argv,
                                                  message):
@@ -717,3 +723,34 @@ def test_unreadable_csv_prints_no_traceback(tiny_trial_files, tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["episodes", "subjects", "hierarchy", "exposure", "efficacy"])
+def test_input_path_that_is_a_directory_is_input_error(capsys, tiny_trial_files, tmp_path, which):
+    files = {k: str(v) for k, v in tiny_trial_files.items()}
+    files[which] = str(tmp_path / "a_directory")
+    (tmp_path / "a_directory").mkdir()
+    command = {"exposure": ["exposure", "--exposure-file"],
+               "efficacy": ["benefit-risk", "--arms", "A,B", "--efficacy"]}
+    argv = [*command[which], files[which]] if which in command else ["summary"]
+    code, out, err = run(capsys, *argv, "--episodes", files["episodes"],
+                         "--subjects", files["subjects"], "--hierarchy", files["hierarchy"],
+                         "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == f"adx: input error: [Errno 21] Is a directory: '{files[which]}'\n"
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
+@pytest.mark.parametrize("command", ["summary", "simulate"])
+def test_out_naming_a_file_is_config_error(capsys, tiny_trial_files, tmp_path, out, command):
+    (tmp_path / "a_file").write_text("kept\n")
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[scenario]\nseed = 1\n\n[arm A]\nprobs = 0.5 0.5\nsubjects = 3\n")
+    inputs = {"summary": ["--episodes", str(tiny_trial_files["episodes"]),
+                          "--subjects", str(tiny_trial_files["subjects"])],
+              "simulate": ["--scenario", str(scenario)]}
+    code, stdout, err = run(capsys, command, *inputs[command], "--out", str(tmp_path / out))
+    assert (code, stdout) == (3, "")
+    assert err == (f"adx: configuration error: --out {tmp_path / out}: "
+                   f"{tmp_path / 'a_file'} is a file, not a directory\n")
+    assert (tmp_path / "a_file").read_text() == "kept\n"

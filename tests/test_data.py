@@ -10,7 +10,7 @@ from adx.data import (
     normalize_term,
     write_trial,
 )
-from adx.errors import InputError, MalformedRow, UnknownSubject, UnmappedTerm
+from adx.errors import ArmMismatch, InputError, MalformedRow, UnknownSubject, UnmappedTerm
 
 from conftest import dataset_from_counts, write_csv
 
@@ -44,6 +44,22 @@ def test_arm_mismatch():
     from adx.errors import ArmMismatch
     with pytest.raises(ArmMismatch):
         TrialDataset(subjects=(subj,), episodes=(ep,))
+
+
+@pytest.mark.parametrize("pairs, error, message", [
+    ([("S1", "A"), ("S9", "A"), ("S1", "B")], UnknownSubject,
+     "episode references unknown subject 'S9'"),
+    ([("S1", "A"), ("S1", "B"), ("S9", "A")], ArmMismatch,
+     "episode arm 'B' != subject arm 'A' for 'S1'"),
+    ([("S2", "B"), ("S2", "B"), ("S1", "B"), ("S9", "B")], ArmMismatch,
+     "episode arm 'B' != subject arm 'A' for 'S1'"),
+])
+def test_first_faulty_episode_is_reported(pairs, error, message):
+    subjects = (SubjectRecord("S1", "A"), SubjectRecord("S2", "B"))
+    episodes = tuple(AeEpisode(sid, arm, "x") for sid, arm in pairs)
+    with pytest.raises(error) as exc:
+        TrialDataset(subjects=subjects, episodes=episodes)
+    assert str(exc.value) == message
 
 
 def test_duplicate_pt_different_soc_rejected(tmp_path, tiny_trial_files):

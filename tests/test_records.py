@@ -55,8 +55,11 @@ def test_records_are_immutable(make):
     (lambda: AgeBinning((50, 40)), ValueError, "cut_points must be strictly ascending"),
     (lambda: AgeBinning((40, 40)), ValueError, "cut_points must be strictly ascending"),
     (lambda: AgeBinning(()), ValueError, "at least one cut point required"),
+    (lambda: AgeBinning((math.nan,)), ValueError, "cut_points must be finite, got nan"),
+    (lambda: AgeBinning((40, math.inf)), ValueError, "cut_points must be finite, got 40.0, inf"),
     (lambda: LookSchedule((3, 1)), ValueError, "cutoff_days must be strictly ascending"),
     (lambda: LookSchedule(()), ValueError, "at least one cutoff required"),
+    (lambda: LookSchedule((-5, 10)), ValueError, "cutoff_days must be >= 0, got -5"),
     (lambda: CohortKey("A", (("sex", "F"), ("sex", "M"))), ValueError,
      "at most one filter per dimension"),
     (lambda: SubjectRecord("S1", "A", sex="X", age_years=-1), ValueError,

@@ -1,11 +1,18 @@
 """Start-up budget: the report commands and ``simulate`` load neither numpy
 nor scipy, no command loads ``dataclasses`` or ``inspect``, and scipy is a
-test oracle only, never a runtime import."""
+test oracle only, never a runtime import. ``import adx.cli`` loads only the
+modules every report command needs, and ``cli.main`` runs with the cyclic
+garbage collector off, leaving its caller's setting as it found it."""
 import ast
+import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from adx import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,6 +41,36 @@ def test_report_modules_load_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_other_commands_modules_unloaded():
+    # interim and exposure import temporal, benefit-risk and validate the rest
+    code = ("import adx.cli, sys; print(sorted(m for m in ('adx.temporal', 'adx.benefit_risk', "
+            "'adx.simulate', 'adx.kernel') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("subjects", ["subjects.csv", "missing.csv"])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, tiny_trial_files, tmp_path,
+                                                  collecting, subjects):
+    seen = []
+    summary = cli.COMMANDS["summary"]
+    monkeypatch.setitem(cli.COMMANDS, "summary", lambda args: seen.append(gc.isenabled())
+                        or summary(args))
+    argv = ["summary", "--episodes", str(tiny_trial_files["episodes"]),
+            "--subjects", str(tiny_trial_files["dir"] / subjects), "--out", str(tmp_path / "o")]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        code = cli.main(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == (0 if subjects == "subjects.csv" else 2)
+    assert seen == [False] and after is collecting
 
 
 SCENARIO = ("[scenario]\nseed = 3\n\n[arm A]\nprobs = 0.5 0.3 0.2\nepisodes_per_subject = 2.0\n"
