@@ -511,8 +511,8 @@ def cmd_validate(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A command builds no reference cycles, so the cyclic collector would
-    # only cost time; the caller's setting is restored on return.
+    # A command makes no reference cycles per row, so the cyclic collector
+    # would only cost time; the caller's setting is restored on return.
     collecting = gc.isenabled()
     gc.disable()
     try:

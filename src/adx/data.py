@@ -154,10 +154,10 @@ def _parse_chunk(rows, path, line, cls, columns, picks, memos, check) -> list:
             check(record, line_no)
         except ValueError as exc:
             raise MalformedRow(path, line_no, str(exc)) from None
-    if first_fault < n:
+    if first_fault < n:  # its fault of the earliest stage, the first column's on a tie
         found = [memo[col[first_fault]] for memo, col in zip(memos, values)]
-        found = [(f.stage, j, f) for j, f in enumerate(found) if isinstance(f, Fault)]
-        raise MalformedRow(path, line + first_fault, str(min(found, key=itemgetter(0, 1))[2]))
+        fault = min((f for f in found if isinstance(f, Fault)), key=attrgetter("stage"))
+        raise MalformedRow(path, line + first_fault, str(fault))
     return records
 
 
