@@ -47,26 +47,19 @@ class EfficacyInput(_EfficacyFields):
         return self.value if self.higher_is_better else abs(self.value)
 
 
-def _bad_row(parse, check=lambda value: value):
-    """``parse``, then ``check``; a failure to parse is a bad efficacy row."""
+def _bad_row(parse):
+    """``parse``; its failure is a bad efficacy row."""
     def checked(raw):
         try:
-            value = parse(raw)
+            return parse(raw)
         except (AttributeError, TypeError, ValueError) as exc:
             raise Fault(f"bad efficacy row: {exc}", 1) from None
-        return check(value)
     return checked
-
-
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise Fault("bad efficacy row: efficacy value must be finite")
-    return value
 
 
 _EFFICACY_COLUMNS = (
     Column("arm", _bad_row(lambda raw: raw.strip()), required=True),
-    Column("value", _bad_row(float, _finite), required=True),
+    Column("value", _bad_row(float), required=True),
     Column("higher_is_better",
            _bad_row(lambda raw: raw.strip().lower() in ("1", "true", "yes", "y")), absent="true"),
     Column("endpoint_label", lambda raw: (raw or "").strip()),
@@ -79,6 +72,7 @@ def load_efficacy(path: str | Path) -> dict[str, EfficacyInput]:
     out: dict[str, EfficacyInput] = {}
 
     def check(entry: EfficacyInput, line_no: int) -> None:
+        _bad_row(lambda fields: EfficacyInput(*fields))(entry)  # the constructor's value check
         if out.setdefault(entry.arm, entry) is not entry:
             raise ValueError(f"second efficacy row for arm {entry.arm!r}")
     read_table(path, EfficacyInput, _EFFICACY_COLUMNS, check)

@@ -68,12 +68,6 @@ class Column(NamedTuple):
     absent: str | None = None
 
 
-def _require_columns(fieldnames: list[str] | None, path, cols):
-    missing = [c for c in cols if fieldnames is None or c not in fieldnames]
-    if missing:
-        raise MalformedRow(path, 1, f"missing required column(s): {', '.join(missing)}")
-
-
 def read_table(path: str | Path, cls: type, columns: tuple[Column, ...],
                check: Callable | None = None) -> list:
     """The records of the CSV at ``path``, read as UTF-8: ``cls`` tuples of
@@ -93,8 +87,10 @@ def read_table(path: str | Path, cls: type, columns: tuple[Column, ...],
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            _require_columns(header, path, [c.name for c in columns if c.required])
+            header = next(reader, None) or []
+            missing = [c.name for c in columns if c.required and c.name not in header]
+            if missing:
+                raise MalformedRow(path, 1, f"missing required column(s): {', '.join(missing)}")
             width, index = len(header), {name: i for i, name in enumerate(header)}
             picks = [index.get(c.name) for c in columns]
             memos = [{} for _ in columns]  # raw value -> parsed value or Fault
@@ -129,25 +125,23 @@ def _parse_chunk(rows, path, line, cls, columns, picks, memos, check) -> list:
     one before raising its fault."""
     n = len(rows)
     raw = list(zip(*rows))
-    values, parsed, first_fault = [], [], n
-    for column, pick, memo in zip(columns, picks, memos):
-        col = raw[pick] if pick is not None else (column.absent,) * n
-        values.append(col)
+    cols = [raw[pick] if pick is not None else (column.absent,) * n
+            for column, pick in zip(columns, picks)]
+    parsed, first_fault = [], n
+    for column, col, memo in zip(columns, cols, memos):
         try:
             parsed.append(_lookup(memo, col))
-            continue
         except KeyError:
-            pass
-        faulty = set()
-        for value in set(col).difference(memo):
-            try:
-                memo[value] = column.parse(value)
-            except ValueError as exc:
-                memo[value] = exc if isinstance(exc, Fault) else Fault(str(exc))
-                faulty.add(value)
-        if faulty:
-            first_fault = min(first_fault, next(i for i, v in enumerate(col) if v in faulty))
-        parsed.append(_lookup(memo, col))
+            faulty = set()
+            for value in set(col).difference(memo):
+                try:
+                    memo[value] = column.parse(value)
+                except ValueError as exc:
+                    memo[value] = exc if isinstance(exc, Fault) else Fault(str(exc))
+                    faulty.add(value)
+            if faulty:
+                first_fault = min(first_fault, next(i for i, v in enumerate(col) if v in faulty))
+            parsed.append(_lookup(memo, col))
     records = list(islice(map(tuple.__new__, repeat(cls), zip(*parsed)), first_fault))
     for line_no, record in enumerate(records if check else (), line):
         try:
@@ -155,7 +149,7 @@ def _parse_chunk(rows, path, line, cls, columns, picks, memos, check) -> list:
         except ValueError as exc:
             raise MalformedRow(path, line_no, str(exc)) from None
     if first_fault < n:  # its fault of the earliest stage, the first column's on a tie
-        found = [memo[col[first_fault]] for memo, col in zip(memos, values)]
+        found = [memo[col[first_fault]] for memo, col in zip(memos, cols)]
         fault = min((f for f in found if isinstance(f, Fault)), key=attrgetter("stage"))
         raise MalformedRow(path, line + first_fault, str(fault))
     return records
@@ -298,11 +292,6 @@ def _check_observed(subject: SubjectRecord) -> None:
         raise ValueError("last_observed_day < first_dose_day")
 
 
-def _sex(raw: str | None) -> str:
-    sex = (raw or "U").strip().upper() or "U"
-    return sex if sex in ("F", "M", "U") else "U"
-
-
 def _text(raw: str | None) -> str | None:
     return (raw or "").strip() or None
 
@@ -310,7 +299,7 @@ def _text(raw: str | None) -> str | None:
 _SUBJECT_COLUMNS = (
     Column("subject_id", _ID, required=True),
     Column("arm", _ID, required=True),
-    Column("sex", _sex, required=True),
+    Column("sex", lambda raw: {"F": "F", "M": "M"}.get((raw or "").strip().upper(), "U"), True),
     Column("age_years", _optional(float, "age_years", _age)),
     Column("background_therapy", _text),
     Column("substudy", _text),
@@ -335,22 +324,26 @@ class HierarchyMap:
     given HLGT to one SOC; violations are rejected at construction.
     """
 
-    def __init__(self, entries: dict[str, tuple[str, str, str]]):
-        norm: dict[str, tuple[str, str, str]] = {}
-        for pt, (hlt, hlgt, soc) in entries.items():
-            pt_n = normalize_term(pt)
-            triple = (normalize_term(hlt), normalize_term(hlgt), normalize_term(soc))
-            if pt_n in norm and norm[pt_n] != triple:
-                raise InputError(f"pt {pt_n!r} mapped to more than one hierarchy triple")
-            norm[pt_n] = triple
-        self.entries = _chained(norm)
-
-    @classmethod
-    def _of_normalized(cls, entries: dict[str, tuple[str, str, str]]) -> "HierarchyMap":
-        """The map of ``entries``, whose terms are normalized already."""
-        hierarchy = cls.__new__(cls)
-        hierarchy.entries = _chained(entries)
-        return hierarchy
+    def __init__(self, entries: dict[str, tuple[str, str, str]], normalized: bool = False):
+        """The map of ``entries``; their terms are normalized here unless
+        they are ``normalized`` already."""
+        if not normalized:
+            norm: dict[str, tuple[str, str, str]] = {}
+            for pt, (hlt, hlgt, soc) in entries.items():
+                pt_n = normalize_term(pt)
+                triple = (normalize_term(hlt), normalize_term(hlgt), normalize_term(soc))
+                if pt_n in norm and norm[pt_n] != triple:
+                    raise InputError(f"pt {pt_n!r} mapped to more than one hierarchy triple")
+                norm[pt_n] = triple
+            entries = norm
+        hlt_parent: dict[str, str] = {}
+        hlgt_parent: dict[str, str] = {}
+        for hlt, hlgt, soc in entries.values():
+            if hlt_parent.setdefault(hlt, hlgt) != hlgt:
+                raise InputError(f"hlt {hlt!r} mapped to more than one hlgt")
+            if hlgt_parent.setdefault(hlgt, soc) != soc:
+                raise InputError(f"hlgt {hlgt!r} mapped to more than one soc")
+        self.entries = entries
 
     # Keys are normalized and normalize_term is idempotent, so a term found
     # as given needs no normalizing; loaded PTs are already normalized.
@@ -387,19 +380,7 @@ class HierarchyMap:
                 )
         read_table(path, tuple, tuple(Column(f"{level}_term", _term, True)
                                       for level in HIERARCHY_LEVELS), check)
-        return cls._of_normalized(entries)
-
-
-def _chained(entries: dict[str, tuple[str, str, str]]) -> dict[str, tuple[str, str, str]]:
-    """``entries``, once each HLT is found under one HLGT and each HLGT under one SOC."""
-    hlt_parent: dict[str, str] = {}
-    hlgt_parent: dict[str, str] = {}
-    for hlt, hlgt, soc in entries.values():
-        if hlt_parent.setdefault(hlt, hlgt) != hlgt:
-            raise InputError(f"hlt {hlt!r} mapped to more than one hlgt")
-        if hlgt_parent.setdefault(hlgt, soc) != soc:
-            raise InputError(f"hlgt {hlgt!r} mapped to more than one soc")
-    return entries
+        return cls(entries, normalized=True)
 
 
 class TrialDataset:
@@ -459,18 +440,14 @@ def load_episodes(path: str | Path) -> list[AeEpisode]:
     return read_table(path, AeEpisode, _EPISODE_COLUMNS)
 
 
-def _last_cycle(raw: str | None) -> int:
-    last = _optional(int, "last_cycle")(raw)
-    if last is None:
-        raise Fault("empty subject_id or last_cycle")
-    return last
-
-
 def load_exposure(path: str | Path) -> dict[str, int]:
     """Read an exposure CSV (subject_id,last_cycle) into subject_id -> last cycle."""
+    def check(record: tuple, line_no: int) -> None:
+        if record[1] is None:
+            raise ValueError("empty subject_id or last_cycle")
     return dict(read_table(path, tuple, (
         Column("subject_id", _nonblank("empty subject_id or last_cycle"), required=True),
-        Column("last_cycle", _last_cycle, required=True))))
+        Column("last_cycle", _optional(int, "last_cycle"), required=True)), check))
 
 
 def load_trial(
@@ -498,8 +475,8 @@ def load_trial(
                 raise UnmappedTerm(
                     f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}"
                 )
-            hierarchy = HierarchyMap._of_normalized(
-                {**hierarchy.entries, **dict.fromkeys(missing, ("unmapped",) * 3)})
+            routed = dict.fromkeys(missing, ("unmapped",) * 3)
+            hierarchy = HierarchyMap({**hierarchy.entries, **routed}, normalized=True)
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes), hierarchy=hierarchy)
 
 
@@ -531,19 +508,33 @@ def dataset_summary(data: TrialDataset) -> list[dict]:
     return rows
 
 
-_SERIOUS_TEXT = {None: None, True: "true", False: "false"}
-
-
 def write_trial(data: TrialDataset, episodes_file: str | Path, subjects_file: str | Path) -> None:
-    """Serialize a dataset back to the two CSV schemas (order-normalized):
-    a header of the record's fields, and ``None`` as an empty cell."""
-    key = lambda e: (e.subject_id, e.pt_term, e.onset_day if e.onset_day is not None else -1,
-                     e.cycle if e.cycle is not None else -1)
-    episodes = ((*e[:5], _SERIOUS_TEXT[e.serious], *e[6:]) for e in sorted(data.episodes, key=key))
-    for path, cls, rows in ((subjects_file, SubjectRecord,
-                             sorted(data.subjects, key=attrgetter("subject_id"))),
-                            (episodes_file, AeEpisode, episodes)):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(cls._fields)
-            w.writerows(rows)
+    """Serialize a dataset back to the two CSV schemas (order-normalized)."""
+    with open(subjects_file, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["subject_id", "arm", "sex", "age_years", "background_therapy", "substudy",
+             "first_dose_day", "last_observed_day"]
+        )
+        for s in sorted(data.subjects, key=lambda s: s.subject_id):
+            w.writerow(
+                [s.subject_id, s.arm, s.sex,
+                 "" if s.age_years is None else s.age_years,
+                 s.background_therapy or "", s.substudy or "",
+                 "" if s.first_dose_day is None else s.first_dose_day,
+                 "" if s.last_observed_day is None else s.last_observed_day]
+            )
+    with open(episodes_file, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["subject_id", "arm", "pt_term", "onset_day", "cycle", "serious", "severity", "tier"])
+        key = lambda e: (e.subject_id, e.pt_term, e.onset_day if e.onset_day is not None else -1,
+                         e.cycle if e.cycle is not None else -1)
+        for e in sorted(data.episodes, key=key):
+            w.writerow(
+                [e.subject_id, e.arm, e.pt_term,
+                 "" if e.onset_day is None else e.onset_day,
+                 "" if e.cycle is None else e.cycle,
+                 "" if e.serious is None else str(e.serious).lower(),
+                 "" if e.severity is None else e.severity,
+                 e.tier]
+            )

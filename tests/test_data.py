@@ -244,3 +244,28 @@ def test_round_trip(tmp_path, tiny_trial_files):
     )
     key = lambda e: (e.subject_id, e.pt_term, e.onset_day or -1, e.cycle or -1)
     assert sorted(t.episodes, key=key) == sorted(t2.episodes, key=key)
+
+
+def test_write_trial_text_of_records_built_in_code(tmp_path):
+    # serious is written as str(value).lower(), so a 1 or 0 set in code stays
+    # 1 or 0; None, and an empty background_therapy, are empty cells
+    t = TrialDataset((SubjectRecord("S2", "A", "F", 41.5, "", None, 0, 9),
+                      SubjectRecord("S1", "B", "M")),
+                     (AeEpisode("S1", "B", "Rash", 3, 2, 1, 2, "tier1"),
+                      AeEpisode("S2", "A", "nausea", None, None, False),
+                      AeEpisode("S2", "A", "nausea", 1, 1, True),
+                      AeEpisode("S1", "B", "x", serious=0)))
+    write_trial(t, tmp_path / "e.csv", tmp_path / "s.csv")
+    assert (tmp_path / "e.csv").read_text().splitlines() == [
+        "subject_id,arm,pt_term,onset_day,cycle,serious,severity,tier",
+        "S1,B,rash,3,2,1,2,tier1",
+        "S1,B,x,,,0,,untiered",
+        "S2,A,nausea,,,false,,untiered",
+        "S2,A,nausea,1,1,true,,untiered",
+    ]
+    assert (tmp_path / "s.csv").read_text().splitlines() == [
+        "subject_id,arm,sex,age_years,background_therapy,substudy,first_dose_day,"
+        "last_observed_day",
+        "S1,B,M,,,,,",
+        "S2,A,F,41.5,,,0,9",
+    ]

@@ -226,7 +226,7 @@ def reference_load_efficacy(path):
 
 # (good values, faulty values) per column of each table; a "note" column is
 # one no loader reads. A "clean" file draws only good values; in the others
-# each value is faulty with odds of one in four.
+# each value is faulty with odds of one in ``fault_odds``.
 TABLES = {
     "episodes": dict(
         required=COLUMNS[:3],
@@ -293,13 +293,13 @@ LOADERS = {
 
 
 @st.composite
-def table_csvs(draw, table):
+def table_csvs(draw, table, fault_odds, missing_odds):
     spec = TABLES[table]
     required = spec["required"]
     optional = [c for c in spec["values"] if c not in required] + ["note"]
     values = dict(spec["values"], note=(["", "free, text", '"quoted"'], []))
-    # now and then a required column is missing from the header
-    kept = draw(st.sampled_from([required] * 7 + [required[:-1]]))
+    # one header in ``missing_odds`` lacks a required column
+    kept = draw(st.sampled_from([required] * (missing_odds - 1) + [required[:-1]]))
     header = draw(st.permutations(kept + draw(st.lists(st.sampled_from(optional), unique=True))))
     if header and draw(st.booleans()):
         header = header + [draw(st.sampled_from(header))]  # a repeated column name
@@ -310,8 +310,8 @@ def table_csvs(draw, table):
         if shape == "blank":
             records.append([])
             continue
-        row = [draw(st.sampled_from(bad if bad and not clean and draw(st.integers(0, 3)) == 0
-                                    else good))
+        row = [draw(st.sampled_from(bad if bad and not clean
+                                    and draw(st.integers(1, fault_odds)) == 1 else good))
                for good, bad in (values[c] for c in header)]
         if shape == "short":
             row = row[:draw(st.integers(0, len(row)))] or [""]
@@ -349,12 +349,16 @@ def _same_outcome(table, path, chunk_rows):
     assert got == _outcome(reference, path)
 
 
-@pytest.mark.parametrize("table", sorted(TABLES))
-@settings(max_examples=300, deadline=None)
+# Every table with faults at one in four and a required column left out one
+# time in eight; episodes also as first tested, at one in two and one in four.
+@pytest.mark.parametrize("table, fault_odds, missing_odds",
+                         [(table, 4, 8) for table in sorted(TABLES)] + [("episodes", 2, 4)])
+@settings(max_examples=400, deadline=None)
 @given(drawn=st.data(), chunk_rows=st.sampled_from([1, 2, 3, data.CHUNK_ROWS]))
-def test_loader_matches_reference(tmp_path_factory, table, drawn, chunk_rows):
+def test_loader_matches_reference(tmp_path_factory, table, fault_odds, missing_odds, drawn,
+                                  chunk_rows):
     path = write_csv(tmp_path_factory.getbasetemp() / f"loader_{table}.csv",
-                     *drawn.draw(table_csvs(table)))
+                     *drawn.draw(table_csvs(table, fault_odds, missing_odds)))
     _same_outcome(table, path, chunk_rows)
 
 
