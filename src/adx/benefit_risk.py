@@ -22,7 +22,7 @@ from .errors import (
     MalformedRow,
     ZeroAdversity,
 )
-from .kernel import entropy_and_variance
+from . import kernel
 
 
 class _EfficacyFields(NamedTuple):
@@ -189,7 +189,7 @@ def re_read_bootstrap_ci(
             else:
                 mult = np.bincount(rng.integers(0, s, size=s), minlength=s)
                 counts = np.bincount(codes, weights=mult[subjects], minlength=k)
-            h, _ = entropy_and_variance(counts)
+            h = kernel.adx(counts)
             if h == 0.0:
                 raise ZeroAdversity(f"bootstrap replicate {r}: arm {arm!r} collapsed to one AE type")
             reads.append(abs(efficacy[arm].benefit) / h)

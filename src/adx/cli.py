@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__, cohorts, data, entropy, report
@@ -87,7 +89,9 @@ def command(name: str, help_line: str, *flags: str):
     return declare
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``adx`` parser: a subparser for every command, with its flags
+    added to every one or, given ``command``, to that command's alone."""
     parser = argparse.ArgumentParser(
         prog="adx",
         description="Adverse-event safety summarization with the Adversity Index",
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, flags) in DECLARED.items():
         p = sub.add_parser(name, help=help_line)
-        for flag in flags:
+        for flag in flags if command in (None, name) else ():
             p.add_argument(flag.rstrip("!"), required=flag.endswith("!"),
                            **FLAGS[flag.rstrip("!")])
     return parser
@@ -468,10 +472,9 @@ def cmd_simulate(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data.write_trial(trial, out / "episodes.csv", out / "subjects.csv")
-    records = [{"record": "simulated", "arm": arm,
-                "subjects": sum(1 for s in trial.subjects if s.arm == arm),
-                "episodes": len(trial.episodes_for_arm(arm)), "seed": scenario.seed}
-               for arm in trial.arms]
+    subjects, episodes = (Counter(map(itemgetter(1), t)) for t in (trial.subjects, trial.episodes))
+    records = [{"record": "simulated", "arm": arm, "subjects": subjects[arm],
+                "episodes": episodes[arm], "seed": scenario.seed} for arm in trial.arms]
     _emit(args, records, ("simulated", ["arm", "subjects", "episodes"]))
 
 
@@ -516,7 +519,9 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        # the first argument not an option names the command: adx itself has no option values
+        args = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
         _check_config(args)
         COMMANDS[args.command](args)
         return EXIT_OK

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import re
-from itertools import islice, repeat
+from collections import Counter
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -487,10 +488,8 @@ def dataset_summary(data: TrialDataset) -> list[dict]:
     The pooled distinct-type count is a set union, so it can be smaller
     than the sum of the per-arm counts.
     """
-    def _row(label: str, subjects: list[SubjectRecord], episodes: list[AeEpisode]) -> dict:
-        with_ae = {e.subject_id for e in episodes}
-        n_subj = len(subjects)
-        n_with = sum(1 for s in subjects if s.subject_id in with_ae)
+    def _row(label: str, n_subj: int, episodes: list[AeEpisode]) -> dict:
+        n_with = len({e.subject_id for e in episodes})  # each a subject of the arm, as checked
         return {
             "arm": label,
             "subjects": n_subj,
@@ -500,41 +499,27 @@ def dataset_summary(data: TrialDataset) -> list[dict]:
             "pct_subjects_with_ae": 100.0 * n_with / n_subj if n_subj else 0.0,
         }
 
-    rows = [
-        _row(arm, [s for s in data.subjects if s.arm == arm], data.episodes_for_arm(arm))
-        for arm in data.arms
-    ]
-    rows.append(_row("Total", list(data.subjects), list(data.episodes)))
+    subjects = Counter(map(itemgetter(1), data.subjects))
+    rows = [_row(arm, subjects[arm], data.episodes_for_arm(arm)) for arm in data.arms]
+    rows.append(_row("Total", len(data.subjects), data.episodes))
     return rows
 
 
 def write_trial(data: TrialDataset, episodes_file: str | Path, subjects_file: str | Path) -> None:
-    """Serialize a dataset back to the two CSV schemas (order-normalized)."""
-    with open(subjects_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["subject_id", "arm", "sex", "age_years", "background_therapy", "substudy",
-             "first_dose_day", "last_observed_day"]
-        )
-        for s in sorted(data.subjects, key=lambda s: s.subject_id):
-            w.writerow(
-                [s.subject_id, s.arm, s.sex,
-                 "" if s.age_years is None else s.age_years,
-                 s.background_therapy or "", s.substudy or "",
-                 "" if s.first_dose_day is None else s.first_dose_day,
-                 "" if s.last_observed_day is None else s.last_observed_day]
-            )
-    with open(episodes_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subject_id", "arm", "pt_term", "onset_day", "cycle", "serious", "severity", "tier"])
-        key = lambda e: (e.subject_id, e.pt_term, e.onset_day if e.onset_day is not None else -1,
-                         e.cycle if e.cycle is not None else -1)
-        for e in sorted(data.episodes, key=key):
-            w.writerow(
-                [e.subject_id, e.arm, e.pt_term,
-                 "" if e.onset_day is None else e.onset_day,
-                 "" if e.cycle is None else e.cycle,
-                 "" if e.serious is None else str(e.serious).lower(),
-                 "" if e.severity is None else e.severity,
-                 e.tier]
-            )
+    """Serialize a dataset back to the two CSV schemas, order-normalized:
+    subjects by id, episodes by ``(subject_id, pt_term, onset_day, cycle)``
+    with a missing day or cycle first. Each file is one ``writerows`` of its
+    records, ``None`` written as an empty field and ``serious`` as
+    ``str(value).lower()``."""
+    _write_rows(subjects_file, _SubjectFields._fields, sorted(data.subjects, key=itemgetter(0)))
+    episodes = sorted(data.episodes, key=lambda e: (
+        e.subject_id, e.pt_term, -1 if e.onset_day is None else e.onset_day,
+        -1 if e.cycle is None else e.cycle))
+    cols = list(zip(*episodes)) or [()] * len(_EpisodeFields._fields)
+    cols[5] = [None if v is None else str(v).lower() for v in cols[5]]  # serious
+    _write_rows(episodes_file, _EpisodeFields._fields, zip(*cols))
+
+
+def _write_rows(path: str | Path, header: tuple[str, ...], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(chain([header], rows))

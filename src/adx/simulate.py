@@ -5,8 +5,9 @@ drawn iid from the arm's true probability vector, which is exactly the
 multinomial sampling model under which the asymptotic variance formula is
 derived. ``generate_trial`` draws every variate from the
 ``random.Random(seed).random()`` stream, which Python keeps the same across
-versions, so it loads no numpy. The Monte Carlo validation draws replicate
-r from numpy's stream seeded by (scenario seed, r), so aggregation is
+versions, so it loads no numpy; it checks each AE-type label once and builds
+the episodes from columns. The Monte Carlo validation draws replicate r from
+numpy's stream seeded by (scenario seed, r), so aggregation is
 order-independent; its functions import numpy when first called.
 """
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import configparser
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
@@ -104,20 +105,14 @@ def load_scenario(path: str | Path) -> Scenario:
             probs = tuple(float(tok) for tok in raw.replace(",", " ").split())
         except ValueError:
             raise InvalidScenario(f"arm {name!r}: unparseable probs list")
-        kwargs = {}
-        if cfg.has_option(section, "onset_span"):
-            kwargs["onset_span"] = cfg.getint(section, "onset_span")
-        if cfg.has_option(section, "cycle_dropout"):
-            kwargs["cycle_dropout"] = cfg.getfloat(section, "cycle_dropout")
-        arms.append(
-            ArmScenario(
-                name=name,
-                probs=probs,
-                episodes_per_subject=cfg.getfloat(section, "episodes_per_subject", fallback=1.0),
-                n_subjects=cfg.getint(section, "subjects", fallback=100),
-                **kwargs,
-            )
-        )
+        arms.append(ArmScenario(
+            name=name,
+            probs=probs,
+            episodes_per_subject=cfg.getfloat(section, "episodes_per_subject", fallback=1.0),
+            n_subjects=cfg.getint(section, "subjects", fallback=100),
+            onset_span=cfg.getint(section, "onset_span", fallback=None),
+            cycle_dropout=cfg.getfloat(section, "cycle_dropout", fallback=None),
+        ))
     if not arms:
         raise InvalidScenario(f"no [arm NAME] sections in {path}")
     return Scenario(arms=tuple(arms), seed=seed)
@@ -160,29 +155,37 @@ def generate_trial(scenario: Scenario) -> TrialDataset:
     is never drawn), its onset day (uniform on ``0..onset_span``) and its
     cycle (geometric by inversion, at least 1), the last two only where the
     arm sets them.
+
+    An arm's type labels go through ``AeEpisode``'s checks once; each column
+    is read off the arm's list of draws, and the records are built in C.
     """
     random = Random(scenario.seed).random
-    subjects: list[SubjectRecord] = []
-    episodes: list[AeEpisode] = []
-    sid = 0
+    draws = iter(random, None)  # random() at each step, in the same stream
+    subjects, episodes = [], []
     for arm in scenario.arms:
-        labels = [type_label(i) for i in range(len(arm.probs))]
+        labels = [AeEpisode("", arm.name, type_label(i)).pt_term for i in range(len(arm.probs))]
         cum = list(accumulate(arm.probs))
         total = cum[-1]
         span = arm.onset_span
         # log(1 - dropout), -inf at dropout 1, where every cycle comes out 1
         log_stay = None if arm.cycle_dropout is None else (
             math.log1p(-arm.cycle_dropout) if arm.cycle_dropout < 1.0 else -math.inf)
-        for _ in range(arm.n_subjects):
-            sid += 1
-            subject_id = f"S{sid:05d}"
-            subjects.append(SubjectRecord(subject_id=subject_id, arm=arm.name))
-            for _ in range(_poisson(random, arm.episodes_per_subject)):
-                pt_term = labels[bisect_right(cum, random() * total)]
-                onset = None if span is None else int(random() * (span + 1))
-                cycle = None if log_stay is None else 1 + int(math.log1p(-random()) / log_stay)
-                episodes.append(AeEpisode(subject_id=subject_id, arm=arm.name, pt_term=pt_term,
-                                          onset_day=onset, cycle=cycle))
+        width = 1 + (span is not None) + (log_stay is not None)  # draws per episode
+        ids = [f"S{sid + 1:05d}" for sid in range(len(subjects), len(subjects) + arm.n_subjects)]
+        counts, u = [], []
+        for _ in ids:
+            counts.append(_poisson(random, arm.episodes_per_subject))
+            u += islice(draws, counts[-1] * width)
+        # in range by construction: a day is in 0..span and a cycle at least 1
+        types = [labels[bisect_right(cum, x * total)] for x in u[::width]]
+        days = repeat(None) if span is None else [int(x * (span + 1)) for x in u[1::width]]
+        cycles = repeat(None) if log_stay is None else [
+            1 + int(math.log1p(-x) / log_stay) for x in u[width - 1::width]]
+        subjects += map(tuple.__new__, repeat(SubjectRecord),
+                        zip(ids, repeat(arm.name), repeat("U"), *[repeat(None)] * 5))
+        episodes += map(tuple.__new__, repeat(AeEpisode),
+                        zip(chain.from_iterable(map(repeat, ids, counts)), repeat(arm.name), types,
+                            days, cycles, repeat(None), repeat(None), repeat("untiered")))
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes))
 
 
@@ -311,12 +314,10 @@ def validate_normality(scenario: Scenario, replicates: int = 1000,
     with ``flag_uniform`` gets a ``degenerate`` record without diagnostics."""
     if replicates < 2:
         raise InvalidScenario("need at least 2 replicates")
-    uniform = {arm.name for arm in scenario.arms if _is_uniform(arm.probs)}
-    for arm in scenario.arms:
-        if arm.name in uniform and not flag_uniform:
-            raise DegenerateScenario(
-                f"arm {arm.name!r}: uniform true vector has zero asymptotic variance"
-            )
+    uniform = [arm.name for arm in scenario.arms if _is_uniform(arm.probs)]
+    if uniform and not flag_uniform:
+        raise DegenerateScenario(
+            f"arm {uniform[0]!r}: uniform true vector has zero asymptotic variance")
     draws = _scenario_draws(scenario, replicates, draws)
     arms = []
     for arm in scenario.arms:

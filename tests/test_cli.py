@@ -634,6 +634,25 @@ def test_help_lists_every_command(capsys):
         assert re.search(rf"^ +{name} +{re.escape(line)}$", out, re.M), name
 
 
+def _parse_exit(capsys, parse, argv):
+    """The exit code, standard output and standard error of ``parse(argv)``."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+# main builds only the invoked command's flags; what it prints must not tell
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["--version"], ["sumary"], ["sumary", "--episodes", "e.csv"],
+    ["--bogus", "summary"], ["summary"], ["subgroup", "--episodes", "e.csv", "--subjects", "s.csv"],
+    ["drilldown", "--top", "x"], ["summary", "--by", "sex"], ["simulate", "--scenario"],
+    *([command, "--help"] for command in sorted(EXPECTED_FLAGS)),
+], ids=" ".join)
+def test_main_parses_as_the_full_parser(capsys, argv):
+    assert (_parse_exit(capsys, main, argv)
+            == _parse_exit(capsys, cli.build_parser().parse_args, argv))
+
+
 def test_subgroup_requires_by(capsys, tiny_trial_files, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["subgroup", "--episodes", str(tiny_trial_files["episodes"]),

@@ -7,7 +7,9 @@ from collections import Counter
 
 import pytest
 
-from adx import entropy
+# temporal is imported here, not first inside a command while ``counted``
+# has the tally patched: it would keep that patch's wrapper for good
+from adx import entropy, temporal  # noqa: F401
 from adx.cli import main
 from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset, write_trial
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adx.entropy import FrequencyProfile, adx, adx_variance
+from adx.kernel import adx as adx_of_counts
 from adx.kernel import entropy_and_variance
 from adx.simulate import ArmScenario, _replicate_draws, type_label
 
@@ -58,3 +59,11 @@ def test_replicate_draws_match_reference_on_pareto_arm():
     ref_adxs, ref_ses = _reference_draws(arm, 11, 150)
     np.testing.assert_allclose(adxs, ref_adxs, rtol=1e-12, atol=0)
     np.testing.assert_allclose(ses, ref_ses, rtol=1e-12, atol=0)
+
+
+@given(count_vectors)
+def test_adx_alone_is_the_kernel_adx(counts):
+    counts = np.array(counts)
+    h = adx_of_counts(counts)
+    assert h == entropy_and_variance(counts)[0]
+    assert math.copysign(1.0, h) == 1.0
