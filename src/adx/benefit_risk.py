@@ -144,7 +144,8 @@ def re_read_bootstrap_ci(
     Resampling unit is the episode by default (matching the estimator's
     counting unit); ``unit="subject"`` draws whole subjects to respect
     within-subject correlation. Replicate r uses the stream seeded by
-    (seed, r), so results are independent of evaluation order.
+    (seed, r), so results are independent of evaluation order and of the
+    number of workers ``kernel.replicates`` spreads the replicates over.
     """
     if unit not in ("episode", "subject"):
         raise ValueError("unit must be 'episode' or 'subject'")
@@ -177,10 +178,10 @@ def re_read_bootstrap_ci(
         # fail fast on a degenerate point estimate
         read_score(efficacy[arm], estimate(profile_from_episodes(eps, hierarchy_level, data.hierarchy)))
 
-    values = np.empty(replicates)
-    for r in range(replicates):
+    def adxs(r: int) -> list[float]:
+        """Each arm's adx in replicate r."""
         rng = np.random.default_rng([seed, r])
-        reads = []
+        row = []
         for arm in arms:
             codes, k, subjects, s = arm_codes[arm]
             if unit == "episode":
@@ -189,11 +190,16 @@ def re_read_bootstrap_ci(
             else:
                 mult = np.bincount(rng.integers(0, s, size=s), minlength=s)
                 counts = np.bincount(codes, weights=mult[subjects], minlength=k)
-            h = kernel.adx(counts)
-            if h == 0.0:
-                raise ZeroAdversity(f"bootstrap replicate {r}: arm {arm!r} collapsed to one AE type")
-            reads.append(abs(efficacy[arm].benefit) / h)
-        values[r] = reads[0] / reads[1]
+            row.append(kernel.adx(counts))
+        return row
+
+    h = kernel.replicates(adxs, replicates, len(arms))
+    collapsed = np.argwhere(h == 0.0)  # in replicate order, then arm order
+    if len(collapsed):
+        r, i = collapsed[0]
+        raise ZeroAdversity(f"bootstrap replicate {r}: arm {arms[i]!r} collapsed to one AE type")
+    reads = [abs(efficacy[arm].benefit) / h[:, i] for i, arm in enumerate(arms)]
+    values = reads[0] / reads[1]
     lo_q = (1.0 - level) / 2.0
     lo, hi = np.quantile(values, [lo_q, 1.0 - lo_q])
     return float(lo), float(hi)

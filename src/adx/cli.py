@@ -7,11 +7,13 @@ variance / zero adversity). Each command is declared once, next to its body
 JSON-lines records, and its text and CSV are column views of it (``_emit``).
 
 The report commands and ``simulate`` need neither numpy nor scipy, so
-start-up stays small: ``temporal``, ``benefit_risk`` and ``simulate`` are
-imported only by the commands that use them, and only ``benefit-risk`` and
-``validate``, which resample, load numpy. ``main`` runs a command with the
-cyclic garbage collector off. The list flags (``--by``, ``--arms``,
-``--looks``, ``--age-cuts``) are read by one helper, ``_entries``.
+start-up stays small: ``cohorts``, ``temporal``, ``benefit_risk`` and
+``simulate`` are imported only by the commands that use them, and only
+``benefit-risk`` and ``validate``, which resample on every CPU (forking in
+``kernel.replicates``), load numpy. ``main`` runs a command with the cyclic
+garbage collector off; ``run``, the entry point, then freezes the heap. The
+list flags (``--by``, ``--arms``, ``--looks``, ``--age-cuts``) are read by
+one helper, ``_entries``.
 """
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ import sys
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, cohorts, data, entropy, report
+from . import __version__, data, entropy, report
 from .errors import (
     AdxError,
     ConfigError,
@@ -33,6 +36,8 @@ from .errors import (
     ZeroAdversity,
 )
 
+if TYPE_CHECKING:
+    from . import cohorts
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -121,6 +126,9 @@ def _check_config(args):
     boots = getattr(args, "bootstrap", None)
     if boots is not None and boots < 200:
         raise ConfigError("bootstrap replicates must be >= 200")
+    reps = getattr(args, "replicates", None)
+    if reps is not None and reps < 2:
+        raise ConfigError("replicates must be >= 2")
     ci = getattr(args, "ci", None)
     if ci is not None and not 0.0 < ci < 1.0:
         raise ConfigError("ci level must be in (0, 1)")
@@ -224,6 +232,7 @@ def _cell_pair(ka: cohorts.CohortKey, kb: cohorts.CohortKey, prefix: str = "", *
 
 def _subgroups(args) -> tuple[list[str], cohorts.AgeBinning]:
     """The ``--by`` dimensions and the ``--age-cuts`` bins."""
+    from . import cohorts
     return (_entries(args.by, "--by"),
             cohorts.AgeBinning(_entries(args.age_cuts, "--age-cuts", float)))
 
@@ -235,7 +244,10 @@ def _arm_estimate(trial: data.TrialDataset, arm: str, level: str) -> entropy.Adx
 
 def _cohort(arm_field: str):
     """The cohort label of a record's ``arm_field`` and ``cell``."""
-    return lambda r: str(cohorts.CohortKey(r[arm_field], tuple(r["cell"].items())))
+    def label(r: dict) -> str:
+        from .cohorts import CohortKey
+        return str(CohortKey(r[arm_field], tuple(r["cell"].items())))
+    return label
 
 
 # Table columns shared by several commands; see report.table.
@@ -252,6 +264,7 @@ P = ("p", "p_value", report.fmt_p)
 @command("summary", "per-arm counts plus AdX and the pairwise difference",
          *TRIAL, "--level", *TESTS, "--control")
 def cmd_summary(args) -> None:
+    from . import cohorts
     trial = _load(args)
     rep = cohorts.subgroup_analysis(trial, [], args.level, control=args.control,
                                     alpha=args.alpha, two_sided=not args.one_sided)
@@ -314,6 +327,7 @@ def _subgroup_output(args, rep: cohorts.SubgroupReport) -> None:
 @command("subgroup", "AdX by arm x subgroup cells", *TRIAL, "--level", *TESTS, "--control",
          "--by!", "--age-cuts", "--min-episodes")
 def cmd_subgroup(args) -> None:
+    from . import cohorts
     trial = _load(args)
     dims, binning = _subgroups(args)
     rep = cohorts.subgroup_analysis(
@@ -325,6 +339,7 @@ def cmd_subgroup(args) -> None:
 
 @command("soc", "SOC-wise AdX comparison", *TRIAL, *TESTS, "--control")
 def cmd_soc(args) -> None:
+    from . import cohorts
     trial = _load(args)
     rep = cohorts.soc_analysis(trial, control=args.control, alpha=args.alpha,
                                two_sided=not args.one_sided)
@@ -338,6 +353,7 @@ _DRILLDOWN_TOTALS = {"_others": "Others", "_zero_count_types": "AE with zero cou
 
 @command("drilldown", "leading AE types inside one SOC", *TRIAL, "--soc!", "--top", "--arms")
 def cmd_drilldown(args) -> None:
+    from . import cohorts
     trial = _load(args)
     arms = _arms(args.arms, (trial.arms, "dataset")) if args.arms else None
     table = cohorts.drilldown(trial, args.soc, arms, args.top)
@@ -353,6 +369,7 @@ def cmd_drilldown(args) -> None:
 
 @command("hierarchy", "AdX rollup across hierarchy levels", *TRIAL, *TESTS, "--control")
 def cmd_hierarchy(args) -> None:
+    from . import cohorts
     trial = _load(args)
     rep = cohorts.hierarchy_sweep(trial, control=args.control, alpha=args.alpha,
                                   two_sided=not args.one_sided)
@@ -545,5 +562,13 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> int:
+    """``main`` for the ``adx`` script and ``python -m adx.cli``. The process
+    ends next, so the heap is frozen: the collection at shutdown then skips it."""
+    code = main()
+    gc.freeze()  # not in main, which callers also run in-process
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -8,13 +8,15 @@ derived. ``generate_trial`` draws every variate from the
 versions, so it loads no numpy; it checks each AE-type label once and builds
 the episodes from columns. The Monte Carlo validation draws replicate r from
 numpy's stream seeded by (scenario seed, r), so aggregation is
-order-independent; its functions import numpy when first called.
+order-independent and the same on any number of workers; its functions
+import numpy when first called.
 """
 from __future__ import annotations
 
 import configparser
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from random import Random
@@ -214,32 +216,37 @@ class ValidationReport(NamedTuple):
 Draws = dict[str, tuple["np.ndarray", "np.ndarray"]]
 
 
-def _replicate_draws(arm: ArmScenario, seed: int, replicates: int) -> tuple[np.ndarray, np.ndarray]:
-    """adx and analytic se per replicate, via direct multinomial draws on
-    the arm's expected total episode count (the model generate_trial uses,
-    with the Poisson subject layer marginalized out)."""
+def _replicate_draws(arms: Sequence[ArmScenario], seed: int, replicates: int) -> Draws:
+    """Per arm, adx and analytic se per replicate, via direct multinomial
+    draws on the arm's expected total episode count (the model generate_trial
+    uses, with the Poisson subject layer marginalized out), all arms in one
+    ``kernel.replicates`` call; each draws replicate r from stream (seed, r)."""
     import numpy as np
 
-    from .kernel import entropy_and_variance
+    from . import kernel
 
-    adxs = np.empty(replicates)
-    ses = np.empty(replicates)
-    n_total = max(1, round(arm.n_subjects * arm.episodes_per_subject))
-    probs = np.asarray(arm.probs)
-    for r in range(replicates):
-        rng = np.random.default_rng([seed, r])
-        adxs[r], variance = entropy_and_variance(rng.multinomial(n_total, probs))
-        ses[r] = math.sqrt(variance)
-    return adxs, ses
+    params = [(max(1, round(arm.n_subjects * arm.episodes_per_subject)), np.asarray(arm.probs))
+              for arm in arms]
+
+    def draw(r: int) -> list[float]:
+        row = []
+        for n_total, probs in params:
+            rng = np.random.default_rng([seed, r])
+            h, variance = kernel.entropy_and_variance(rng.multinomial(n_total, probs))
+            row += (h, math.sqrt(variance))
+        return row
+
+    columns = kernel.replicates(draw, replicates, 2 * len(arms)).T.copy()  # contiguous, as before
+    return {arm.name: (columns[2 * i], columns[2 * i + 1]) for i, arm in enumerate(arms)}
 
 
 def _scenario_draws(scenario: Scenario, replicates: int, draws: Draws | None) -> Draws:
     """Per arm name, the replicate adx and se vectors: taken from ``draws``
     where present, else drawn and added to it."""
     draws = {} if draws is None else draws
-    for arm in scenario.arms:
-        if arm.name not in draws:
-            draws[arm.name] = _replicate_draws(arm, scenario.seed, replicates)
+    missing = [arm for arm in scenario.arms if arm.name not in draws]
+    if missing:
+        draws.update(_replicate_draws(missing, scenario.seed, replicates))
     return draws
 
 

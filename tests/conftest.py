@@ -1,8 +1,10 @@
 import csv
 import math
+import os
 
 import pytest
 
+from adx import kernel
 from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
 from adx.entropy import AdxEstimate, eals
 
@@ -53,6 +55,19 @@ def dataset_from_counts(arm_counts, hierarchy=None, subjects_per_arm=1):
                 episodes.append(AeEpisode(subject_id=ids[i % len(ids)], arm=arm, pt_term=pt))
                 i += 1
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes), hierarchy=hierarchy)
+
+
+def run_on_cpus(cpus, fn, *args):
+    """``fn(*args)`` with ``kernel`` seeing ``cpus`` CPUs: its result, the
+    arrays ``kernel.replicates`` returned during the call, and the number of
+    workers forked."""
+    rows, forks = [], []
+    replicates, fork = kernel.replicates, os.fork
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_cpus", lambda: cpus)
+        patch.setattr(kernel, "replicates", lambda *a: rows.append(replicates(*a)) or rows[-1])
+        patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return fn(*args), rows, len(forks)
 
 
 def write_csv(path, header, rows):

@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from adx.data import HierarchyMap
 from adx.entropy import FrequencyProfile, adx, estimate
 from adx.errors import DivisionByZeroBenefit, InsufficientData, ZeroAdversity
 
-from conftest import dataset_from_counts, estimate_from_stats, write_csv
+from conftest import dataset_from_counts, estimate_from_stats, run_on_cpus, write_csv
 
 
 def test_read_golden_el():
@@ -219,11 +220,16 @@ def _hierarchy_trial():
 @pytest.mark.parametrize("unit", ["episode", "subject"])
 @pytest.mark.parametrize("hierarchy_level", ["pt", "soc"])
 @pytest.mark.parametrize("seed", [3, 17])
-def test_bootstrap_matches_term_list_reference(unit, hierarchy_level, seed):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_bootstrap_matches_term_list_reference(unit, hierarchy_level, seed, cpus):
+    # 301 replicates split unevenly: 150 + 151 on two workers, 100 + 100 + 101 on three
     t = _hierarchy_trial()
     eff = {"A": EfficacyInput(arm="A", value=2.5), "B": EfficacyInput(arm="B", value=2.0)}
-    args = (t, eff, ("A", "B"), 0.9, 300, seed, unit, hierarchy_level)
-    lo, hi = re_read_bootstrap_ci(*args)
+    args = (t, eff, ("A", "B"), 0.9, 301, seed, unit, hierarchy_level)
+    (lo, hi), [rows], forks = run_on_cpus(cpus, re_read_bootstrap_ci, *args)
+    assert forks == cpus - 1
+    ci_one, [rows_one], _ = run_on_cpus(1, re_read_bootstrap_ci, *args)
+    assert np.array_equal(rows, rows_one) and (lo, hi) == ci_one
     lo_ref, hi_ref = _reference_bootstrap_ci(*args)
     assert lo == pytest.approx(lo_ref, rel=1e-12, abs=0.0)
     assert hi == pytest.approx(hi_ref, rel=1e-12, abs=0.0)
@@ -241,3 +247,19 @@ def test_bootstrap_collapse_matches_reference(unit):
         _reference_bootstrap_ci(*args)
     assert str(new.value) == str(ref.value)
     assert "arm 'B' collapsed" in str(new.value)
+
+
+def test_bootstrap_collapse_in_a_workers_share_matches_reference():
+    # B is two types of four episodes each: a replicate collapses with
+    # probability 1/128, and at seed 11 the first to do so is replicate 111,
+    # in the second worker's share of 200 replicates on two CPUs
+    t = dataset_from_counts({"A": {"a": 30, "b": 20, "c": 10}, "B": {"a": 4, "b": 4}})
+    args = (t, EFF_EQUAL, ("A", "B"), 0.95, 200, 11, "episode", "pt")
+    with pytest.raises(ZeroAdversity) as new:
+        run_on_cpus(2, re_read_bootstrap_ci, *args)
+    with pytest.raises(ZeroAdversity) as ref:
+        _reference_bootstrap_ci(*args)
+    assert str(new.value) == str(ref.value) == (
+        "bootstrap replicate 111: arm 'B' collapsed to one AE type")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -229,6 +229,17 @@ def test_simulate_and_validate(capsys, tmp_path):
     assert "sd/se" in out
 
 
+@pytest.mark.parametrize("replicates", ["1", "0", "-5"])
+def test_validate_too_few_replicates_is_a_configuration_error(capsys, tmp_path, replicates):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[scenario]\nseed = 11\n\n[arm A]\nprobs = 0.5 0.3 0.2\n")
+    code, out, err = run(capsys, "validate", "--scenario", str(scenario),
+                         "--replicates", replicates, "--out", str(tmp_path / "val"))
+    assert code == 3
+    assert err == "adx: configuration error: replicates must be >= 2\n"
+    assert out == "" and not (tmp_path / "val").exists()
+
+
 def test_structured_output_byte_identical_on_rerun(capsys, table7_files, tmp_path):
     eff = write_csv(
         table7_files["dir"] / "eff.csv",

@@ -1,8 +1,9 @@
 """Start-up budget: the report commands and ``simulate`` load neither numpy
 nor scipy, no command loads ``dataclasses`` or ``inspect``, and scipy is a
 test oracle only, never a runtime import. ``import adx.cli`` loads only the
-modules every report command needs, and ``cli.main`` runs with the cyclic
-garbage collector off, leaving its caller's setting as it found it."""
+modules every command needs, and ``cli.main`` runs with the cyclic
+garbage collector off, leaving its caller's setting as it found it and the
+heap unfrozen; only ``cli.run``, the entry point, freezes it."""
 import ast
 import gc
 import os
@@ -44,9 +45,10 @@ def test_report_modules_load_no_numpy():
 
 
 def test_cli_import_leaves_the_other_commands_modules_unloaded():
-    # interim and exposure import temporal, benefit-risk and validate the rest
-    code = ("import adx.cli, sys; print(sorted(m for m in ('adx.temporal', 'adx.benefit_risk', "
-            "'adx.simulate', 'adx.kernel') if m in sys.modules))")
+    # the report commands import cohorts, interim and exposure temporal,
+    # benefit-risk and validate the rest
+    code = ("import adx.cli, sys; print(sorted(m for m in ('adx.cohorts', 'adx.temporal', "
+            "'adx.benefit_risk', 'adx.simulate', 'adx.kernel') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
@@ -71,6 +73,18 @@ def test_main_leaves_the_collector_as_it_found_it(monkeypatch, tiny_trial_files,
         (gc.enable if was else gc.disable)()
     assert code == (0 if subjects == "subjects.csv" else 2)
     assert seen == [False] and after is collecting
+
+
+def test_main_freezes_nothing_and_run_freezes_after_it(monkeypatch, tiny_trial_files, tmp_path):
+    argv = ["summary", "--episodes", str(tiny_trial_files["episodes"]),
+            "--subjects", str(tiny_trial_files["subjects"]), "--out", str(tmp_path / "o")]
+    frozen = gc.get_freeze_count()
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(gc.isenabled()))
+    monkeypatch.setattr(sys, "argv", ["adx", *argv])
+    assert cli.run() == 0 and freezes == [gc.isenabled()]  # once, after main restored gc
 
 
 SCENARIO = ("[scenario]\nseed = 3\n\n[arm A]\nprobs = 0.5 0.3 0.2\nepisodes_per_subject = 2.0\n"
