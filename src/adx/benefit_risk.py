@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Column, Fault, TrialDataset, read_table
-from .entropy import AdxEstimate, estimate, profile_from_episodes
+from .entropy import AdxEstimate, FrequencyProfile, estimate
 from .errors import (
     DivisionByZeroBenefit,
     InsufficientData,
@@ -175,8 +175,8 @@ def re_read_bootstrap_ci(
         subjects = np.fromiter((subject_index.setdefault(e.subject_id, len(subject_index))
                                 for e in eps), np.intp, len(eps))
         arm_codes[arm] = (codes, len(term_index), subjects, len(subject_index))
-        # fail fast on a degenerate point estimate
-        read_score(efficacy[arm], estimate(profile_from_episodes(eps, hierarchy_level, data.hierarchy)))
+        if len(term_index) == 1:  # fail fast on a degenerate point estimate
+            read_score(efficacy[arm], estimate(FrequencyProfile({terms[0]: len(terms)})))
 
     def adxs(r: int) -> list[float]:
         """Each arm's adx in replicate r."""

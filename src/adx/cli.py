@@ -1,10 +1,11 @@
 """Command-line entry point: ``adx <subcommand> [flags]``.
 
-Exit codes: 0 success, 2 input error (files, referential integrity),
-3 configuration error (bad flags), 4 degenerate statistics (zero
-variance / zero adversity). Each command is declared once, next to its body
-(``command``), with its flags drawn from ``FLAGS``. It builds one list of
-JSON-lines records, and its text and CSV are column views of it (``_emit``).
+``main`` prints an ``AdxError`` as one line, ``adx: <kind>: <message>``, and
+exits with its ``exit_code`` (see ``errors``); any other ``ValueError`` is a
+configuration error, exit 3. Each command is declared once, next to its
+body (``command``), with its flags drawn from ``FLAGS``. It builds one list
+of JSON-lines records, and its text and CSV are column views of it
+(``_emit``).
 
 The report commands and ``simulate`` need neither numpy nor scipy, so
 start-up stays small: ``cohorts``, ``temporal``, ``benefit_risk`` and
@@ -26,22 +27,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, data, entropy, report
-from .errors import (
-    AdxError,
-    ConfigError,
-    DegenerateScenario,
-    DegenerateVariance,
-    EmptyProfile,
-    InputError,
-    ZeroAdversity,
-)
+from .errors import AdxError, ConfigError
 
 if TYPE_CHECKING:
     from . import cohorts
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CONFIG = 3
-EXIT_DEGENERATE = 4
 
 
 # The add_argument keywords of every flag. A command declares the names of the
@@ -120,6 +109,7 @@ def _formats(args) -> set[str]:
 
 
 def _check_config(args):
+    _formats(args)  # so that a bad --format fails before any file is read or written
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be in (0, 1)")
@@ -146,9 +136,6 @@ def _load(args) -> data.TrialDataset:
     return trial
 
 
-_KINDS = {int: "an integer", float: "a number"}
-
-
 def _entries(spec: str | None, flag: str, kind: type = str) -> list:
     """The comma-separated entries of ``flag``'s value ``spec``, blank ones
     dropped, each read as ``kind`` (``str``, ``int`` or ``float``)."""
@@ -159,7 +146,7 @@ def _entries(spec: str | None, flag: str, kind: type = str) -> list:
             try:
                 entries.append(kind(entry))
             except ValueError:
-                raise ConfigError(f"{flag}: {entry!r} is not {_KINDS[kind]}") from None
+                raise ConfigError(f"{flag}: {entry!r} is not {data._NOUNS[kind]}") from None
     return entries
 
 
@@ -541,22 +528,13 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
         _check_config(args)
         COMMANDS[args.command](args)
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"adx: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DegenerateVariance, ZeroAdversity, EmptyProfile, DegenerateScenario) as exc:
-        print(f"adx: degenerate statistics: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except InputError as exc:
-        print(f"adx: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return 0
     except AdxError as exc:
-        print(f"adx: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"adx: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except ValueError as exc:
-        print(f"adx: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"adx: {ConfigError.kind}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
     finally:
         if collecting:
             gc.enable()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from functools import cache
@@ -54,22 +55,15 @@ class AgeBinning(_AgeBinningFields):
         return tuple.__new__(cls, (cuts,))
 
     def label(self, age: float | None) -> str:
-        if age is None:
-            return UNKNOWN
-        cuts = self.cut_points
-        if age < cuts[0]:
-            return f"<{cuts[0]:g}"
-        for lo, hi in zip(cuts, cuts[1:]):
-            if lo <= age < hi:
-                return f"[{lo:g},{hi:g})"
-        return f">={cuts[-1]:g}"
+        return UNKNOWN if age is None else self.labels()[bisect_right(self.cut_points, age)]
 
-    def labels(self) -> list[str]:
+    @cache  # label calls it once per subject
+    def labels(self) -> tuple[str, ...]:
         cuts = self.cut_points
         out = [f"<{cuts[0]:g}"]
         out += [f"[{lo:g},{hi:g})" for lo, hi in zip(cuts, cuts[1:])]
         out.append(f">={cuts[-1]:g}")
-        return out
+        return tuple(out)
 
 
 class _CohortKeyFields(NamedTuple):

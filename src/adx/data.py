@@ -387,7 +387,7 @@ class HierarchyMap:
 class TrialDataset:
     """Immutable validated container for one trial's safety data."""
 
-    __slots__ = ("subjects", "episodes", "hierarchy", "arms", "_subject_index")
+    __slots__ = ("subjects", "episodes", "hierarchy", "arms")
 
     def __init__(self, subjects: tuple[SubjectRecord, ...], episodes: tuple[AeEpisode, ...],
                  hierarchy: HierarchyMap | None = None, arms: tuple[str, ...] = ()):
@@ -411,16 +411,13 @@ class TrialDataset:
             arms = present
         elif set(arms) != set(present):
             raise InputError("declared arms differ from arms present in subjects")
-        for name, value in zip(self.__slots__, (subjects, episodes, hierarchy, arms, by_id)):
+        for name, value in zip(self.__slots__, (subjects, episodes, hierarchy, arms)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"TrialDataset is immutable, cannot change {name!r}")
 
     __delattr__ = __setattr__
-
-    def subject(self, subject_id: str) -> SubjectRecord:
-        return self._subject_index[subject_id]
 
     def episodes_for_arm(self, arm: str) -> list[AeEpisode]:
         return [e for e in self.episodes if e.arm == arm]

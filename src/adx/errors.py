@@ -1,12 +1,18 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit. Each class carries the
+exit code of ``adx`` and the prefix of its one-line message (``cli.main``)."""
 
 
 class AdxError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 2
+    kind = "error"
+
 
 class InputError(AdxError):
     """Problems with input files or referential integrity."""
+
+    kind = "input error"
 
 
 class MalformedRow(InputError):
@@ -44,13 +50,19 @@ class UnknownSoc(AdxError):
 class EmptyProfile(AdxError):
     """Estimation requested on a profile with zero episodes."""
 
+    exit_code, kind = 4, "degenerate statistics"
+
 
 class DegenerateVariance(AdxError):
     """se(diff) is zero; the normal approximation is unusable."""
 
+    exit_code, kind = 4, "degenerate statistics"
+
 
 class ZeroAdversity(AdxError):
     """AdX is zero (single AE type); benefit/AdX ratio is ill-defined."""
+
+    exit_code, kind = 4, "degenerate statistics"
 
 
 class DivisionByZeroBenefit(AdxError):
@@ -76,6 +88,10 @@ class InvalidScenario(AdxError):
 class DegenerateScenario(AdxError):
     """Uniform true vector: analytic variance is zero."""
 
+    exit_code, kind = 4, "degenerate statistics"
+
 
 class ConfigError(AdxError):
     """Bad run configuration (CLI flags, alpha range, etc.)."""
+
+    exit_code, kind = 3, "configuration error"

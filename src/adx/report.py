@@ -10,7 +10,6 @@ lines / CSV) output always carries full precision.
 """
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -100,10 +99,9 @@ def atomic_write(path: str | Path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    finally:  # after the rename, tmp is gone
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def header_lines(config: dict) -> list[str]:
@@ -118,6 +116,8 @@ def write_text(path: str | Path, config: dict, body: str) -> None:
 
 
 def write_jsonl(path: str | Path, config: dict, records: list[dict]) -> None:
+    import json  # here, so that text and CSV runs do not load it
+
     head = {"record": "header", "tool": "adx-toolkit", "version": __version__,
             "config": {k: v for k, v in sorted(config.items()) if v is not None}}
     # allow_nan=False: a NaN or infinity would make the line invalid JSON

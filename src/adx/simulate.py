@@ -91,18 +91,30 @@ class Scenario(_ScenarioFields):
 def load_scenario(path: str | Path) -> Scenario:
     """Parse the scenario file: one [arm NAME] section per arm plus a
     [scenario] section holding the seed. ``probs`` is a whitespace- or
-    comma-separated list."""
+    comma-separated list. A file that does not parse, and a value that does
+    not read as its type, raise ``InvalidScenario`` naming the file."""
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    try:
+        read = cfg.read(str(path), encoding="utf-8")  # a str: its messages quote the path
+    except (configparser.Error, UnicodeDecodeError) as exc:  # a message that may span lines
+        raise InvalidScenario(f"scenario file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise InvalidScenario(f"cannot read scenario file {path}")
-    seed = cfg.getint("scenario", "seed", fallback=0)
+
+    def get(section: str, option: str, kind: type, fallback):
+        """``[section] option`` read as ``kind``, or ``fallback`` where it is absent."""
+        try:
+            raw = cfg.get(section, option, fallback=None)  # interpolation can fail here
+            return fallback if raw is None else kind(raw)
+        except (configparser.Error, ValueError) as exc:
+            raise InvalidScenario(f"scenario file {path}: [{section}] {option}: {exc}") from None
+    seed = get("scenario", "seed", int, 0)
     arms = []
     for section in cfg.sections():
         if not section.startswith("arm "):
             continue
         name = section[4:].strip()
-        raw = cfg.get(section, "probs", fallback="")
+        raw = get(section, "probs", str, "")
         try:
             probs = tuple(float(tok) for tok in raw.replace(",", " ").split())
         except ValueError:
@@ -110,10 +122,10 @@ def load_scenario(path: str | Path) -> Scenario:
         arms.append(ArmScenario(
             name=name,
             probs=probs,
-            episodes_per_subject=cfg.getfloat(section, "episodes_per_subject", fallback=1.0),
-            n_subjects=cfg.getint(section, "subjects", fallback=100),
-            onset_span=cfg.getint(section, "onset_span", fallback=None),
-            cycle_dropout=cfg.getfloat(section, "cycle_dropout", fallback=None),
+            episodes_per_subject=get(section, "episodes_per_subject", float, 1.0),
+            n_subjects=get(section, "subjects", int, 100),
+            onset_span=get(section, "onset_span", int, None),
+            cycle_dropout=get(section, "cycle_dropout", float, None),
         ))
     if not arms:
         raise InvalidScenario(f"no [arm NAME] sections in {path}")

@@ -15,7 +15,7 @@ from adx.cohorts import (
 )
 from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
 from adx.entropy import FrequencyProfile, adx, estimate, profile_from_episodes
-from adx.errors import MissingHierarchy, UnknownDimension, UnknownSoc
+from adx.errors import DegenerateVariance, MissingHierarchy, UnknownDimension, UnknownSoc
 
 from conftest import dataset_from_counts
 
@@ -71,9 +71,10 @@ def test_subgroup_restriction_consistency(sexed_trial):
     # a cell estimate equals a direct estimate on the restricted episodes
     rep = subgroup_analysis(sexed_trial, ["sex"], min_episodes=1)
     key = CohortKey("A", (("sex", "F"),))
+    sex = {s.subject_id: s.sex for s in sexed_trial.subjects}
     direct = estimate(
         profile_from_episodes([e for e in sexed_trial.episodes
-                               if e.arm == "A" and sexed_trial.subject(e.subject_id).sex == "F"])
+                               if e.arm == "A" and sex[e.subject_id] == "F"])
     )
     assert rep.estimates[key].adx == direct.adx
 
@@ -127,8 +128,9 @@ def test_cells_match_per_episode_grouping():
     dims = ["seriousness", "sex", "age", "background_therapy", "substudy", "severity", "tier"]
     binning = AgeBinning()
     expected = {}
+    by_id = {s.subject_id: s for s in trial.subjects}
     for ep in trial.episodes:
-        subj = trial.subject(ep.subject_id)
+        subj = by_id[ep.subject_id]
         value = {"sex": subj.sex, "age": binning.label(subj.age_years),
                  "background_therapy": subj.background_therapy or "Unknown",
                  "substudy": subj.substudy or "Unknown",
@@ -362,19 +364,24 @@ def test_sweep_requires_hierarchy():
 
 def test_degenerate_variance_is_caught_in_one_place():
     """Cell comparisons go through cohorts._estimate_and_pair; everything
-    else lets DegenerateVariance reach cli.main."""
+    else lets DegenerateVariance reach cli.main. A handler catches it when it
+    names DegenerateVariance or a class it derives from (AdxError, Exception,
+    BaseException), or names none."""
     src = Path(__file__).resolve().parent.parent / "src" / "adx"
+    names = {cls.__name__ for cls in DegenerateVariance.__mro__}
 
     def catches(handler):
+        if handler.type is None:
+            return True
         types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-        return any(getattr(t, "id", getattr(t, "attr", None)) == "DegenerateVariance" for t in types)
+        return any(getattr(t, "id", getattr(t, "attr", None)) in names for t in types)
 
     sites = set()
     for path in sorted(src.rglob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 sites |= {(path.name, fn.name) for node in ast.walk(fn)
-                          if isinstance(node, ast.ExceptHandler) and node.type and catches(node)}
+                          if isinstance(node, ast.ExceptHandler) and catches(node)}
     assert sites == {("cohorts.py", "_estimate_and_pair"), ("cli.py", "main")}
 
 
@@ -411,10 +418,11 @@ def test_subgroup_at_hlt_equals_direct_estimates():
     t = _rollup_trial()
     rep = subgroup_analysis(t, ["sex", "seriousness"], level="hlt")
     assert len(rep.estimates) == 8
+    sex = {s.subject_id: s.sex for s in t.subjects}
     for key, est in rep.estimates.items():
         cell = dict(key.filters)
         eps = [e for e in t.episodes if e.arm == key.arm
-               and t.subject(e.subject_id).sex == cell["sex"]
+               and sex[e.subject_id] == cell["sex"]
                and ("serious" if e.serious else "non-serious") == cell["seriousness"]]
         assert est == estimate(profile_from_episodes(eps, "hlt", t.hierarchy))
 

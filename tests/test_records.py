@@ -136,7 +136,7 @@ def test_records_iterate_and_index_as_tuples():
 def test_trial_dataset_keeps_keyword_signature():
     subjects = (SubjectRecord("S1", "A"), SubjectRecord("S2", "B"))
     t = TrialDataset(subjects=subjects, episodes=(), hierarchy=None, arms=("B", "A"))
-    assert t.arms == ("B", "A") and t.subject("S2") is subjects[1]
+    assert t.arms == ("B", "A") and {s.subject_id: s for s in t.subjects}["S2"] is subjects[1]
     assert _dataset().arms == ("A",)
     with pytest.raises(AttributeError):
         del t.arms

@@ -244,6 +244,33 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "nope.ini")
 
 
+ARM = b"[arm A]\nprobs = 0.5 0.5\n"
+
+
+@pytest.mark.parametrize("text,reason", [
+    (b"subjects = 3\n" + ARM, "File contains no section headers. file: '{path}', line: 1"),
+    (ARM + ARM, "While reading from '{path}' [line 3]: section 'arm A' already exists"),
+    (ARM + b"probs = 1\n",
+     "While reading from '{path}' [line 3]: option 'probs' in section 'arm A' already exists"),
+    (ARM + b"subjects = %(x)s\n", "[arm A] subjects: Bad value substitution: option 'subjects'"),
+    (ARM + b"# caf\xe9\n", "'utf-8' codec can't decode byte 0xe9"),
+    (ARM + b"subjects = -1.5\n",
+     "[arm A] subjects: invalid literal for int() with base 10: '-1.5'"),
+    (ARM + b"episodes_per_subject = two\n",
+     "[arm A] episodes_per_subject: could not convert string to float: 'two'"),
+    (b"[scenario]\nseed = 1e3\n" + ARM,
+     "[scenario] seed: invalid literal for int() with base 10: '1e3'"),
+])
+def test_a_scenario_file_that_does_not_parse_names_the_file(tmp_path, text, reason):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    with pytest.raises(InvalidScenario) as raised:
+        load_scenario(path)
+    message = str(raised.value)
+    assert message.startswith(f"scenario file {path}: {reason.format(path=path)}")
+    assert "\n" not in message
+
+
 def test_shape_diagnostics_match_scipy_oracle():
     from scipy import stats
 

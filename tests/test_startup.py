@@ -1,9 +1,10 @@
 """Start-up budget: the report commands and ``simulate`` load neither numpy
-nor scipy, no command loads ``dataclasses`` or ``inspect``, and scipy is a
-test oracle only, never a runtime import. ``import adx.cli`` loads only the
-modules every command needs, and ``cli.main`` runs with the cyclic
-garbage collector off, leaving its caller's setting as it found it and the
-heap unfrozen; only ``cli.run``, the entry point, freezes it."""
+nor scipy, no command loads ``dataclasses`` or ``inspect``, only a
+JSON-lines run loads ``json``, and scipy is a test oracle only, never a
+runtime import. ``import adx.cli`` loads only the modules every command
+needs, and ``cli.main`` runs with the cyclic garbage collector off, leaving
+its caller's setting as it found it and the heap unfrozen; only
+``cli.run``, the entry point, freezes it."""
 import ast
 import gc
 import os
@@ -123,6 +124,18 @@ def test_validate_still_runs_on_numpy(tmp_path):
                                 "--out", str(tmp_path / "val"), "--format", "json-lines"])
     assert code == 0 and "'numpy'" in numpy
     assert (tmp_path / "val" / "validate.jsonl").read_text().count("\n") == 5
+
+
+@pytest.mark.parametrize("fmt,loaded", [("text", False), ("csv", False), ("json-lines", True)])
+def test_only_a_json_lines_run_loads_json(tiny_trial_files, tmp_path, fmt, loaded):
+    argv = ["summary", "--episodes", str(tiny_trial_files["episodes"]),
+            "--subjects", str(tiny_trial_files["subjects"]), "--out", str(tmp_path / "o"),
+            "--format", fmt]
+    code = (f"import sys; from adx.cli import main; code = main({argv!r}); "
+            "print(code, 'json' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
