@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -160,20 +161,20 @@ def re_read_bootstrap_ci(
     # was drawn.
     arm_codes: dict[str, tuple[np.ndarray, int, np.ndarray, int]] = {}
     for arm in arms:
-        eps = data.episodes_for_arm(arm)
-        if len(eps) < 2:
+        in_arm = data.in_arm(arm)
+        terms = list(compress(data.columns.pt_term, in_arm))
+        if len(terms) < 2:
             raise InsufficientData(f"arm {arm!r} has fewer than 2 episodes")
-        if hierarchy_level == "pt":
-            terms = [e.pt_term for e in eps]
-        else:
+        if hierarchy_level != "pt":
             h = data.require_hierarchy()
-            terms = [h.term_at(e.pt_term, hierarchy_level) for e in eps]
+            terms = [h.term_at(t, hierarchy_level) for t in terms]
         term_index: dict[str, int] = {}
         subject_index: dict[str, int] = {}
         codes = np.fromiter((term_index.setdefault(t, len(term_index)) for t in terms),
-                            np.intp, len(eps))
-        subjects = np.fromiter((subject_index.setdefault(e.subject_id, len(subject_index))
-                                for e in eps), np.intp, len(eps))
+                            np.intp, len(terms))
+        subjects = np.fromiter((subject_index.setdefault(s, len(subject_index))
+                                for s in compress(data.columns.subject_id, in_arm)),
+                               np.intp, len(terms))
         arm_codes[arm] = (codes, len(term_index), subjects, len(subject_index))
         if len(term_index) == 1:  # fail fast on a degenerate point estimate
             read_score(efficacy[arm], estimate(FrequencyProfile({terms[0]: len(terms)})))

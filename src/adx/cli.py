@@ -22,6 +22,7 @@ import argparse
 import gc
 import sys
 from collections import Counter
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -119,6 +120,8 @@ def _check_config(args):
     reps = getattr(args, "replicates", None)
     if reps is not None and reps < 2:
         raise ConfigError("replicates must be >= 2")
+    if getattr(args, "min_episodes", 0) < 0:
+        raise ConfigError(f"min_episodes must be >= 0, got {args.min_episodes}")
     ci = getattr(args, "ci", None)
     if ci is not None and not 0.0 < ci < 1.0:
         raise ConfigError("ci level must be in (0, 1)")
@@ -225,8 +228,8 @@ def _subgroups(args) -> tuple[list[str], cohorts.AgeBinning]:
 
 
 def _arm_estimate(trial: data.TrialDataset, arm: str, level: str) -> entropy.AdxEstimate:
-    episodes = trial.episodes_for_arm(arm)
-    return entropy.estimate(entropy.profile_from_episodes(episodes, level, trial.hierarchy))
+    terms = list(compress(trial.columns.pt_term, trial.in_arm(arm)))
+    return entropy.estimate(entropy.profile_from_episodes(terms, level, trial.hierarchy))
 
 
 def _cohort(arm_field: str):
@@ -476,7 +479,7 @@ def cmd_simulate(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data.write_trial(trial, out / "episodes.csv", out / "subjects.csv")
-    subjects, episodes = (Counter(map(itemgetter(1), t)) for t in (trial.subjects, trial.episodes))
+    subjects, episodes = Counter(map(itemgetter(1), trial.subjects)), Counter(trial.columns.arm)
     records = [{"record": "simulated", "arm": arm, "subjects": subjects[arm],
                 "episodes": episodes[arm], "seed": scenario.seed} for arm in trial.arms]
     _emit(args, records, ("simulated", ["arm", "subjects", "episodes"]))

@@ -1,8 +1,8 @@
 """Cohort partitioning: subgroup, SOC-wise, drilldown and hierarchy rollup.
 
-Cells are (arm x subgroup) slices of the episode list. Every estimation
-delegates to the entropy module, so a subgroup estimate is by construction
-identical to a direct estimate on the restricted episode list.
+Cells are (arm x subgroup) slices of the trial's episode columns. Every
+estimation delegates to the entropy module, so a subgroup estimate is by
+construction identical to a direct estimate on the restricted episode list.
 """
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from functools import cache
+from itertools import compress
 from typing import NamedTuple
 
-from .data import AeEpisode, SubjectRecord, TrialDataset, normalize_term
+from .data import SubjectRecord, TrialDataset, normalize_term
 from .entropy import (
     AdxEstimate,
     ComparisonResult,
@@ -52,6 +53,8 @@ class AgeBinning(_AgeBinningFields):
             raise ValueError("cut_points must be strictly ascending")
         if not cuts:
             raise ValueError("at least one cut point required")
+        if cuts[0] <= 0:  # the bin below it could hold no subject
+            raise ValueError(f"cut_points must be > 0, got {cuts[0]:g}")
         return tuple.__new__(cls, (cuts,))
 
     def label(self, age: float | None) -> str:
@@ -100,7 +103,7 @@ class SubgroupReport:
         self.footnotes: list[str] = []
 
 
-# the AeEpisode field each episode dimension is read from
+# the episode column each episode dimension is read from
 _EPISODE_FIELD = {
     "soc": "pt_term", "seriousness": "serious", "severity": "severity", "tier": "tier"
 }
@@ -131,37 +134,47 @@ def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> st
 
 def _cells(
     data: TrialDataset,
-    episodes: Sequence[AeEpisode],
     dimensions: Sequence[str] = (),
     age_binning: AgeBinning | None = None,
-) -> dict[CohortKey, list[AeEpisode]]:
-    """Group episodes into (arm x subgroup) cells, keeping episode order.
+    within: Sequence[bool] | None = None,
+    of: Sequence | None = None,
+) -> dict[CohortKey, list]:
+    """Group the episodes, or those that ``within`` marks true, into
+    (arm x subgroup) cells: each the list of its episodes' values in ``of``
+    (default: their PT terms), in episode order.
 
-    Subject dimensions are worked out once per subject, and an episode
-    dimension once per distinct value of the episode field it reads.
+    A cell's filters are worked out once per distinct subject, and once per
+    distinct value of an episode dimension's column.
     """
     for dim in dimensions:
         if dim not in DIMENSIONS:
             raise UnknownDimension(f"{dim!r}; valid: {', '.join(DIMENSIONS)}")
     binning = age_binning or AgeBinning()
+    columns, tables = data.columns, []  # per key part after the arm, its filters by code
+
+    def coded(column, filters):
+        """Each episode's code of ``filters(value)`` for its value in ``column``."""
+        values, table = column if within is None else list(compress(column, within)), {}
+        code = {v: table.setdefault(filters(v), len(table)) for v in dict.fromkeys(values)}
+        tables.append(list(table))
+        return map(code.__getitem__, values)
+
+    keys = [columns.arm if within is None else compress(columns.arm, within)]
     subject_dims = [d for d in dimensions if d in SUBJECT_DIMENSIONS]
-    episode_fields = [(d, _EPISODE_FIELD[d]) for d in dimensions if d in EPISODE_DIMENSIONS]
-    by_subject = {
-        s.subject_id: tuple((d, _subject_value(s, d, binning)) for d in subject_dims)
-        for s in data.subjects
-    }
-
-    @cache
-    def episode_filter(dim: str, value) -> tuple[str, str]:
-        return dim, _episode_dimension_value(dim, value, data)
-
-    groups: dict[tuple, list[AeEpisode]] = defaultdict(list)  # in order of first appearance
-    for ep in episodes:
-        filters = by_subject[ep.subject_id]
-        for dim, name in episode_fields:
-            filters += (episode_filter(dim, getattr(ep, name)),)
-        groups[ep.arm, filters].append(ep)
-    return {CohortKey(arm, filters): eps for (arm, filters), eps in groups.items()}
+    if subject_dims:
+        by_id = {s.subject_id: s for s in data.subjects}
+        keys.append(coded(columns.subject_id, lambda subject_id: tuple(
+            (d, _subject_value(by_id[subject_id], d, binning)) for d in subject_dims)))
+    for dim in dimensions:
+        if dim in EPISODE_DIMENSIONS:
+            keys.append(coded(getattr(columns, _EPISODE_FIELD[dim]),
+                              lambda v, dim=dim: ((dim, _episode_dimension_value(dim, v, data)),)))
+    groups: dict[tuple, list] = defaultdict(list)  # in order of first appearance
+    values = columns.pt_term if of is None else of
+    for value, key in zip(values if within is None else compress(values, within), zip(*keys)):
+        groups[key].append(value)
+    return {CohortKey(arm, sum(map(list.__getitem__, tables, codes), ())): cell
+            for (arm, *codes), cell in groups.items()}
 
 
 def _estimate_and_pair(
@@ -219,9 +232,9 @@ def subgroup_analysis(
     cells are flagged, not fatal.
     """
     binning = age_binning or AgeBinning()
-    cells = _cells(data, data.episodes, dimensions, binning)
+    cells = _cells(data, dimensions, binning)
     profiles = {
-        key: profile_from_episodes(eps, level, data.hierarchy) for key, eps in cells.items()
+        key: profile_from_episodes(terms, level, data.hierarchy) for key, terms in cells.items()
     }
     report = _estimate_and_pair(data, profiles, control, alpha, two_sided)
     report.low_n = {key for key, est in report.estimates.items() if est.n < min_episodes}
@@ -274,7 +287,8 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n
 
     counts: dict[str, dict[str, int]] = {}
     for arm in dict.fromkeys(arms):
-        for pt, c in profile_from_episodes(data.episodes_for_arm(arm)).counts.items():
+        terms = list(compress(data.columns.pt_term, data.in_arm(arm)))
+        for pt, c in profile_from_episodes(terms).counts.items():
             if hierarchy.term_at(pt, "soc") == soc_n:
                 counts.setdefault(pt, {a: 0 for a in arms})[arm] = c
 
@@ -325,14 +339,14 @@ def hierarchy_sweep(
 ) -> PropositionReport:
     data.require_hierarchy()
     arms = list(data.arms)
-    cells = _cells(data, data.episodes)
+    cells = _cells(data)
     missing = [arm for arm in arms if CohortKey(arm) not in cells]
     if missing:
         raise EmptyProfile(f"no episodes in arm(s): {', '.join(missing)}")
     estimates: dict[tuple[str, str], AdxEstimate] = {}
     comparisons: dict[tuple[str, str, str], ComparisonResult] = {}
     degenerate: list[tuple[str, str, str]] = []
-    by_pt = {key: profile_from_episodes(eps) for key, eps in cells.items()}
+    by_pt = {key: profile_from_episodes(terms) for key, terms in cells.items()}
     for level in levels:
         profiles = {key: rollup(profile, level, data.hierarchy) for key, profile in by_pt.items()}
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)

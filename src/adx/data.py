@@ -6,7 +6,7 @@ occurrence of an adverse-event term in one subject. Repeated identical
 
 All five CSV loaders share one table reader, ``read_table``. It reads a file
 in chunks of ``CHUNK_ROWS`` records and parses and checks each distinct raw
-value of a column once; the records are built without a per-row Python step.
+value of a column once; a trial keeps the episodes as its columns.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import csv
 import re
 from collections import Counter
 from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -69,10 +69,11 @@ class Column(NamedTuple):
     absent: str | None = None
 
 
-def read_table(path: str | Path, cls: type, columns: tuple[Column, ...],
+def read_table(path: str | Path, cls: type | None, columns: tuple[Column, ...],
                check: Callable | None = None) -> list:
     """The records of the CSV at ``path``, read as UTF-8: ``cls`` tuples of
-    the parsed ``columns``, each passed to ``check`` with its line number.
+    the parsed ``columns``, each passed to ``check`` with its line number;
+    with ``cls`` None, the parsed columns themselves, a list each.
 
     Records are numbered as ``csv.DictReader`` numbers them, blank lines not
     counted; a short row reads ``None`` for what it lacks, extra fields are
@@ -95,7 +96,7 @@ def read_table(path: str | Path, cls: type, columns: tuple[Column, ...],
             width, index = len(header), {name: i for i, name in enumerate(header)}
             picks = [index.get(c.name) for c in columns]
             memos = [{} for _ in columns]  # raw value -> parsed value or Fault
-            records, failure, last = [], None, False
+            parsed, failure, last = [[] for _ in columns], None, False
             while not last:
                 rows = []
                 try:
@@ -106,11 +107,12 @@ def read_table(path: str | Path, cls: type, columns: tuple[Column, ...],
                 if set(map(len, rows)) - {width}:  # blank, short or long rows
                     rows = [(row + [None] * width)[:width] for row in rows if row]
                 if rows:
-                    records += _parse_chunk(rows, path, 2 + len(records), cls, columns, picks,
-                                            memos, check)
+                    for column, values in zip(parsed, _parse_chunk(
+                            rows, path, 2 + len(parsed[0]), cls, columns, picks, memos, check)):
+                        column += values
             if failure:
                 raise failure
-            return records
+            return parsed if cls is None else list(map(tuple.__new__, repeat(cls), zip(*parsed)))
         except csv.Error as exc:
             reason = f"unreadable CSV: {exc}"
             if "field limit" in reason:
@@ -122,8 +124,8 @@ def read_table(path: str | Path, cls: type, columns: tuple[Column, ...],
 
 def _parse_chunk(rows, path, line, cls, columns, picks, memos, check) -> list:
     """``read_table`` on one chunk, its first record on ``line``: parse the
-    raw values not met before, and check the records up to the first faulty
-    one before raising its fault."""
+    raw values not met before into columns, and check the records up to the
+    first faulty one before raising its fault."""
     n = len(rows)
     raw = list(zip(*rows))
     cols = [raw[pick] if pick is not None else (column.absent,) * n
@@ -143,8 +145,8 @@ def _parse_chunk(rows, path, line, cls, columns, picks, memos, check) -> list:
             if faulty:
                 first_fault = min(first_fault, next(i for i, v in enumerate(col) if v in faulty))
             parsed.append(_lookup(memo, col))
-    records = list(islice(map(tuple.__new__, repeat(cls), zip(*parsed)), first_fault))
-    for line_no, record in enumerate(records if check else (), line):
+    records = islice(map(tuple.__new__, repeat(cls), zip(*parsed)), first_fault) if check else ()
+    for line_no, record in enumerate(records, line):
         try:
             check(record, line_no)
         except ValueError as exc:
@@ -153,7 +155,7 @@ def _parse_chunk(rows, path, line, cls, columns, picks, memos, check) -> list:
         found = [memo[col[first_fault]] for memo, col in zip(memos, cols)]
         fault = min((f for f in found if isinstance(f, Fault)), key=attrgetter("stage"))
         raise MalformedRow(path, line + first_fault, str(fault))
-    return records
+    return parsed
 
 
 def _lookup(memo: dict, col: tuple) -> tuple:
@@ -240,6 +242,26 @@ class AeEpisode(_EpisodeFields):
                 severity: int | None = None, tier: str = "untiered"):
         return tuple.__new__(cls, (subject_id, arm, _pt(pt_term), _onset_day(onset_day),
                                    _cycle(cycle), serious, severity, _tier(tier)))
+
+
+class EpisodeColumns:
+    """Episodes as columns: a sequence per ``AeEpisode`` field, under the
+    field's name, its values checked as ``load_episodes`` checks them and
+    not to be changed; ``len()`` is the number of episodes."""
+
+    __slots__ = _EpisodeFields._fields
+
+    def __init__(self, columns):
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.subject_id)
+
+    def records(self) -> list[AeEpisode]:
+        """The ``AeEpisode`` of each episode."""
+        rows = zip(*(getattr(self, name) for name in self.__slots__))
+        return list(map(tuple.__new__, repeat(AeEpisode), rows))
 
 
 _EPISODE_COLUMNS = (
@@ -385,12 +407,15 @@ class HierarchyMap:
 
 
 class TrialDataset:
-    """Immutable validated container for one trial's safety data."""
+    """Immutable validated container for one trial's safety data, the episodes as ``columns``."""
 
-    __slots__ = ("subjects", "episodes", "hierarchy", "arms")
+    __slots__ = ("subjects", "columns", "hierarchy", "arms")
 
-    def __init__(self, subjects: tuple[SubjectRecord, ...], episodes: tuple[AeEpisode, ...],
+    def __init__(self, subjects: tuple[SubjectRecord, ...], episodes: EpisodeColumns | tuple,
                  hierarchy: HierarchyMap | None = None, arms: tuple[str, ...] = ()):
+        """``episodes`` are columns, or ``AeEpisode`` records to transpose."""
+        if not isinstance(episodes, EpisodeColumns):
+            episodes = EpisodeColumns(list(zip(*episodes)) or [()] * len(_EpisodeFields._fields))
         by_id = {}
         for s in subjects:
             if s.subject_id in by_id:
@@ -398,7 +423,7 @@ class TrialDataset:
             by_id[s.subject_id] = s
         # each distinct (subject, arm) pair in order of first appearance, so
         # the first faulty episode is the one reported
-        for subject_id, arm in dict.fromkeys(map(itemgetter(0, 1), episodes)):
+        for subject_id, arm in dict.fromkeys(zip(episodes.subject_id, episodes.arm)):
             subj = by_id.get(subject_id)
             if subj is None:
                 raise UnknownSubject(f"episode references unknown subject {subject_id!r}")
@@ -419,6 +444,15 @@ class TrialDataset:
 
     __delattr__ = __setattr__
 
+    @property
+    def episodes(self) -> tuple[AeEpisode, ...]:
+        """The episodes as records, built on each call from the columns."""
+        return tuple(self.columns.records())
+
+    def in_arm(self, arm: str) -> list[bool]:
+        """Per episode, whether it is one of ``arm``'s."""
+        return list(map(eq, self.columns.arm, repeat(arm)))
+
     def episodes_for_arm(self, arm: str) -> list[AeEpisode]:
         return [e for e in self.episodes if e.arm == arm]
 
@@ -433,9 +467,9 @@ def load_subjects(path: str | Path) -> list[SubjectRecord]:
                       lambda subject, line_no: _check_observed(subject))
 
 
-def load_episodes(path: str | Path) -> list[AeEpisode]:
-    """Read the episodes CSV into validated ``AeEpisode`` rows (see ``read_table``)."""
-    return read_table(path, AeEpisode, _EPISODE_COLUMNS)
+def load_episodes(path: str | Path) -> EpisodeColumns:
+    """Read the episodes CSV into validated columns (see ``read_table``)."""
+    return EpisodeColumns(read_table(path, None, _EPISODE_COLUMNS))
 
 
 def load_exposure(path: str | Path) -> dict[str, int]:
@@ -467,7 +501,7 @@ def load_trial(
     hierarchy = None
     if hierarchy_file is not None:
         hierarchy = HierarchyMap.from_csv(hierarchy_file)
-        missing = sorted(set(map(attrgetter("pt_term"), episodes)) - set(hierarchy.entries))
+        missing = sorted(set(episodes.pt_term) - set(hierarchy.entries))
         if missing:
             if unmapped == "reject":
                 raise UnmappedTerm(
@@ -475,7 +509,7 @@ def load_trial(
                 )
             routed = dict.fromkeys(missing, ("unmapped",) * 3)
             hierarchy = HierarchyMap({**hierarchy.entries, **routed}, normalized=True)
-    return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes), hierarchy=hierarchy)
+    return TrialDataset(subjects=tuple(subjects), episodes=episodes, hierarchy=hierarchy)
 
 
 def dataset_summary(data: TrialDataset) -> list[dict]:
@@ -485,21 +519,18 @@ def dataset_summary(data: TrialDataset) -> list[dict]:
     The pooled distinct-type count is a set union, so it can be smaller
     than the sum of the per-arm counts.
     """
-    def _row(label: str, n_subj: int, episodes: list[AeEpisode]) -> dict:
-        n_with = len({e.subject_id for e in episodes})  # each a subject of the arm, as checked
-        return {
-            "arm": label,
-            "subjects": n_subj,
-            "episodes": len(episodes),
-            "distinct_types": len({e.pt_term for e in episodes}),
-            "subjects_with_ae": n_with,
-            "pct_subjects_with_ae": 100.0 * n_with / n_subj if n_subj else 0.0,
-        }
-
-    subjects = Counter(map(itemgetter(1), data.subjects))
-    rows = [_row(arm, subjects[arm], data.episodes_for_arm(arm)) for arm in data.arms]
-    rows.append(_row("Total", len(data.subjects), data.episodes))
-    return rows
+    c = data.columns
+    arm_of = dict(map(itemgetter(0, 1), data.subjects))
+    with_ae = dict.fromkeys(c.subject_id)  # each one's episodes are in its arm, as checked
+    by_arm = [Counter(arm_of.values()), Counter(c.arm),
+              Counter(map(itemgetter(0), set(zip(c.arm, c.pt_term)))),
+              Counter(map(arm_of.__getitem__, with_ae))]
+    counts = [(arm, *(n[arm] for n in by_arm)) for arm in data.arms]
+    counts.append(("Total", len(data.subjects), len(c), len(set(c.pt_term)), len(with_ae)))
+    return [{"arm": arm, "subjects": n_subj, "episodes": n_episodes, "distinct_types": n_types,
+             "subjects_with_ae": n_with,
+             "pct_subjects_with_ae": 100.0 * n_with / n_subj if n_subj else 0.0}
+            for arm, n_subj, n_episodes, n_types, n_with in counts]
 
 
 def write_trial(data: TrialDataset, episodes_file: str | Path, subjects_file: str | Path) -> None:
@@ -509,12 +540,11 @@ def write_trial(data: TrialDataset, episodes_file: str | Path, subjects_file: st
     records, ``None`` written as an empty field and ``serious`` as
     ``str(value).lower()``."""
     _write_rows(subjects_file, _SubjectFields._fields, sorted(data.subjects, key=itemgetter(0)))
-    episodes = sorted(data.episodes, key=lambda e: (
-        e.subject_id, e.pt_term, -1 if e.onset_day is None else e.onset_day,
-        -1 if e.cycle is None else e.cycle))
-    cols = list(zip(*episodes)) or [()] * len(_EpisodeFields._fields)
-    cols[5] = [None if v is None else str(v).lower() for v in cols[5]]  # serious
-    _write_rows(episodes_file, _EpisodeFields._fields, zip(*cols))
+    c = data.columns
+    serious = [None if v is None else str(v).lower() for v in c.serious]
+    rows = zip(c.subject_id, c.arm, c.pt_term, c.onset_day, c.cycle, serious, c.severity, c.tier)
+    _write_rows(episodes_file, _EpisodeFields._fields, sorted(rows, key=lambda r: (
+        r[0], r[2], -1 if r[3] is None else r[3], -1 if r[4] is None else r[4])))
 
 
 def _write_rows(path: str | Path, header: tuple[str, ...], rows) -> None:

@@ -58,13 +58,16 @@ class FrequencyProfile(_ProfileFields):
 
 
 def profile_from_episodes(
-    episodes: list[AeEpisode],
+    episodes: list[AeEpisode] | list[str],
     level: str = "pt",
     hierarchy: HierarchyMap | None = None,
 ) -> FrequencyProfile:
-    """Tally episodes by PT, then roll the counts up to ``level``. Terms keep
-    the order of their first appearance in ``episodes``."""
-    return rollup(FrequencyProfile(Counter(map(_PT, episodes))), level, hierarchy)
+    """Tally episodes by PT, then roll the counts up to ``level``. The
+    episodes are ``AeEpisode`` records or, as the analyses pass a cell of
+    the trial's columns, their PT terms. Terms keep the order of their first
+    appearance in ``episodes``."""
+    terms = episodes if not episodes or isinstance(episodes[0], str) else map(_PT, episodes)
+    return rollup(FrequencyProfile(Counter(terms)), level, hierarchy)
 
 
 def rollup(

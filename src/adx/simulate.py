@@ -6,7 +6,7 @@ multinomial sampling model under which the asymptotic variance formula is
 derived. ``generate_trial`` draws every variate from the
 ``random.Random(seed).random()`` stream, which Python keeps the same across
 versions, so it loads no numpy; it checks each AE-type label once and builds
-the episodes from columns. The Monte Carlo validation draws replicate r from
+the episode columns. The Monte Carlo validation draws replicate r from
 numpy's stream seeded by (scenario seed, r), so aggregation is
 order-independent and the same on any number of workers; its functions
 import numpy when first called.
@@ -22,7 +22,7 @@ from pathlib import Path
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
-from .data import AeEpisode, SubjectRecord, TrialDataset
+from .data import AeEpisode, EpisodeColumns, SubjectRecord, TrialDataset
 from .entropy import normal_cdf
 from .errors import DegenerateScenario, InvalidScenario
 
@@ -170,12 +170,12 @@ def generate_trial(scenario: Scenario) -> TrialDataset:
     cycle (geometric by inversion, at least 1), the last two only where the
     arm sets them.
 
-    An arm's type labels go through ``AeEpisode``'s checks once; each column
-    is read off the arm's list of draws, and the records are built in C.
+    An arm's type labels go through ``AeEpisode``'s checks once, and each
+    episode column is read off the arm's list of draws.
     """
     random = Random(scenario.seed).random
     draws = iter(random, None)  # random() at each step, in the same stream
-    subjects, episodes = [], []
+    subjects, columns = [], [[] for _ in EpisodeColumns.__slots__]
     for arm in scenario.arms:
         labels = [AeEpisode("", arm.name, type_label(i)).pt_term for i in range(len(arm.probs))]
         cum = list(accumulate(arm.probs))
@@ -192,15 +192,17 @@ def generate_trial(scenario: Scenario) -> TrialDataset:
             u += islice(draws, counts[-1] * width)
         # in range by construction: a day is in 0..span and a cycle at least 1
         types = [labels[bisect_right(cum, x * total)] for x in u[::width]]
-        days = repeat(None) if span is None else [int(x * (span + 1)) for x in u[1::width]]
-        cycles = repeat(None) if log_stay is None else [
+        n = len(types)
+        days = [None] * n if span is None else [int(x * (span + 1)) for x in u[1::width]]
+        cycles = [None] * n if log_stay is None else [
             1 + int(math.log1p(-x) / log_stay) for x in u[width - 1::width]]
         subjects += map(tuple.__new__, repeat(SubjectRecord),
                         zip(ids, repeat(arm.name), repeat("U"), *[repeat(None)] * 5))
-        episodes += map(tuple.__new__, repeat(AeEpisode),
-                        zip(chain.from_iterable(map(repeat, ids, counts)), repeat(arm.name), types,
-                            days, cycles, repeat(None), repeat(None), repeat("untiered")))
-    return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes))
+        for column, values in zip(columns, (chain.from_iterable(map(repeat, ids, counts)),
+                                            [arm.name] * n, types, days, cycles, [None] * n,
+                                            [None] * n, ["untiered"] * n)):
+            column += values
+    return TrialDataset(subjects=tuple(subjects), episodes=EpisodeColumns(columns))
 
 
 class ArmValidation(NamedTuple):

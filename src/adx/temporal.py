@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import is_not
 from typing import NamedTuple
 
 from .cohorts import AgeBinning, CohortKey, _cells, _estimate_and_pair
@@ -21,8 +22,6 @@ from .entropy import (
     profile_from_episodes,
 )
 from .errors import NoCycleData, NoDatedEpisodes
-
-_CYCLE = attrgetter("cycle")
 
 SEQUENTIAL_CAVEAT = (
     "per-look tests are unadjusted for repeated looks (no alpha spending)"
@@ -50,7 +49,7 @@ class LookSchedule(_LookScheduleFields):
 def default_schedule(data: TrialDataset) -> LookSchedule:
     """Divide the observed onset-day span into thirds; the last cutoff is
     the max onset day so the final look sees every dated episode."""
-    days = [e.onset_day for e in data.episodes if e.onset_day is not None]
+    days = [day for day in data.columns.onset_day if day is not None]
     if not days:
         raise NoDatedEpisodes("no episode carries onset_day")
     lo, hi = min(days), max(days)
@@ -92,15 +91,15 @@ def interim_series(
     Look t covers episodes with onset_day <= cutoff[t]; undated episodes
     are excluded and their count reported.
     """
-    dated = [e for e in data.episodes if e.onset_day is not None]
-    excluded = len(data.episodes) - len(dated)
-    if not dated:
+    days = data.columns.onset_day
+    dated = list(map(is_not, days, repeat(None)))
+    if not any(dated):
         raise NoDatedEpisodes("no episode carries onset_day")
     if schedule is None:
         schedule = default_schedule(data)
-    cells = _cells(data, dated, dimensions or (), age_binning)
-    series = InterimSeries(schedule, excluded)
-    looks = _cumulative_profiles(data, cells, "onset_day", schedule.cutoff_days, level)
+    series = InterimSeries(schedule, dated.count(False))
+    looks = _cumulative_profiles(data, days, dated, schedule.cutoff_days, level,
+                                 dimensions or (), age_binning)
     for look, profiles in enumerate(looks):
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
         series.estimates.update(((key, look), est) for key, est in rep.estimates.items())
@@ -109,19 +108,24 @@ def interim_series(
     return series
 
 
-def _cumulative_profiles(data: TrialDataset, cells: dict, attr: str, cutoffs, level: str):
-    """Per ascending cutoff, the profile of each cell's episodes whose ``attr``
-    is at most the cutoff (cells with none left out). Each cell is sorted once
-    and each look tallies only the episodes it adds: O(N log N + looks x K)."""
-    by_attr = attrgetter(attr)
-    ordered = {key: sorted(eps, key=by_attr) for key, eps in cells.items()}
+def _cumulative_profiles(data: TrialDataset, column, present: list[bool], cutoffs, level: str,
+                         dimensions=(), age_binning: AgeBinning | None = None):
+    """Per ascending cutoff, the profile of each (arm x subgroup) cell's
+    episodes, of those ``present`` marks, whose value in ``column`` is at most
+    the cutoff (cells with none left out). Each cell is sorted once and each
+    look tallies only the episodes it adds: O(N log N + looks x K)."""
+    cells = _cells(data, dimensions, age_binning, present, range(len(column)))
+    ordered, pt = {}, data.columns.pt_term
+    for key, rows in cells.items():
+        rows.sort(key=column.__getitem__)
+        ordered[key] = list(map(column.__getitem__, rows)), list(map(pt.__getitem__, rows))
     running = {key: Counter() for key in cells}
     done = dict.fromkeys(cells, 0)
     for cutoff in cutoffs:
-        for key, eps in ordered.items():
-            upto = bisect_right(eps, cutoff, lo=done[key], key=by_attr)
+        for key, (values, terms) in ordered.items():
+            upto = bisect_right(values, cutoff, lo=done[key])
             if upto > done[key]:
-                added = profile_from_episodes(eps[done[key]:upto], level, data.hierarchy)
+                added = profile_from_episodes(terms[done[key]:upto], level, data.hierarchy)
                 running[key].update(added.counts)
                 done[key] = upto
         yield {key: FrequencyProfile(counts) for key, counts in running.items() if counts}
@@ -149,14 +153,15 @@ def exposure_curves(
     """
     if max_cycle is not None and max_cycle < 1:
         raise ValueError(f"max_cycle must be >= 1, got {max_cycle}")
-    cycled = sorted((e for e in data.episodes if e.cycle is not None), key=_CYCLE)
-    excluded = len(data.episodes) - len(cycled)
-    if not cycled:
+    cycle = data.columns.cycle
+    cycled = list(map(is_not, cycle, repeat(None)))
+    if not any(cycled):
         raise NoCycleData("no episode carries a cycle number")
-    top = cycled[-1].cycle if max_cycle is None else max_cycle
-
-    # in cycle order, a subject's last episode carries its highest cycle
-    last_cycle = {e.subject_id: e.cycle for e in cycled}
+    last_cycle: dict[str, int] = {}  # each subject's highest episode cycle
+    for subject_id, c in zip(compress(data.columns.subject_id, cycled), compress(cycle, cycled)):
+        if c > last_cycle.get(subject_id, 0):
+            last_cycle[subject_id] = c
+    top = max(last_cycle.values()) if max_cycle is None else max_cycle
     if exposure:
         last_cycle.update(exposure)
     exposed = {
@@ -165,7 +170,7 @@ def exposure_curves(
     }
 
     cycles = range(1, top + 1)
-    looks = _cumulative_profiles(data, _cells(data, cycled), "cycle", cycles, level)
+    looks = _cumulative_profiles(data, cycle, cycled, cycles, level)
     curves: dict[str, list[tuple[int, float, int, int, int]]] = {arm: [] for arm in data.arms}
     for c, profiles in zip(cycles, looks):
         for arm, rows in curves.items():
@@ -175,4 +180,4 @@ def exposure_curves(
                 rows.append((c, est.adx, est.k, est.n, at_cycle))
             else:
                 rows.append((c, 0.0, 0, 0, at_cycle))
-    return ExposureCurves(max_cycle=top, curves=curves, excluded_no_cycle=excluded)
+    return ExposureCurves(max_cycle=top, curves=curves, excluded_no_cycle=cycled.count(False))

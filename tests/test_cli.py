@@ -439,6 +439,14 @@ def test_exposure_file_is_read(capsys, tiny_trial_files, tmp_path):
                  "top_n must be >= 0, got -3", id="top=-3"),
     pytest.param(["subgroup", "--by", "age", "--age-cuts", "nan"],
                  "cut_points must be finite, got nan", id="age-cuts=nan"),
+    pytest.param(["subgroup", "--by", "age", "--age-cuts=-1"],
+                 "cut_points must be > 0, got -1", id="age-cuts=-1"),
+    pytest.param(["subgroup", "--by", "age", "--age-cuts", "0,40"],
+                 "cut_points must be > 0, got 0", id="age-cuts=0,40"),
+    pytest.param(["interim", "--age-cuts=-1"], "cut_points must be > 0, got -1",
+                 id="interim-age-cuts=-1"),
+    pytest.param(["subgroup", "--by", "sex", "--min-episodes=-1"],
+                 "min_episodes must be >= 0, got -1", id="min-episodes=-1"),
     pytest.param(["interim", "--looks=-5,10"], "cutoff_days must be >= 0, got -5", id="looks=-5,10"),
 ])
 def test_count_flag_out_of_range_is_config_error(capsys, tiny_trial_files, tmp_path, argv,
@@ -784,3 +792,31 @@ def test_out_naming_a_file_is_config_error(capsys, tiny_trial_files, tmp_path, o
     assert err == (f"adx: configuration error: --out {tmp_path / out}: "
                    f"{tmp_path / 'a_file'} is a file, not a directory\n")
     assert (tmp_path / "a_file").read_text() == "kept\n"
+
+
+# A header-only episodes file: each command's outcome as it stands. The
+# outcomes differ from command to command; making them agree is left open.
+@pytest.mark.parametrize("argv, code, err", [
+    (["summary"], 0, ""),
+    (["subgroup", "--by", "sex"], 0, ""),
+    (["soc"], 0, ""),
+    (["drilldown", "--soc", "gastrointestinal disorders"], 0, ""),
+    (["compare"], 4, "adx: degenerate statistics: profile has no episodes\n"),
+    (["benefit-risk"], 4, "adx: degenerate statistics: profile has no episodes\n"),
+    (["hierarchy"], 4, "adx: degenerate statistics: no episodes in arm(s): A, B\n"),
+    (["interim"], 2, "adx: error: no episode carries onset_day\n"),
+    (["exposure"], 2, "adx: error: no episode carries a cycle number\n"),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_header_only_episodes_outcome(capsys, tiny_trial_files, tmp_path, argv, code, err):
+    episodes = write_csv(tmp_path / "empty.csv", ["subject_id", "arm", "pt_term", "onset_day",
+                                                  "cycle", "serious", "severity", "tier"], [])
+    if argv[0] == "benefit-risk":
+        argv = [*argv, "--efficacy", str(write_csv(
+            tmp_path / "efficacy.csv", ["arm", "endpoint_label", "value", "higher_is_better"],
+            [["A", "pfs", "5", "true"], ["B", "pfs", "3", "true"]]))]
+    got = run(capsys, *argv, "--episodes", str(episodes),
+              "--subjects", str(tiny_trial_files["subjects"]),
+              "--hierarchy", str(tiny_trial_files["hierarchy"]), "--out", str(tmp_path / "o"))
+    assert (got[0], got[2]) == (code, err)
+    if code == 0:  # tables without an estimate
+        assert "." not in got[1].replace("(0.0%)", "")

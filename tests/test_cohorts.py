@@ -139,7 +139,8 @@ def test_cells_match_per_episode_grouping():
                  "tier": ep.tier}
         key = CohortKey(ep.arm, tuple((d, value[d]) for d in dims))
         expected.setdefault(key, []).append(ep)
-    assert list(_cells(trial, trial.episodes, dims, binning).items()) == list(expected.items())
+    cells = _cells(trial, dims, binning, of=trial.episodes)
+    assert list(cells.items()) == list(expected.items())
 
 
 def test_single_arm_no_comparisons():

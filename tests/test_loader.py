@@ -284,7 +284,7 @@ TABLES = {
 }
 
 LOADERS = {
-    "episodes": (load_episodes, reference_load_episodes),
+    "episodes": (lambda path: load_episodes(path).records(), reference_load_episodes),
     "subjects": (load_subjects, reference_load_subjects),
     "hierarchy": (HierarchyMap.from_csv, reference_hierarchy_from_csv),
     "exposure": (load_exposure, reference_load_exposure),
@@ -428,9 +428,11 @@ def test_loaded_rows_are_named_tuples_sharing_parsed_values(tmp_path):
     path = write_csv(tmp_path / "episodes.csv", COLUMNS,
                      [["S1", "A", "Nausea", "3", "", "yes", "", ""],
                       ["S1", "A", "Nausea", "3", "", "yes", "", ""]])
-    first, second = load_episodes(path)
+    columns = load_episodes(path)
+    first, second = columns.records()
     assert type(first) is AeEpisode
     assert first == AeEpisode("S1", "A", "nausea", onset_day=3, serious=True)
+    assert columns.pt_term == [first.pt_term, second.pt_term]
     assert first.pt_term is second.pt_term
 
 

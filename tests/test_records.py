@@ -57,6 +57,7 @@ def test_records_are_immutable(make):
     (lambda: AgeBinning(()), ValueError, "at least one cut point required"),
     (lambda: AgeBinning((math.nan,)), ValueError, "cut_points must be finite, got nan"),
     (lambda: AgeBinning((40, math.inf)), ValueError, "cut_points must be finite, got 40.0, inf"),
+    (lambda: AgeBinning((0, 40)), ValueError, "cut_points must be > 0, got 0"),
     (lambda: LookSchedule((3, 1)), ValueError, "cutoff_days must be strictly ascending"),
     (lambda: LookSchedule(()), ValueError, "at least one cutoff required"),
     (lambda: LookSchedule((-5, 10)), ValueError, "cutoff_days must be >= 0, got -5"),
