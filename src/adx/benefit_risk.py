@@ -201,6 +201,17 @@ def re_read_bootstrap_ci(
         raise ZeroAdversity(f"bootstrap replicate {r}: arm {arms[i]!r} collapsed to one AE type")
     reads = [abs(efficacy[arm].benefit) / h[:, i] for i, arm in enumerate(arms)]
     values = reads[0] / reads[1]
+    values.sort()
     lo_q = (1.0 - level) / 2.0
-    lo, hi = np.quantile(values, [lo_q, 1.0 - lo_q])
-    return float(lo), float(hi)
+    return _quantile(values, lo_q), _quantile(values, 1.0 - lo_q)
+
+
+def _quantile(ordered, q: float) -> float:
+    """``np.quantile`` of the ascending ``ordered`` values, to the bit, without
+    the ``numpy.ma`` it imports: numpy's linear rule at index ``(n - 1) * q``."""
+    last = len(ordered) - 1
+    index = last * q
+    below = int(index)
+    a, b = float(ordered[below]), float(ordered[min(below + 1, last)])
+    g = index - below
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)

@@ -10,7 +10,7 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import compress
 from typing import NamedTuple
@@ -136,12 +136,13 @@ def _cells(
     data: TrialDataset,
     dimensions: Sequence[str] = (),
     age_binning: AgeBinning | None = None,
-    within: Sequence[bool] | None = None,
-    of: Sequence | None = None,
-) -> dict[CohortKey, list]:
+    within: Sequence[int] | None = None,
+    by: Iterable | None = None,
+) -> dict:
     """Group the episodes, or those that ``within`` marks true, into
-    (arm x subgroup) cells: each the list of its episodes' values in ``of``
-    (default: their PT terms), in episode order.
+    (arm x subgroup) cells: each the list of its episodes' PT terms, in
+    episode order, under its ``CohortKey``. With ``by``, one value per
+    episode, each cell is split by that value, under ``(CohortKey, value)``.
 
     A cell's filters are worked out once per distinct subject, and once per
     distinct value of an episode dimension's column.
@@ -152,14 +153,18 @@ def _cells(
     binning = age_binning or AgeBinning()
     columns, tables = data.columns, []  # per key part after the arm, its filters by code
 
-    def coded(column, filters):
-        """Each episode's code of ``filters(value)`` for its value in ``column``."""
-        values, table = column if within is None else list(compress(column, within)), {}
-        code = {v: table.setdefault(filters(v), len(table)) for v in dict.fromkeys(values)}
-        tables.append(list(table))
-        return map(code.__getitem__, values)
+    def kept(column):
+        """The values in ``column`` of the episodes grouped."""
+        return column if within is None else compress(column, within)
 
-    keys = [columns.arm if within is None else compress(columns.arm, within)]
+    def coded(column, filters):
+        """Each grouped episode's code of ``filters(value)`` for its value in ``column``."""
+        table = {}
+        code = {v: table.setdefault(filters(v), len(table)) for v in dict.fromkeys(kept(column))}
+        tables.append(list(table))
+        return map(code.__getitem__, kept(column))
+
+    keys = [kept(columns.arm)]
     subject_dims = [d for d in dimensions if d in SUBJECT_DIMENSIONS]
     if subject_dims:
         by_id = {s.subject_id: s for s in data.subjects}
@@ -169,12 +174,16 @@ def _cells(
         if dim in EPISODE_DIMENSIONS:
             keys.append(coded(getattr(columns, _EPISODE_FIELD[dim]),
                               lambda v, dim=dim: ((dim, _episode_dimension_value(dim, v, data)),)))
+    if by is not None:
+        keys.append(kept(by))
     groups: dict[tuple, list] = defaultdict(list)  # in order of first appearance
-    values = columns.pt_term if of is None else of
-    for value, key in zip(values if within is None else compress(values, within), zip(*keys)):
-        groups[key].append(value)
-    return {CohortKey(arm, sum(map(list.__getitem__, tables, codes), ())): cell
-            for (arm, *codes), cell in groups.items()}
+    for term, key in zip(kept(columns.pt_term), zip(*keys)):
+        groups[key].append(term)
+    cells = {}
+    for (arm, *codes), cell in groups.items():
+        key = CohortKey(arm, sum(map(list.__getitem__, tables, codes), ()))  # stops before ``by``
+        cells[key if by is None else (key, codes[-1])] = cell
+    return cells
 
 
 def _estimate_and_pair(

@@ -35,7 +35,7 @@ _TRIPLE_INDEX = {"hlt": 0, "hlgt": 1, "soc": 2}  # position in a PT's (hlt, hlgt
 
 _WS = re.compile(r"\s+")
 
-CHUNK_ROWS = 1024  # records per chunk: only one chunk's raw text is held at a time
+CHUNK_ROWS = 256  # records per chunk: one chunk's raw fields are the loader's transient peak
 
 
 def normalize_term(text: str) -> str:

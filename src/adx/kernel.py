@@ -17,6 +17,7 @@ import signal
 from collections.abc import Callable, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded before ``replicates`` forks: workers inherit it)
 
 # The smallest share of replicates worth a worker of its own. A fork copies the
 # page tables and both processes then pay copy-on-write faults: on a 2-vCPU

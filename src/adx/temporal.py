@@ -6,7 +6,7 @@ and that caveat travels with every report.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from itertools import compress, repeat
 from operator import is_not
@@ -47,21 +47,15 @@ class LookSchedule(_LookScheduleFields):
 
 
 def default_schedule(data: TrialDataset) -> LookSchedule:
-    """Divide the observed onset-day span into thirds; the last cutoff is
-    the max onset day so the final look sees every dated episode."""
-    days = [day for day in data.columns.onset_day if day is not None]
+    """Divide the observed onset-day span into thirds, repeated cutoffs
+    dropped; the last cutoff is the max onset day so the final look sees
+    every dated episode."""
+    days = set(data.columns.onset_day)
+    days.discard(None)
     if not days:
         raise NoDatedEpisodes("no episode carries onset_day")
     lo, hi = min(days), max(days)
-    if lo == hi:
-        return LookSchedule((hi,))
-    cuts = []
-    for i in (1, 2, 3):
-        c = lo + round(i * (hi - lo) / 3)
-        if not cuts or c > cuts[-1]:
-            cuts.append(c)
-    cuts[-1] = hi
-    return LookSchedule(tuple(cuts))
+    return LookSchedule(tuple(dict.fromkeys(lo + round(i * (hi - lo) / 3) for i in (1, 2, 3))))
 
 
 class InterimSeries:
@@ -92,12 +86,12 @@ def interim_series(
     are excluded and their count reported.
     """
     days = data.columns.onset_day
-    dated = list(map(is_not, days, repeat(None)))
+    dated = bytes(map(is_not, days, repeat(None)))  # a byte per episode, not a list slot
     if not any(dated):
         raise NoDatedEpisodes("no episode carries onset_day")
     if schedule is None:
         schedule = default_schedule(data)
-    series = InterimSeries(schedule, dated.count(False))
+    series = InterimSeries(schedule, dated.count(0))
     looks = _cumulative_profiles(data, days, dated, schedule.cutoff_days, level,
                                  dimensions or (), age_binning)
     for look, profiles in enumerate(looks):
@@ -108,27 +102,24 @@ def interim_series(
     return series
 
 
-def _cumulative_profiles(data: TrialDataset, column, present: list[bool], cutoffs, level: str,
+def _cumulative_profiles(data: TrialDataset, column, present: bytes, cutoffs, level: str,
                          dimensions=(), age_binning: AgeBinning | None = None):
     """Per ascending cutoff, the profile of each (arm x subgroup) cell's
     episodes, of those ``present`` marks, whose value in ``column`` is at most
-    the cutoff (cells with none left out). Each cell is sorted once and each
-    look tallies only the episodes it adds: O(N log N + looks x K)."""
-    cells = _cells(data, dimensions, age_binning, present, range(len(column)))
-    ordered, pt = {}, data.columns.pt_term
-    for key, rows in cells.items():
-        rows.sort(key=column.__getitem__)
-        ordered[key] = list(map(column.__getitem__, rows)), list(map(pt.__getitem__, rows))
-    running = {key: Counter() for key in cells}
-    done = dict.fromkeys(cells, 0)
-    for cutoff in cutoffs:
-        for key, (values, terms) in ordered.items():
-            upto = bisect_right(values, cutoff, lo=done[key])
-            if upto > done[key]:
-                added = profile_from_episodes(terms[done[key]:upto], level, data.hierarchy)
-                running[key].update(added.counts)
-                done[key] = upto
-        yield {key: FrequencyProfile(counts) for key, counts in running.items() if counts}
+    the cutoff (cells with none left out). An episode's look, the first whose
+    cutoff it is within, is worked out once per distinct value; one pass
+    groups each cell's PT terms by look, and each look adds its group to the
+    cell's running counts: O(N + looks x K)."""
+    look = {value: bisect_left(cutoffs, value) for value in set(compress(column, present))}
+    groups = _cells(data, dimensions, age_binning, present, map(look.get, column))
+    running = {key: Counter() for key, _ in groups}
+    for i in range(len(cutoffs)):
+        for key, counts in running.items():
+            if (key, i) in groups:
+                counts.update(profile_from_episodes(groups[key, i], level, data.hierarchy).counts)
+        # the running counts are all positive: a copy needs no re-check
+        yield {key: tuple.__new__(FrequencyProfile, (dict(counts),))
+               for key, counts in running.items() if counts}
 
 
 class ExposureCurves(NamedTuple):
@@ -154,7 +145,7 @@ def exposure_curves(
     if max_cycle is not None and max_cycle < 1:
         raise ValueError(f"max_cycle must be >= 1, got {max_cycle}")
     cycle = data.columns.cycle
-    cycled = list(map(is_not, cycle, repeat(None)))
+    cycled = bytes(map(is_not, cycle, repeat(None)))
     if not any(cycled):
         raise NoCycleData("no episode carries a cycle number")
     last_cycle: dict[str, int] = {}  # each subject's highest episode cycle
@@ -180,4 +171,4 @@ def exposure_curves(
                 rows.append((c, est.adx, est.k, est.n, at_cycle))
             else:
                 rows.append((c, 0.0, 0, 0, at_cycle))
-    return ExposureCurves(max_cycle=top, curves=curves, excluded_no_cycle=cycled.count(False))
+    return ExposureCurves(max_cycle=top, curves=curves, excluded_no_cycle=cycled.count(0))

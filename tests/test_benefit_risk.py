@@ -1,11 +1,16 @@
+import math
 import os
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adx.benefit_risk import (
     EfficacyInput,
+    _quantile,
     benefit_risk,
     load_efficacy,
     re_read,
@@ -207,6 +212,21 @@ def _reference_bootstrap_ci(data, efficacy, arms, level, replicates, seed, unit,
     lo_q = (1.0 - level) / 2.0
     lo, hi = np.quantile(values, [lo_q, 1.0 - lo_q])
     return float(lo), float(hi)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False), min_size=2, max_size=40),
+       q=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.005, 0.025, 0.05, 0.5, 0.95, 0.975])))
+def test_quantile_is_numpys_linear_rule_to_the_bit(values, q):
+    # numpy is the oracle here only; a bootstrap has at least 200 values,
+    # two or more keep every case of the rule, infinities and signed zeros too
+    with np.errstate(invalid="ignore"):
+        want = float(np.quantile(np.array(values), [q])[0])
+    got = _quantile(np.sort(np.array(values)), q)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
 
 
 def _hierarchy_trial():

@@ -113,13 +113,15 @@ def test_subgroup_unknown_dimension(sexed_trial):
 def test_cells_match_per_episode_grouping():
     # subject dimensions are looked up once per subject; cells, their order
     # and the episode order inside each must equal grouping episode by episode
+    # (each episode has a term of its own, so a cell's terms name its episodes),
+    # with or without a mask and a split by a further per-episode value
     subjects = [
         dict(subject_id="S1", arm="A", sex="F", age_years=30, background_therapy="chemo"),
         dict(subject_id="S2", arm="B", sex="M", substudy="pk"),
         dict(subject_id="S3", arm="A", sex="F", age_years=70, substudy="pk"),
     ]
     episodes = [
-        dict(subject_id=sid, arm={"S1": "A", "S2": "B", "S3": "A"}[sid], pt_term=f"t{i % 3}",
+        dict(subject_id=sid, arm={"S1": "A", "S2": "B", "S3": "A"}[sid], pt_term=f"t{i}",
              serious=(None, True, False)[i % 3], severity=(1, None)[i % 2],
              tier=("tier1", "untiered")[i % 2])
         for i, sid in enumerate(["S1", "S2", "S3", "S1", "S3", "S2", "S1", "S1", "S3", "S2"])
@@ -127,9 +129,11 @@ def test_cells_match_per_episode_grouping():
     trial = make_trial(subjects, episodes)
     dims = ["seriousness", "sex", "age", "background_therapy", "substudy", "severity", "tier"]
     binning = AgeBinning()
-    expected = {}
+    within = [i % 4 != 1 for i in range(len(episodes))]
+    split = [i % 3 // 2 for i in range(len(episodes))]
+    expected, expected_split = {}, {}
     by_id = {s.subject_id: s for s in trial.subjects}
-    for ep in trial.episodes:
+    for ep, kept, part in zip(trial.episodes, within, split):
         subj = by_id[ep.subject_id]
         value = {"sex": subj.sex, "age": binning.label(subj.age_years),
                  "background_therapy": subj.background_therapy or "Unknown",
@@ -138,9 +142,12 @@ def test_cells_match_per_episode_grouping():
                  "severity": "Unknown" if ep.severity is None else str(ep.severity),
                  "tier": ep.tier}
         key = CohortKey(ep.arm, tuple((d, value[d]) for d in dims))
-        expected.setdefault(key, []).append(ep)
-    cells = _cells(trial, dims, binning, of=trial.episodes)
-    assert list(cells.items()) == list(expected.items())
+        expected.setdefault(key, []).append(ep.pt_term)
+        if kept:
+            expected_split.setdefault((key, part), []).append(ep.pt_term)
+    assert list(_cells(trial, dims, binning).items()) == list(expected.items())
+    cells = _cells(trial, dims, binning, within, iter(split))
+    assert list(cells.items()) == list(expected_split.items())
 
 
 def test_single_arm_no_comparisons():

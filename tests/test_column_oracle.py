@@ -11,7 +11,7 @@ go through CSV files and ``load_trial`` with a partial hierarchy read with
 """
 import gc
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from functools import cache
 from operator import attrgetter
@@ -143,18 +143,11 @@ def reference_hierarchy_sweep(data, levels=("pt", "hlt", "hlgt"), control=None, 
 
 
 def reference_cumulative_profiles(data, cells, attr, cutoffs, level):
-    by_attr = attrgetter(attr)
-    ordered = {key: sorted(eps, key=by_attr) for key, eps in cells.items()}
-    running = {key: Counter() for key in cells}
-    done = dict.fromkeys(cells, 0)
+    """Each look's profiles, recounted from each cell's episodes up to its cutoff."""
     for cutoff in cutoffs:
-        for key, eps in ordered.items():
-            upto = bisect_right(eps, cutoff, lo=done[key], key=by_attr)
-            if upto > done[key]:
-                running[key].update(reference_profile(eps[done[key]:upto], level,
-                                                      data.hierarchy).counts)
-                done[key] = upto
-        yield {key: FrequencyProfile(counts) for key, counts in running.items() if counts}
+        upto = {key: [e for e in eps if getattr(e, attr) <= cutoff] for key, eps in cells.items()}
+        yield {key: reference_profile(eps, level, data.hierarchy)
+               for key, eps in upto.items() if eps}
 
 
 def reference_default_schedule(data):
@@ -191,11 +184,11 @@ def reference_interim_series(data, schedule=None, dimensions=None, level="pt", a
 
 
 def reference_exposure_curves(data, max_cycle=None, exposure=None, level="pt"):
-    cycled = sorted((e for e in data.episodes if e.cycle is not None), key=attrgetter("cycle"))
+    cycled = [e for e in data.episodes if e.cycle is not None]
     if not cycled:
         raise NoCycleData("no episode carries a cycle number")
-    top = cycled[-1].cycle if max_cycle is None else max_cycle
-    last_cycle = {e.subject_id: e.cycle for e in cycled}
+    last_cycle = {e.subject_id: e.cycle for e in sorted(cycled, key=attrgetter("cycle"))}
+    top = max(last_cycle.values()) if max_cycle is None else max_cycle
     last_cycle.update(exposure or {})
     exposed = {arm: sorted(last_cycle.get(s.subject_id, 0) for s in data.subjects if s.arm == arm)
                for arm in data.arms}
@@ -295,8 +288,12 @@ def test_every_analysis_matches_the_per_episode_path(tmp_path_factory, data):
          {"dimensions": dims, "level": level, "age_binning": binning, "control": control}),
         (temporal.interim_series, reference_interim_series, (trial, LookSchedule((0, 7, 19))),
          {"level": level}),
+        (temporal.interim_series, reference_interim_series, (trial, LookSchedule((3, 30))),
+         {"dimensions": ["sex", "age"], "age_binning": binning, "control": control}),
         (temporal.exposure_curves, reference_exposure_curves, (trial,), {"level": level}),
         (temporal.exposure_curves, reference_exposure_curves, (trial, 3, {"S0": 4}), {}),
+        (temporal.exposure_curves, reference_exposure_curves, (trial, 6, {"S1": 2}),
+         {"level": level}),
         (dataset_summary, reference_dataset_summary, (trial,), {}),
     ]
     pairs += [(cohorts.drilldown, reference_drilldown, (trial, soc, arms, 1), {})

@@ -1,7 +1,8 @@
 """Start-up budget: the report commands and ``simulate`` load neither numpy
 nor scipy, no command loads ``dataclasses`` or ``inspect``, only a
-JSON-lines run loads ``json``, and scipy is a test oracle only, never a
-runtime import. ``import adx.cli`` loads only the modules every command
+JSON-lines run loads ``json``, a bootstrap loads no ``numpy.ma``, the
+resampling kernel loads ``numpy.random`` before it forks, and scipy is a
+test oracle only, never a runtime import. ``import adx.cli`` loads only the modules every command
 needs, and ``cli.main`` runs with the cyclic garbage collector off, leaving
 its caller's setting as it found it and the heap unfrozen; only
 ``cli.run``, the entry point, freezes it."""
@@ -124,6 +125,30 @@ def test_validate_still_runs_on_numpy(tmp_path):
                                 "--out", str(tmp_path / "val"), "--format", "json-lines"])
     assert code == 0 and "'numpy'" in numpy
     assert (tmp_path / "val" / "validate.jsonl").read_text().count("\n") == 5
+
+
+def test_bootstrap_loads_no_numpy_ma(tmp_path):
+    # the percentile interval is read off the sorted replicates: np.quantile
+    # would import numpy.ma
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIO)
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    (tmp_path / "efficacy.csv").write_text("arm,value\nA,2.0\nB,1.5\n")
+    code, numpy = _numpy_after(["benefit-risk", "--episodes", str(tmp_path / "episodes.csv"),
+                                "--subjects", str(tmp_path / "subjects.csv"),
+                                "--efficacy", str(tmp_path / "efficacy.csv"), "--arms", "A,B",
+                                "--bootstrap", "200", "--out", str(tmp_path / "br")])
+    assert code == 0 and "'numpy.random'" in numpy
+    assert "'numpy.ma'" not in numpy
+    assert "bootstrap CI" in (tmp_path / "br" / "benefit_risk.txt").read_text()
+
+
+def test_kernel_import_loads_numpy_random():
+    # before kernel.replicates forks, so its workers do not each import it
+    code = "import adx.kernel, sys; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("fmt,loaded", [("text", False), ("csv", False), ("json-lines", True)])

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 
 from adx.cohorts import CohortKey, subgroup_analysis
-from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
+from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset, load_trial, write_trial
 from adx.entropy import estimate, profile_from_episodes
 from adx.errors import NoCycleData, NoDatedEpisodes
+from adx.simulate import ArmScenario, Scenario, generate_trial
 from adx.temporal import (
     LookSchedule,
     default_schedule,
@@ -49,6 +52,72 @@ def test_interim_look_equals_subgroup_on_restricted_data():
         )
         assert [(a, b, r) for a, b, lk, r in series.comparisons if lk == look] == rep.comparisons
     assert {b.arm for _, b, _, _ in series.comparisons} == {"Ctl"}
+
+
+@pytest.mark.parametrize("dims", [[], ["sex", "age"]])
+def test_interim_looks_at_the_edges_equal_recounts(dims):
+    # cutoff 4 comes before the first onset (day 5), cutoff 30 equals an onset
+    # day and counts it, days past the last cutoff (90) never count, and the
+    # M subjects have no episode before day 30, so their cells are empty at
+    # the first two looks: each look equals a subgroup analysis of the
+    # episodes up to its cutoff, and has no estimate for an empty cell
+    subjects = tuple(SubjectRecord(subject_id=f"{arm}-{sex}", arm=arm, sex=sex, age_years=age)
+                     for arm in "AB" for sex, age in (("F", 35.0), ("M", 70.0)))
+    rows = [("F", 5, "a"), ("F", 12, "b"), ("F", 30, "c"), ("M", 30, "a"), ("M", 44, "b"),
+            ("F", 60, "a"), ("M", 90, "c"), ("F", 91, "d"), ("M", 200, "e"), ("M", 31, "d")]
+    episodes = tuple(AeEpisode(subject_id=f"{arm}-{sex}", arm=arm, onset_day=day + shift,
+                               pt_term=pt if arm == "A" else pt * 2)
+                     for arm, shift in (("A", 0), ("B", 1)) for sex, day, pt in rows)
+    t = TrialDataset(subjects, episodes)
+    schedule = LookSchedule((4, 30, 90))
+    series = interim_series(t, schedule, dims)
+    for look, cutoff in enumerate(schedule.cutoff_days):
+        upto = tuple(e for e in episodes if e.onset_day <= cutoff)
+        estimates = [(k, e) for (k, lk), e in series.estimates.items() if lk == look]
+        comparisons = [(a, b, r) for a, b, lk, r in series.comparisons if lk == look]
+        degenerate = [(a, b) for a, b, lk in series.degenerate if lk == look]
+        if not upto:
+            assert (estimates, comparisons, degenerate) == ([], [], [])
+            continue
+        rep = subgroup_analysis(TrialDataset(subjects, upto), dims)
+        assert (estimates, comparisons, degenerate) == (
+            list(rep.estimates.items()), rep.comparisons, rep.degenerate)
+    assert [sum(e.n for (k, lk), e in series.estimates.items() if lk == look)
+            for look in range(3)] == [0, 4 + 2, 8 + 7]
+    if dims:
+        males = {k for k, _ in series.estimates if ("sex", "M") in k.filters}
+        assert {lk for k, lk in series.estimates if k in males} == {1, 2}
+
+
+def _power_law(n_types: int, s: float) -> tuple[float, ...]:
+    weights = [i ** -s for i in range(1, n_types + 1)]
+    return tuple(w / sum(weights) for w in weights)
+
+
+def test_interim_and_exposure_scratch_stays_a_small_share_of_the_trial(tmp_path):
+    # about 20k dated and cycled episodes: the memory interim_series and
+    # exposure_curves take beyond the loaded trial's own stays below 35% of
+    # it, which one index object per episode, as cells of episode indices
+    # sorted per cell would cost, already exceeds
+    scenario = Scenario(tuple(ArmScenario(arm, _power_law(200, s), 10.0, 1000, onset_span=720,
+                                          cycle_dropout=0.15)
+                              for arm, s in (("Active", 1.1), ("Placebo", 1.3))), seed=4)
+    write_trial(generate_trial(scenario), tmp_path / "episodes.csv", tmp_path / "subjects.csv")
+    tracemalloc.start()
+    try:
+        trial = load_trial(tmp_path / "episodes.csv", tmp_path / "subjects.csv")
+        size = tracemalloc.get_traced_memory()[0]
+        scratch = []
+        for run in (lambda: interim_series(trial, LookSchedule(tuple(range(60, 721, 60)))),
+                    lambda: exposure_curves(trial, max_cycle=15)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            scratch.append((tracemalloc.get_traced_memory()[1] - base) / size)
+    finally:
+        tracemalloc.stop()
+    assert len(trial.columns) > 19_000
+    assert max(scratch) < 0.35, scratch
 
 
 def test_interim_keeps_zero_variance_pairs_per_look():
@@ -214,8 +283,9 @@ def test_exposure_explicit_exposure_table():
     assert [r[4] for r in curves.curves["A"]] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("max_cycle", [4, 9])  # below and above the top cycle, 8
 @pytest.mark.parametrize("level", ["pt", "hlt", "soc"])
-def test_exposure_rows_equal_direct_estimates(level):
+def test_exposure_rows_equal_direct_estimates(level, max_cycle):
     # episodes in no particular cycle order, two arms, a hierarchy: every
     # cumulative row equals a direct estimate on the episodes up to its cycle
     import random
@@ -226,9 +296,9 @@ def test_exposure_rows_equal_direct_estimates(level):
                                cycle=rng.choice([None, 1, 2, 2, 3, 5, 8]))
                      for _ in range(40) for s in subjects)
     t = TrialDataset(subjects=subjects, episodes=episodes, hierarchy=hier)
-    curves = exposure_curves(t, max_cycle=9, level=level)
+    curves = exposure_curves(t, max_cycle=max_cycle, level=level)
     for arm, rows in curves.curves.items():
-        assert [r[0] for r in rows] == list(range(1, 10))
+        assert [r[0] for r in rows] == list(range(1, max_cycle + 1))
         for cycle, h, k, n, _ in rows:
             upto = [e for e in episodes if e.arm == arm and e.cycle is not None and e.cycle <= cycle]
             if not upto:
