@@ -1,10 +1,10 @@
-"""Start-up budget: the report commands and ``simulate`` load neither numpy
-nor scipy, no command loads ``dataclasses`` or ``inspect``, only a
-JSON-lines run loads ``json``, a bootstrap loads no ``numpy.ma``, the
-resampling kernel loads ``numpy.random`` before it forks, and scipy is a
-test oracle only, never a runtime import. ``import adx.cli`` loads only the modules every command
-needs, and ``cli.main`` runs with the cyclic garbage collector off, leaving
-its caller's setting as it found it and the heap unfrozen; only
+"""Start-up budget: the report commands and ``simulate`` load neither numpy nor
+scipy, no command loads ``dataclasses`` or ``inspect``, only a JSON-lines
+run loads ``json``, a bootstrap loads no ``numpy.ma``, the resampling kernel
+loads ``numpy.random`` before it forks, and scipy is a test oracle only,
+never a runtime import. ``import adx.cli`` loads only the modules every
+command needs, and ``cli.main`` runs with the cyclic garbage collector off,
+leaving its caller's setting as it found it and the heap unfrozen; only
 ``cli.run``, the entry point, freezes it."""
 import ast
 import gc

@@ -283,9 +283,8 @@ def test_exposure_explicit_exposure_table():
     assert [r[4] for r in curves.curves["A"]] == [1, 1, 1]
 
 
-@pytest.mark.parametrize("max_cycle", [4, 9])  # below and above the top cycle, 8
 @pytest.mark.parametrize("level", ["pt", "hlt", "soc"])
-def test_exposure_rows_equal_direct_estimates(level, max_cycle):
+def test_exposure_rows_equal_direct_estimates(level):
     # episodes in no particular cycle order, two arms, a hierarchy: every
     # cumulative row equals a direct estimate on the episodes up to its cycle
     import random
@@ -296,13 +295,15 @@ def test_exposure_rows_equal_direct_estimates(level, max_cycle):
                                cycle=rng.choice([None, 1, 2, 2, 3, 5, 8]))
                      for _ in range(40) for s in subjects)
     t = TrialDataset(subjects=subjects, episodes=episodes, hierarchy=hier)
-    curves = exposure_curves(t, max_cycle=max_cycle, level=level)
-    for arm, rows in curves.curves.items():
-        assert [r[0] for r in rows] == list(range(1, max_cycle + 1))
-        for cycle, h, k, n, _ in rows:
-            upto = [e for e in episodes if e.arm == arm and e.cycle is not None and e.cycle <= cycle]
-            if not upto:
-                assert (h, k, n) == (0.0, 0, 0)
-                continue
-            direct = estimate(profile_from_episodes(upto, level, hier))
-            assert (h, k, n) == (direct.adx, direct.k, direct.n)
+    for max_cycle in (4, 9):  # below and above the top cycle, 8
+        curves = exposure_curves(t, max_cycle=max_cycle, level=level)
+        for arm, rows in curves.curves.items():
+            assert [r[0] for r in rows] == list(range(1, max_cycle + 1))
+            for cycle, h, k, n, _ in rows:
+                upto = [e for e in episodes
+                        if e.arm == arm and e.cycle is not None and e.cycle <= cycle]
+                if not upto:
+                    assert (h, k, n) == (0.0, 0, 0)
+                    continue
+                direct = estimate(profile_from_episodes(upto, level, hier))
+                assert (h, k, n) == (direct.adx, direct.k, direct.n)
