@@ -125,7 +125,8 @@ def benefit_risk(
 ) -> BenefitRiskResult:
     """REAd per arm and Re-REAd per pair of ``pairs``."""
     check_sign_consistency(efficacy)
-    reads = {arm: read_score(efficacy[arm], est) for arm, est in estimates.items() if arm in efficacy}
+    reads = {arm: read_score(efficacy[arm], est) for arm, est in estimates.items()
+             if arm in efficacy}
     rr = {(a, b): re_read(reads[a], reads[b]) for a, b in pairs}
     return BenefitRiskResult(read_values=reads, re_read_values=rr)
 

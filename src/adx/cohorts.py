@@ -278,7 +278,8 @@ class DrilldownTable(NamedTuple):
     total_types: int
 
 
-def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None, top_n: int = 2) -> DrilldownTable:
+def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None,
+              top_n: int = 2) -> DrilldownTable:
     """Per-arm episode counts for the leading AE types inside one SOC,
     with "Others" and zero-count-type rows.
 

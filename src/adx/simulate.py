@@ -6,10 +6,10 @@ multinomial sampling model under which the asymptotic variance formula is
 derived. ``generate_trial`` draws every variate from the
 ``random.Random(seed).random()`` stream, which Python keeps the same across
 versions, so it loads no numpy; it checks each AE-type label once and builds
-the episode columns. The Monte Carlo validation draws replicate r from
-numpy's stream seeded by (scenario seed, r), so aggregation is
-order-independent and the same on any number of workers; its functions
-import numpy when first called.
+the episode columns. The Monte Carlo validation imports numpy when first
+called and draws replicate r from numpy's stream seeded by (scenario seed,
+r), the same on any number of workers; a normality record is the variance
+record of the same draws plus three shape fields.
 """
 from __future__ import annotations
 
@@ -254,16 +254,6 @@ def _replicate_draws(arms: Sequence[ArmScenario], seed: int, replicates: int) ->
     return {arm.name: (columns[2 * i], columns[2 * i + 1]) for i, arm in enumerate(arms)}
 
 
-def _scenario_draws(scenario: Scenario, replicates: int, draws: Draws | None) -> Draws:
-    """Per arm name, the replicate adx and se vectors: taken from ``draws``
-    where present, else drawn and added to it."""
-    draws = {} if draws is None else draws
-    missing = [arm for arm in scenario.arms if arm.name not in draws]
-    if missing:
-        draws.update(_replicate_draws(missing, scenario.seed, replicates))
-    return draws
-
-
 def _is_uniform(probs: tuple[float, ...]) -> bool:
     import numpy as np
 
@@ -294,16 +284,13 @@ def _arm_validation(arm: ArmScenario, adxs: np.ndarray, ses: np.ndarray,
     )
 
 
-def validate_variance(scenario: Scenario, replicates: int = 1000,
-                      draws: Draws | None = None) -> ValidationReport:
+def validate_variance(scenario: Scenario, replicates: int = 1000) -> ValidationReport:
     """Compare the empirical sd of adx across replicates with the mean
     analytic se; flags the uniform (zero-variance) regime instead of
-    computing a meaningless ratio. ``draws`` is a dict that carries the
-    replicate draws from one check to the next, for the same scenario and
-    replicate count: arms missing from it are drawn and added."""
+    computing a meaningless ratio."""
     if replicates < 2:
         raise InvalidScenario("need at least 2 replicates")
-    draws = _scenario_draws(scenario, replicates, draws)
+    draws = _replicate_draws(scenario.arms, scenario.seed, replicates)
     arms = [_arm_validation(arm, *draws[arm.name], _is_uniform(arm.probs)) for arm in scenario.arms]
     return ValidationReport(scenario, replicates, arms)
 
@@ -327,19 +314,19 @@ def _shape_diagnostics(z: np.ndarray) -> dict[str, float]:
 
 
 def validate_normality(scenario: Scenario, replicates: int = 1000,
-                       draws: Draws | None = None, flag_uniform: bool = False) -> ValidationReport:
-    """Standardize replicate adx values and report shape diagnostics
-    (skew, excess kurtosis, KS distance from the standard normal).
-    ``draws`` as in ``validate_variance``. An arm with a uniform true
-    vector has zero asymptotic variance: it raises DegenerateScenario, or
-    with ``flag_uniform`` gets a ``degenerate`` record without diagnostics."""
+                       flag_uniform: bool = False) -> ValidationReport:
+    """``validate_variance``'s records of the same draws, each with the shape
+    diagnostics of the standardized replicate adx values: skew, excess
+    kurtosis, KS distance from the standard normal. A uniform true vector has
+    zero asymptotic variance: its arm raises DegenerateScenario, or with
+    ``flag_uniform`` gets a ``degenerate`` record without diagnostics."""
     if replicates < 2:
         raise InvalidScenario("need at least 2 replicates")
     uniform = [arm.name for arm in scenario.arms if _is_uniform(arm.probs)]
     if uniform and not flag_uniform:
         raise DegenerateScenario(
             f"arm {uniform[0]!r}: uniform true vector has zero asymptotic variance")
-    draws = _scenario_draws(scenario, replicates, draws)
+    draws = _replicate_draws(scenario.arms, scenario.seed, replicates)
     arms = []
     for arm in scenario.arms:
         adxs, ses = draws[arm.name]

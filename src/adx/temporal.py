@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import compress, repeat
-from operator import is_not
 from typing import NamedTuple
 
 from .cohorts import AgeBinning, CohortKey, _cells, _estimate_and_pair
@@ -86,14 +84,14 @@ def interim_series(
     are excluded and their count reported.
     """
     days = data.columns.onset_day
-    dated = bytes(map(is_not, days, repeat(None)))  # a byte per episode, not a list slot
-    if not any(dated):
+    undated = days.count(None)
+    if undated == len(days):
         raise NoDatedEpisodes("no episode carries onset_day")
     if schedule is None:
         schedule = default_schedule(data)
-    series = InterimSeries(schedule, dated.count(0))
-    looks = _cumulative_profiles(data, days, dated, schedule.cutoff_days, level,
-                                 dimensions or (), age_binning)
+    series = InterimSeries(schedule, undated)
+    looks = _cumulative_profiles(data, days, schedule.cutoff_days, level, dimensions or (),
+                                 age_binning)
     for look, profiles in enumerate(looks):
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
         series.estimates.update(((key, look), est) for key, est in rep.estimates.items())
@@ -102,16 +100,17 @@ def interim_series(
     return series
 
 
-def _cumulative_profiles(data: TrialDataset, column, present: bytes, cutoffs, level: str,
-                         dimensions=(), age_binning: AgeBinning | None = None):
+def _cumulative_profiles(data: TrialDataset, column, cutoffs, level: str, dimensions=(),
+                         age_binning: AgeBinning | None = None):
     """Per ascending cutoff, the profile of each (arm x subgroup) cell's
-    episodes, of those ``present`` marks, whose value in ``column`` is at most
-    the cutoff (cells with none left out). An episode's look, the first whose
-    cutoff it is within, is worked out once per distinct value; one pass
-    groups each cell's PT terms by look, and each look adds its group to the
-    cell's running counts: O(N + looks x K)."""
-    look = {value: bisect_left(cutoffs, value) for value in set(compress(column, present))}
-    groups = _cells(data, dimensions, age_binning, present, map(look.get, column))
+    episodes whose value in ``column`` is at most the cutoff (cells with none
+    left out). An episode's look, the first whose cutoff it is within, is
+    worked out once per distinct value up to the last cutoff; one pass groups
+    the PT terms of the episodes with a look by cell and look, and each look
+    adds its group to the cell's running counts: O(N + looks x K)."""
+    look = {v: bisect_left(cutoffs, v) for v in set(column) - {None} if v <= cutoffs[-1]}
+    within = bytes(map(look.__contains__, column))
+    groups = _cells(data, dimensions, age_binning, within, map(look.get, column))
     running = {key: Counter() for key, _ in groups}
     for i in range(len(cutoffs)):
         for key, counts in running.items():
@@ -145,12 +144,12 @@ def exposure_curves(
     if max_cycle is not None and max_cycle < 1:
         raise ValueError(f"max_cycle must be >= 1, got {max_cycle}")
     cycle = data.columns.cycle
-    cycled = bytes(map(is_not, cycle, repeat(None)))
-    if not any(cycled):
+    no_cycle = cycle.count(None)
+    if no_cycle == len(cycle):
         raise NoCycleData("no episode carries a cycle number")
     last_cycle: dict[str, int] = {}  # each subject's highest episode cycle
-    for subject_id, c in zip(compress(data.columns.subject_id, cycled), compress(cycle, cycled)):
-        if c > last_cycle.get(subject_id, 0):
+    for subject_id, c in zip(data.columns.subject_id, cycle):
+        if c is not None and c > last_cycle.get(subject_id, 0):
             last_cycle[subject_id] = c
     top = max(last_cycle.values()) if max_cycle is None else max_cycle
     if exposure:
@@ -161,7 +160,7 @@ def exposure_curves(
     }
 
     cycles = range(1, top + 1)
-    looks = _cumulative_profiles(data, cycle, cycled, cycles, level)
+    looks = _cumulative_profiles(data, cycle, cycles, level)
     curves: dict[str, list[tuple[int, float, int, int, int]]] = {arm: [] for arm in data.arms}
     for c, profiles in zip(cycles, looks):
         for arm, rows in curves.items():
@@ -171,4 +170,4 @@ def exposure_curves(
                 rows.append((c, est.adx, est.k, est.n, at_cycle))
             else:
                 rows.append((c, 0.0, 0, 0, at_cycle))
-    return ExposureCurves(max_cycle=top, curves=curves, excluded_no_cycle=cycled.count(0))
+    return ExposureCurves(max_cycle=top, curves=curves, excluded_no_cycle=no_cycle)

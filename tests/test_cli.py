@@ -334,16 +334,35 @@ def _scenario(tmp_path, arms):
     return path
 
 
-def test_validate_both_equals_variance_then_normality(capsys, tmp_path):
+def test_validate_both_equals_variance_then_normality(capsys, tmp_path, monkeypatch):
+    # no uniform arm, so --check normality runs too; the header records differ by check
+    from adx import simulate
+
     scenario = _scenario(tmp_path, [("A", "0.5 0.3 0.2"), ("B", "0.4 0.3 0.2 0.1")])
+    calls = {}
+
+    def counted(name):
+        function = getattr(simulate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(simulate, name, wrapper)
+    for name in ("_replicate_draws", "validate_variance", "validate_normality"):
+        counted(name)
     records = {}
     for check in ("both", "variance", "normality"):
+        calls.clear()
         code, _, _ = run(capsys, "validate", "--scenario", str(scenario), "--check", check,
                          "--replicates", "150", "--out", str(tmp_path / check),
                          "--format", "json-lines")
         assert code == 0
         records[check] = (tmp_path / check / "validate.jsonl").read_text().splitlines()[1:]
+        if check == "both":  # one Monte Carlo pass serves both checks
+            assert calls == {"_replicate_draws": 1, "validate_normality": 1}
     assert records["both"] == records["variance"] + records["normality"]
+    assert all('"validate_variance"' in line for line in records["variance"])
+    assert all('"validate_normality"' in line for line in records["normality"])
 
 
 def test_validate_single_type_arm_writes_strict_json(capsys, tmp_path):

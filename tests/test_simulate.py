@@ -15,6 +15,7 @@ from adx.simulate import (
     ArmScenario,
     Scenario,
     _poisson,
+    _replicate_draws,
     generate_trial,
     load_scenario,
     validate_normality,
@@ -279,8 +280,8 @@ def test_shape_diagnostics_match_scipy_oracle():
                              n_subjects=150)
                  for name, w, rate in (("A", raw, 3.0), ("B", raw ** -1.2, 1.0)))
     scenario = Scenario(arms=arms, seed=4)
-    draws = {}
-    rep = validate_normality(scenario, 600, draws)
+    rep = validate_normality(scenario, 600)
+    draws = _replicate_draws(arms, 4, 600)
     for av in rep.arms:
         adxs = draws[av.arm][0]
         z = (adxs - adxs.mean()) / adxs.std(ddof=1)
@@ -288,15 +289,6 @@ def test_shape_diagnostics_match_scipy_oracle():
         assert math.isclose(av.excess_kurtosis, float(stats.kurtosis(z)), rel_tol=1e-12)
         assert math.isclose(av.ks_distance, float(stats.kstest(z, "norm").statistic),
                             rel_tol=1e-12)
-
-
-def test_shared_draws_change_nothing():
-    raw = np.arange(1, 21, dtype=float)
-    scenario = one_arm(tuple(raw / raw.sum()), rate=4.0, subjects=100)
-    draws = {}
-    assert validate_variance(scenario, 200, draws) == validate_variance(scenario, 200)
-    assert set(draws) == {"A"}
-    assert validate_normality(scenario, 200, draws) == validate_normality(scenario, 200)
 
 
 def test_validate_normality_constant_replicates_raise():

@@ -1,0 +1,42 @@
+"""Hygiene of the package source: short lines and no unused imports.
+
+Lines are cut to fit, not joined to save lines, and an import that a
+deletion leaves behind goes with it. An import kept for its side effect or
+as a re-export carries ``# noqa: F401`` on its first line.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "adx").glob("*.py"))
+MAX_COLUMNS = 100
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_line_is_longer_than_100_columns(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [(number, len(line)) for number, line in enumerate(lines, 1) if len(line) > MAX_COLUMNS]
+    assert long == [], f"{path.name}: (line, columns) over {MAX_COLUMNS}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            # ``import a.b`` binds ``a``
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    assert unused == [], f"{path.name}: (line, name) imported and never used"

@@ -94,15 +94,32 @@ def _power_law(n_types: int, s: float) -> tuple[float, ...]:
     return tuple(w / sum(weights) for w in weights)
 
 
+def _scratch_scenario() -> Scenario:
+    """About 20k episodes, onset days uniform on 0..720, cycles geometric
+    with 15% of the episodes at cycle 1."""
+    return Scenario(tuple(ArmScenario(arm, _power_law(200, s), 10.0, 1000, onset_span=720,
+                                      cycle_dropout=0.15)
+                          for arm, s in (("Active", 1.1), ("Placebo", 1.3))), seed=4)
+
+
+def _scratch(run) -> int:
+    """The peak memory ``run()`` takes beyond what is allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_interim_and_exposure_scratch_stays_a_small_share_of_the_trial(tmp_path):
     # about 20k dated and cycled episodes: the memory interim_series and
     # exposure_curves take beyond the loaded trial's own stays below 35% of
     # it, which one index object per episode, as cells of episode indices
     # sorted per cell would cost, already exceeds
-    scenario = Scenario(tuple(ArmScenario(arm, _power_law(200, s), 10.0, 1000, onset_span=720,
-                                          cycle_dropout=0.15)
-                              for arm, s in (("Active", 1.1), ("Placebo", 1.3))), seed=4)
-    write_trial(generate_trial(scenario), tmp_path / "episodes.csv", tmp_path / "subjects.csv")
+    write_trial(generate_trial(_scratch_scenario()), tmp_path / "episodes.csv",
+                tmp_path / "subjects.csv")
     tracemalloc.start()
     try:
         trial = load_trial(tmp_path / "episodes.csv", tmp_path / "subjects.csv")
@@ -118,6 +135,22 @@ def test_interim_and_exposure_scratch_stays_a_small_share_of_the_trial(tmp_path)
         tracemalloc.stop()
     assert len(trial.columns) > 19_000
     assert max(scratch) < 0.35, scratch
+
+
+@pytest.mark.parametrize("early, full", [
+    (lambda t: interim_series(t, LookSchedule((72,))),
+     lambda t: interim_series(t, LookSchedule(tuple(range(60, 721, 60))))),
+    (lambda t: exposure_curves(t, max_cycle=1), lambda t: exposure_curves(t)),
+], ids=["interim-day-72", "exposure-cycle-1"])
+def test_episodes_past_the_last_look_take_no_scratch(tmp_path, early, full):
+    # the first look (day 72, cycle 1) counts 10-15% of the episodes; one
+    # look past which no episode is grouped takes well under half the
+    # scratch of every look, where grouping them all would take nearly as much
+    write_trial(generate_trial(_scratch_scenario()), tmp_path / "episodes.csv",
+                tmp_path / "subjects.csv")
+    trial = load_trial(tmp_path / "episodes.csv", tmp_path / "subjects.csv")
+    share = _scratch(lambda: early(trial)) / _scratch(lambda: full(trial))
+    assert share < 0.5, share
 
 
 def test_interim_keeps_zero_variance_pairs_per_look():
