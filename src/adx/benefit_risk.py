@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -17,12 +16,7 @@ import numpy as np
 
 from .data import Column, Fault, TrialDataset, read_table
 from .entropy import AdxEstimate, FrequencyProfile, estimate
-from .errors import (
-    DivisionByZeroBenefit,
-    InsufficientData,
-    MalformedRow,
-    ZeroAdversity,
-)
+from .errors import DivisionByZeroBenefit, InsufficientData, MalformedRow, ZeroAdversity
 from . import kernel
 
 
@@ -118,11 +112,8 @@ class BenefitRiskResult(NamedTuple):
     re_read_values: dict[tuple[str, str], float]
 
 
-def benefit_risk(
-    estimates: dict[str, AdxEstimate],
-    efficacy: dict[str, EfficacyInput],
-    pairs: list[tuple[str, str]],
-) -> BenefitRiskResult:
+def benefit_risk(estimates: dict[str, AdxEstimate], efficacy: dict[str, EfficacyInput],
+                 pairs: list[tuple[str, str]]) -> BenefitRiskResult:
     """REAd per arm and Re-REAd per pair of ``pairs``."""
     check_sign_consistency(efficacy)
     reads = {arm: read_score(efficacy[arm], est) for arm, est in estimates.items()
@@ -131,16 +122,10 @@ def benefit_risk(
     return BenefitRiskResult(read_values=reads, re_read_values=rr)
 
 
-def re_read_bootstrap_ci(
-    data: TrialDataset,
-    efficacy: dict[str, EfficacyInput],
-    arms: tuple[str, str],
-    level: float = 0.95,
-    replicates: int = 1000,
-    seed: int = 0,
-    unit: str = "episode",
-    hierarchy_level: str = "pt",
-) -> tuple[float, float]:
+def re_read_bootstrap_ci(data: TrialDataset, efficacy: dict[str, EfficacyInput],
+                         arms: tuple[str, str], level: float = 0.95, replicates: int = 1000,
+                         seed: int = 0, unit: str = "episode",
+                         hierarchy_level: str = "pt") -> tuple[float, float]:
     """Percentile bootstrap interval for Re-REAd(arms[0]/arms[1]).
 
     Resampling unit is the episode by default (matching the estimator's
@@ -156,29 +141,24 @@ def re_read_bootstrap_ci(
     if replicates < 200:
         raise InsufficientData("need at least 200 bootstrap replicates")
 
-    # Code each arm's terms and subjects once, in order of first appearance.
-    # A replicate's counts are then a bincount of the drawn term codes or,
-    # for the subject unit, of every code weighted by how often its subject
-    # was drawn.
+    # Re-code each arm's terms (at ``hierarchy_level``) and subjects from the
+    # trial's codes, in order of first appearance. A replicate's counts are
+    # then a bincount of the drawn term codes or, for the subject unit, of
+    # every code weighted by how often its subject was drawn.
+    pts, ids = (np.frombuffer(c.codes, memoryview(c.codes).format)
+                for c in (data.columns.pt_term, data.columns.subject_id))
+    terms = data.columns.pt_term.values
     arm_codes: dict[str, tuple[np.ndarray, int, np.ndarray, int]] = {}
     for arm in arms:
-        in_arm = data.in_arm(arm)
-        terms = list(compress(data.columns.pt_term, in_arm))
-        if len(terms) < 2:
+        in_arm = np.frombuffer(data.in_arm(arm), np.bool_)
+        if np.count_nonzero(in_arm) < 2:
             raise InsufficientData(f"arm {arm!r} has fewer than 2 episodes")
-        if hierarchy_level != "pt":
-            h = data.require_hierarchy()
-            terms = [h.term_at(t, hierarchy_level) for t in terms]
-        term_index: dict[str, int] = {}
-        subject_index: dict[str, int] = {}
-        codes = np.fromiter((term_index.setdefault(t, len(term_index)) for t in terms),
-                            np.intp, len(terms))
-        subjects = np.fromiter((subject_index.setdefault(s, len(subject_index))
-                                for s in compress(data.columns.subject_id, in_arm)),
-                               np.intp, len(terms))
-        arm_codes[arm] = (codes, len(term_index), subjects, len(subject_index))
-        if len(term_index) == 1:  # fail fast on a degenerate point estimate
-            read_score(efficacy[arm], estimate(FrequencyProfile({terms[0]: len(terms)})))
+        label = terms.__getitem__ if hierarchy_level == "pt" else (
+            lambda code, h=data.require_hierarchy(): h.term_at(terms[code], hierarchy_level))
+        codes, k = _recode(pts[in_arm], label)
+        arm_codes[arm] = (codes, k, *_recode(ids[in_arm], int))
+        if k == 1:  # fail fast on a degenerate point estimate
+            read_score(efficacy[arm], estimate(FrequencyProfile({"": len(codes)})))
 
     def adxs(r: int) -> list[float]:
         """Each arm's adx in replicate r."""
@@ -205,6 +185,19 @@ def re_read_bootstrap_ci(
     values.sort()
     lo_q = (1.0 - level) / 2.0
     return _quantile(values, lo_q), _quantile(values, 1.0 - lo_q)
+
+
+def _recode(codes: np.ndarray, label) -> tuple[np.ndarray, int]:
+    """Each of ``codes`` as the number of its ``label(code)`` among the
+    distinct labels in order of first appearance, and how many there are:
+    ``label`` runs once per distinct code, through a remap table."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    numbers: dict = {}
+    remap = np.empty(len(first), np.intp)
+    remap[order] = [numbers.setdefault(label(code), len(numbers))
+                    for code in codes[first[order]].tolist()]
+    return remap[inverse], len(numbers)
 
 
 def _quantile(ordered, q: float) -> float:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from collections import Counter
-from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -228,7 +228,7 @@ def _subgroups(args) -> tuple[list[str], cohorts.AgeBinning]:
 
 
 def _arm_estimate(trial: data.TrialDataset, arm: str, level: str) -> entropy.AdxEstimate:
-    terms = list(compress(trial.columns.pt_term, trial.in_arm(arm)))
+    terms = trial.columns.pt_term.select(trial.in_arm(arm))
     return entropy.estimate(entropy.profile_from_episodes(terms, level, trial.hierarchy))
 
 
@@ -420,7 +420,8 @@ def cmd_exposure(args) -> None:
     from . import temporal
 
     trial = _load(args)
-    exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
+    subject_ids = {s.subject_id for s in trial.subjects}
+    exposure = data.load_exposure(args.exposure_file, subject_ids) if args.exposure_file else None
     curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
     records = [{"record": "exposure", "arm": arm, "cycle": cycle, "adx": h, "k": k, "n": n,
                 "subjects_at_cycle": subj}
@@ -479,9 +480,10 @@ def cmd_simulate(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data.write_trial(trial, out / "episodes.csv", out / "subjects.csv")
-    subjects, episodes = Counter(map(itemgetter(1), trial.subjects)), Counter(trial.columns.arm)
+    subjects = Counter(map(itemgetter(1), trial.subjects))
     records = [{"record": "simulated", "arm": arm, "subjects": subjects[arm],
-                "episodes": episodes[arm], "seed": scenario.seed} for arm in trial.arms]
+                "episodes": trial.columns.arm.count(arm), "seed": scenario.seed}
+               for arm in trial.arms]
     _emit(args, records, ("simulated", ["arm", "subjects", "episodes"]))
 
 
@@ -542,8 +544,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> int:
-    """``main`` for the ``adx`` script and ``python -m adx.cli``. The process
-    ends next, so the heap is frozen: the collection at shutdown then skips it."""
+    """``main`` for the ``adx`` script and ``python -m adx.cli``. No adx code
+    calls BLAS, so numpy's BLAS starts no worker thread unless the user asks
+    for threads. The process ends next, so the heap is frozen: the collection
+    at shutdown then skips it."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     code = main()
     gc.freeze()  # not in main, which callers also run in-process
     return code

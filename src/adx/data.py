@@ -6,26 +6,24 @@ occurrence of an adverse-event term in one subject. Repeated identical
 
 All five CSV loaders share one table reader, ``read_table``. It reads a file
 in chunks of ``CHUNK_ROWS`` records and parses and checks each distinct raw
-value of a column once; a trial keeps the episodes as its columns.
+value of a column once, coding each value as its index in the column's table
+of distinct values (``Coded``); a trial keeps the episodes as coded columns.
 """
 from __future__ import annotations
 
 import csv
 import re
+import struct
+from array import array
 from collections import Counter
-from itertools import chain, islice, repeat
+from collections.abc import Collection, Iterable, Iterator, Sequence
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import (
-    ArmMismatch,
-    InputError,
-    MalformedRow,
-    MissingHierarchy,
-    UnknownSubject,
-    UnmappedTerm,
-)
+from .errors import (ArmMismatch, InputError, MalformedRow, MissingHierarchy, UnknownSubject,
+                     UnmappedTerm)
 
 HIERARCHY_LEVELS = ("pt", "hlt", "hlgt", "soc")
 
@@ -45,6 +43,61 @@ def normalize_term(text: str) -> str:
     form, so CSV exports that differ only in casing or spacing match.
     """
     return _WS.sub(" ", text.strip()).casefold()
+
+
+def _store(size: int, codes=()) -> bytearray | array:
+    """A store of codes into a table of ``size`` values, 1, 2 or 4 bytes a code."""
+    return bytearray(codes) if size <= 1 << 8 else array("H" if size <= 1 << 16 else "I", codes)
+
+
+class Coded:
+    """A column as ``codes`` into ``values``, its table of distinct values
+    (some may have no code), in a ``_store`` as narrow as the table allows.
+    ``len()`` is the number of codes, and iterating yields their values."""
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes: bytearray | array, values: list):
+        self.codes, self.values = codes, values
+
+    @classmethod
+    def encode(cls, values: Iterable) -> Coded:
+        """``values`` coded in order of first appearance, ``0`` and ``False`` apart."""
+        table: dict = {}
+        codes = [table.setdefault((type(value), value), len(table)) for value in values]
+        return cls(_store(len(table), codes), [value for _, value in table])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator:
+        if len(self.values) == 1:
+            return repeat(self.values[0], len(self.codes))
+        return map(self.values.__getitem__, self.codes)
+
+    def extend(self, codes: Sequence[int]) -> None:
+        """Append ``codes``, first widening the store if the table outgrew it."""
+        if len(self.values) > 1 << 8 * getattr(self.codes, "itemsize", 1):
+            self.codes = _store(len(self.values), iter(self.codes))
+        if isinstance(self.codes, bytearray):
+            self.codes.extend(codes)
+        else:  # packed in one call: an array extends by one item at a time
+            self.codes.frombytes(struct.pack(f"{len(codes)}{self.codes.typecode}", *codes))
+
+    def count(self, value) -> int:
+        """How many codes stand for ``value``."""
+        return self.codes.count(self.values.index(value)) if value in self.values else 0
+
+    def mask(self, value) -> bytes | bytearray:
+        """Per code, 1 if it stands for ``value``, else 0."""
+        code = self.values.index(value) if value in self.values else -1
+        if isinstance(self.codes, bytearray):
+            return self.codes.translate(bytes(i == code for i in range(256)))
+        return bytes(map(eq, self.codes, repeat(code)))
+
+    def select(self, mask: Iterable) -> Coded:
+        """The codes that ``mask`` marks true, on the same table."""
+        return Coded(_store(len(self.values), compress(self.codes, mask)), self.values)
 
 
 class Fault(ValueError):
@@ -73,7 +126,7 @@ def read_table(path: str | Path, cls: type | None, columns: tuple[Column, ...],
                check: Callable | None = None) -> list:
     """The records of the CSV at ``path``, read as UTF-8: ``cls`` tuples of
     the parsed ``columns``, each passed to ``check`` with its line number;
-    with ``cls`` None, the parsed columns themselves, a list each.
+    with ``cls`` None, the parsed columns themselves, a ``Coded`` each.
 
     Records are numbered as ``csv.DictReader`` numbers them, blank lines not
     counted; a short row reads ``None`` for what it lacks, extra fields are
@@ -95,8 +148,10 @@ def read_table(path: str | Path, cls: type | None, columns: tuple[Column, ...],
                 raise MalformedRow(path, 1, f"missing required column(s): {', '.join(missing)}")
             width, index = len(header), {name: i for i, name in enumerate(header)}
             picks = [index.get(c.name) for c in columns]
-            memos = [{} for _ in columns]  # raw value -> parsed value or Fault
-            parsed, failure, last = [[] for _ in columns], None, False
+            # per column, raw value -> code or Fault, and parsed value -> code
+            memos = [({}, {}) for _ in columns]
+            parsed, records = [Coded(bytearray(), []) for _ in columns], []
+            failure, last = None, False
             while not last:
                 rows = []
                 try:
@@ -107,12 +162,11 @@ def read_table(path: str | Path, cls: type | None, columns: tuple[Column, ...],
                 if set(map(len, rows)) - {width}:  # blank, short or long rows
                     rows = [(row + [None] * width)[:width] for row in rows if row]
                 if rows:
-                    for column, values in zip(parsed, _parse_chunk(
-                            rows, path, 2 + len(parsed[0]), cls, columns, picks, memos, check)):
-                        column += values
+                    records += _parse_chunk(rows, path, 2 + len(records) + len(parsed[0]), cls,
+                                            columns, picks, memos, parsed, check)
             if failure:
                 raise failure
-            return parsed if cls is None else list(map(tuple.__new__, repeat(cls), zip(*parsed)))
+            return parsed if cls is None else records
         except csv.Error as exc:
             reason = f"unreadable CSV: {exc}"
             if "field limit" in reason:
@@ -122,40 +176,49 @@ def read_table(path: str | Path, cls: type | None, columns: tuple[Column, ...],
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_chunk(rows, path, line, cls, columns, picks, memos, check) -> list:
+def _parse_chunk(rows, path, line, cls, columns, picks, memos, parsed, check) -> list:
     """``read_table`` on one chunk, its first record on ``line``: parse the
-    raw values not met before into columns, and check the records up to the
-    first faulty one before raising its fault."""
+    raw values not met before (coding them, without ``cls``), check the
+    records up to the first faulty one before raising its fault; then append
+    the codes to the ``parsed`` columns or, with ``cls``, return the records."""
     n = len(rows)
     raw = list(zip(*rows))
     cols = [raw[pick] if pick is not None else (column.absent,) * n
             for column, pick in zip(columns, picks)]
-    parsed, first_fault = [], n
-    for column, col, memo in zip(columns, cols, memos):
+    chunk, first_fault = [], n
+    for column, col, (memo, codes), coded in zip(columns, cols, memos, parsed):
         try:
-            parsed.append(_lookup(memo, col))
+            chunk.append(_lookup(memo, col))
         except KeyError:
-            faulty = set()
             for value in set(col).difference(memo):
                 try:
-                    memo[value] = column.parse(value)
+                    parsed_value = column.parse(value)
                 except ValueError as exc:
                     memo[value] = exc if isinstance(exc, Fault) else Fault(str(exc))
-                    faulty.add(value)
-            if faulty:
-                first_fault = min(first_fault, next(i for i, v in enumerate(col) if v in faulty))
-            parsed.append(_lookup(memo, col))
-    records = islice(map(tuple.__new__, repeat(cls), zip(*parsed)), first_fault) if check else ()
-    for line_no, record in enumerate(records, line):
+                    first_fault = min(first_fault, col.index(value))
+                    continue
+                if cls is not None:  # records take the values themselves
+                    memo[value] = parsed_value
+                    continue
+                memo[value] = codes.setdefault(parsed_value, len(codes))
+                if memo[value] == len(coded.values):
+                    coded.values.append(parsed_value)
+            chunk.append(_lookup(memo, col))
+    records = [] if cls is None else list(map(tuple.__new__, repeat(cls),
+                                              zip(*(c[:first_fault] for c in chunk))))
+    for line_no, record in enumerate(records if check else (), line):
         try:
             check(record, line_no)
         except ValueError as exc:
             raise MalformedRow(path, line_no, str(exc)) from None
     if first_fault < n:  # its fault of the earliest stage, the first column's on a tie
-        found = [memo[col[first_fault]] for memo, col in zip(memos, cols)]
+        found = [memo[col[first_fault]] for (memo, _), col in zip(memos, cols)]
         fault = min((f for f in found if isinstance(f, Fault)), key=attrgetter("stage"))
         raise MalformedRow(path, line + first_fault, str(fault))
-    return parsed
+    if cls is None:
+        for coded, c in zip(parsed, chunk):
+            coded.extend(c)
+    return records
 
 
 def _lookup(memo: dict, col: tuple) -> tuple:
@@ -245,8 +308,8 @@ class AeEpisode(_EpisodeFields):
 
 
 class EpisodeColumns:
-    """Episodes as columns: a sequence per ``AeEpisode`` field, under the
-    field's name, its values checked as ``load_episodes`` checks them and
+    """Episodes as columns: a ``Coded`` column per ``AeEpisode`` field, under
+    the field's name, its values checked as ``load_episodes`` checks them and
     not to be changed; ``len()`` is the number of episodes."""
 
     __slots__ = _EpisodeFields._fields
@@ -355,9 +418,8 @@ class HierarchyMap:
             for pt, (hlt, hlgt, soc) in entries.items():
                 pt_n = normalize_term(pt)
                 triple = (normalize_term(hlt), normalize_term(hlgt), normalize_term(soc))
-                if pt_n in norm and norm[pt_n] != triple:
+                if norm.setdefault(pt_n, triple) != triple:
                     raise InputError(f"pt {pt_n!r} mapped to more than one hierarchy triple")
-                norm[pt_n] = triple
             entries = norm
         hlt_parent: dict[str, str] = {}
         hlgt_parent: dict[str, str] = {}
@@ -399,8 +461,7 @@ class HierarchyMap:
             pt, *terms = record
             if entries.setdefault(pt, tuple(terms)) != tuple(terms):
                 raise InputError(
-                    f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path"
-                )
+                    f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path")
         read_table(path, tuple, tuple(Column(f"{level}_term", _term, True)
                                       for level in HIERARCHY_LEVELS), check)
         return cls(entries, normalized=True)
@@ -413,24 +474,28 @@ class TrialDataset:
 
     def __init__(self, subjects: tuple[SubjectRecord, ...], episodes: EpisodeColumns | tuple,
                  hierarchy: HierarchyMap | None = None, arms: tuple[str, ...] = ()):
-        """``episodes`` are columns, or ``AeEpisode`` records to transpose."""
+        """``episodes`` are columns, or ``AeEpisode`` records to code column by column."""
         if not isinstance(episodes, EpisodeColumns):
-            episodes = EpisodeColumns(list(zip(*episodes)) or [()] * len(_EpisodeFields._fields))
+            episodes = EpisodeColumns(map(Coded.encode, list(zip(*episodes))
+                                          or [()] * len(_EpisodeFields._fields)))
         by_id = {}
         for s in subjects:
             if s.subject_id in by_id:
                 raise InputError(f"duplicate subject_id {s.subject_id!r}")
             by_id[s.subject_id] = s
-        # each distinct (subject, arm) pair in order of first appearance, so
-        # the first faulty episode is the one reported
-        for subject_id, arm in dict.fromkeys(zip(episodes.subject_id, episodes.arm)):
-            subj = by_id.get(subject_id)
-            if subj is None:
-                raise UnknownSubject(f"episode references unknown subject {subject_id!r}")
-            if subj.arm != arm:
-                raise ArmMismatch(
-                    f"episode arm {arm!r} != subject arm {subj.arm!r} for {subject_id!r}"
-                )
+        # each arm's distinct subjects; on a fault, each distinct (subject, arm)
+        # pair in order of first appearance, so the first faulty episode is reported
+        ids, arms_of = episodes.subject_id, episodes.arm
+        if any(getattr(by_id.get(ids.values[s]), "arm", None) != arm
+               for arm in arms_of.values for s in set(compress(ids.codes, arms_of.mask(arm)))):
+            for s, a in dict.fromkeys(zip(ids.codes, arms_of.codes)):
+                subject_id, arm = ids.values[s], arms_of.values[a]
+                subj = by_id.get(subject_id)
+                if subj is None:
+                    raise UnknownSubject(f"episode references unknown subject {subject_id!r}")
+                if subj.arm != arm:
+                    raise ArmMismatch(
+                        f"episode arm {arm!r} != subject arm {subj.arm!r} for {subject_id!r}")
         present = tuple(dict.fromkeys(s.arm for s in subjects))
         if not arms:
             arms = present
@@ -449,9 +514,9 @@ class TrialDataset:
         """The episodes as records, built on each call from the columns."""
         return tuple(self.columns.records())
 
-    def in_arm(self, arm: str) -> list[bool]:
-        """Per episode, whether it is one of ``arm``'s."""
-        return list(map(eq, self.columns.arm, repeat(arm)))
+    def in_arm(self, arm: str) -> bytes | bytearray:
+        """Per episode, 1 if it is one of ``arm``'s, else 0."""
+        return self.columns.arm.mask(arm)
 
     def episodes_for_arm(self, arm: str) -> list[AeEpisode]:
         return [e for e in self.episodes if e.arm == arm]
@@ -472,22 +537,29 @@ def load_episodes(path: str | Path) -> EpisodeColumns:
     return EpisodeColumns(read_table(path, None, _EPISODE_COLUMNS))
 
 
-def load_exposure(path: str | Path) -> dict[str, int]:
-    """Read an exposure CSV (subject_id,last_cycle) into subject_id -> last cycle."""
+def load_exposure(path: str | Path, subject_ids: Collection[str] | None = None) -> dict[str, int]:
+    """Read an exposure CSV (subject_id,last_cycle) into subject_id -> last
+    cycle: one row per subject and, given ``subject_ids``, one of those."""
+    exposure: dict[str, int] = {}
+
     def check(record: tuple, line_no: int) -> None:
-        if record[1] is None:
+        subject_id, last_cycle = record
+        if last_cycle is None:
             raise ValueError("empty subject_id or last_cycle")
-    return dict(read_table(path, tuple, (
+        if subject_id in exposure:
+            raise ValueError(f"second exposure row for subject {subject_id!r}")
+        if subject_ids is not None and subject_id not in subject_ids:
+            raise UnknownSubject(f"{path}:{line_no}: exposure row references unknown subject "
+                                 f"{subject_id!r}")
+        exposure[subject_id] = last_cycle
+    read_table(path, tuple, (
         Column("subject_id", _nonblank("empty subject_id or last_cycle"), required=True),
-        Column("last_cycle", _optional(int, "last_cycle"), required=True)), check))
+        Column("last_cycle", _optional(int, "last_cycle"), required=True)), check)
+    return exposure
 
 
-def load_trial(
-    episodes_file: str | Path,
-    subjects_file: str | Path,
-    hierarchy_file: str | Path | None = None,
-    unmapped: str = "reject",
-) -> TrialDataset:
+def load_trial(episodes_file: str | Path, subjects_file: str | Path,
+               hierarchy_file: str | Path | None = None, unmapped: str = "reject") -> TrialDataset:
     """Load and cross-validate the episodes/subjects (and optional hierarchy) CSVs.
 
     ``unmapped`` controls what happens when a hierarchy file is present but
@@ -501,12 +573,12 @@ def load_trial(
     hierarchy = None
     if hierarchy_file is not None:
         hierarchy = HierarchyMap.from_csv(hierarchy_file)
-        missing = sorted(set(episodes.pt_term) - set(hierarchy.entries))
+        # a loaded column's table holds only values that occur
+        missing = sorted(set(episodes.pt_term.values) - set(hierarchy.entries))
         if missing:
             if unmapped == "reject":
                 raise UnmappedTerm(
-                    f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}"
-                )
+                    f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}")
             routed = dict.fromkeys(missing, ("unmapped",) * 3)
             hierarchy = HierarchyMap({**hierarchy.entries, **routed}, normalized=True)
     return TrialDataset(subjects=tuple(subjects), episodes=episodes, hierarchy=hierarchy)
@@ -519,18 +591,17 @@ def dataset_summary(data: TrialDataset) -> list[dict]:
     The pooled distinct-type count is a set union, so it can be smaller
     than the sum of the per-arm counts.
     """
-    c = data.columns
-    arm_of = dict(map(itemgetter(0, 1), data.subjects))
-    with_ae = dict.fromkeys(c.subject_id)  # each one's episodes are in its arm, as checked
-    by_arm = [Counter(arm_of.values()), Counter(c.arm),
-              Counter(map(itemgetter(0), set(zip(c.arm, c.pt_term)))),
-              Counter(map(arm_of.__getitem__, with_ae))]
-    counts = [(arm, *(n[arm] for n in by_arm)) for arm in data.arms]
-    counts.append(("Total", len(data.subjects), len(c), len(set(c.pt_term)), len(with_ae)))
-    return [{"arm": arm, "subjects": n_subj, "episodes": n_episodes, "distinct_types": n_types,
-             "subjects_with_ae": n_with,
-             "pct_subjects_with_ae": 100.0 * n_with / n_subj if n_subj else 0.0}
-            for arm, n_subj, n_episodes, n_types, n_with in counts]
+    c, subjects = data.columns, Counter(map(itemgetter(1), data.subjects))
+    rows = []
+    for arm, n_subj, mask in [*((arm, subjects[arm], c.arm.mask(arm)) for arm in data.arms),
+                              ("Total", len(data.subjects), b"\1" * len(c))]:
+        # a subject's episodes are all in its arm, as checked
+        n_with = len(set(compress(c.subject_id.codes, mask)))
+        rows.append({"arm": arm, "subjects": n_subj, "episodes": mask.count(1),
+                     "distinct_types": len(set(compress(c.pt_term.codes, mask))),
+                     "subjects_with_ae": n_with,
+                     "pct_subjects_with_ae": 100.0 * n_with / n_subj if n_subj else 0.0})
+    return rows
 
 
 def write_trial(data: TrialDataset, episodes_file: str | Path, subjects_file: str | Path) -> None:
@@ -541,7 +612,8 @@ def write_trial(data: TrialDataset, episodes_file: str | Path, subjects_file: st
     ``str(value).lower()``."""
     _write_rows(subjects_file, _SubjectFields._fields, sorted(data.subjects, key=itemgetter(0)))
     c = data.columns
-    serious = [None if v is None else str(v).lower() for v in c.serious]
+    serious = Coded(c.serious.codes, [None if v is None else str(v).lower()
+                                      for v in c.serious.values])
     rows = zip(c.subject_id, c.arm, c.pt_term, c.onset_day, c.cycle, serious, c.severity, c.tier)
     _write_rows(episodes_file, _EpisodeFields._fields, sorted(rows, key=lambda r: (
         r[0], r[2], -1 if r[3] is None else r[3], -1 if r[4] is None else r[4])))

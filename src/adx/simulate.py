@@ -5,11 +5,11 @@ drawn iid from the arm's true probability vector, which is exactly the
 multinomial sampling model under which the asymptotic variance formula is
 derived. ``generate_trial`` draws every variate from the
 ``random.Random(seed).random()`` stream, which Python keeps the same across
-versions, so it loads no numpy; it checks each AE-type label once and builds
-the episode columns. The Monte Carlo validation imports numpy when first
-called and draws replicate r from numpy's stream seeded by (scenario seed,
-r), the same on any number of workers; a normality record is the variance
-record of the same draws plus three shape fields.
+versions, so it loads no numpy; it checks each AE-type label once and codes
+the episode columns as it draws them. The Monte Carlo validation imports
+numpy when first called and draws replicate r from numpy's stream seeded by
+(scenario seed, r), the same on any number of workers; a normality record is
+the variance record of the same draws plus three shape fields.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from pathlib import Path
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
-from .data import AeEpisode, EpisodeColumns, SubjectRecord, TrialDataset
+from .data import AeEpisode, Coded, EpisodeColumns, SubjectRecord, TrialDataset
 from .entropy import normal_cdf
 from .errors import DegenerateScenario, InvalidScenario
 
@@ -120,13 +120,11 @@ def load_scenario(path: str | Path) -> Scenario:
         except ValueError:
             raise InvalidScenario(f"arm {name!r}: unparseable probs list")
         arms.append(ArmScenario(
-            name=name,
-            probs=probs,
+            name=name, probs=probs,
             episodes_per_subject=get(section, "episodes_per_subject", float, 1.0),
             n_subjects=get(section, "subjects", int, 100),
             onset_span=get(section, "onset_span", int, None),
-            cycle_dropout=get(section, "cycle_dropout", float, None),
-        ))
+            cycle_dropout=get(section, "cycle_dropout", float, None)))
     if not arms:
         raise InvalidScenario(f"no [arm NAME] sections in {path}")
     return Scenario(arms=tuple(arms), seed=seed)
@@ -170,14 +168,23 @@ def generate_trial(scenario: Scenario) -> TrialDataset:
     cycle (geometric by inversion, at least 1), the last two only where the
     arm sets them.
 
-    An arm's type labels go through ``AeEpisode``'s checks once, and each
-    episode column is read off the arm's list of draws.
+    The type labels go through ``AeEpisode``'s checks once, and the episode
+    columns are coded as they are drawn: a type's ``bisect`` index is its PT
+    code, day d has code d + 1 and cycle c code c, code 0 standing for a
+    missing day or cycle.
     """
     random = Random(scenario.seed).random
     draws = iter(random, None)  # random() at each step, in the same stream
-    subjects, columns = [], [[] for _ in EpisodeColumns.__slots__]
-    for arm in scenario.arms:
-        labels = [AeEpisode("", arm.name, type_label(i)).pt_term for i in range(len(arm.probs))]
+    arms = scenario.arms
+    ids = [f"S{sid + 1:05d}" for sid in range(sum(arm.n_subjects for arm in arms))]
+    top_span = max((arm.onset_span for arm in arms if arm.onset_span is not None), default=-1)
+    n_types = max(len(arm.probs) for arm in arms)
+    labels = [AeEpisode("", "", type_label(i)).pt_term for i in range(n_types)]
+    columns = [Coded(bytearray(), table) for table in (
+        ids, [arm.name for arm in arms], labels, [None, *range(top_span + 1)], [None], [None],
+        [None], ["untiered"])]
+    cycle_table, subjects = columns[4].values, []
+    for a, arm in enumerate(arms):
         cum = list(accumulate(arm.probs))
         total = cum[-1]
         span = arm.onset_span
@@ -185,23 +192,25 @@ def generate_trial(scenario: Scenario) -> TrialDataset:
         log_stay = None if arm.cycle_dropout is None else (
             math.log1p(-arm.cycle_dropout) if arm.cycle_dropout < 1.0 else -math.inf)
         width = 1 + (span is not None) + (log_stay is not None)  # draws per episode
-        ids = [f"S{sid + 1:05d}" for sid in range(len(subjects), len(subjects) + arm.n_subjects)]
-        counts, u = [], []
-        for _ in ids:
+        first, counts, u = len(subjects), [], []
+        for _ in range(arm.n_subjects):
             counts.append(_poisson(random, arm.episodes_per_subject))
             u += islice(draws, counts[-1] * width)
+        n = sum(counts)
         # in range by construction: a day is in 0..span and a cycle at least 1
-        types = [labels[bisect_right(cum, x * total)] for x in u[::width]]
-        n = len(types)
-        days = [None] * n if span is None else [int(x * (span + 1)) for x in u[1::width]]
-        cycles = [None] * n if log_stay is None else [
+        cycles = [0] * n if log_stay is None else [
             1 + int(math.log1p(-x) / log_stay) for x in u[width - 1::width]]
+        if log_stay is not None and n:
+            cycle_table += range(len(cycle_table), max(cycles) + 1)
         subjects += map(tuple.__new__, repeat(SubjectRecord),
-                        zip(ids, repeat(arm.name), repeat("U"), *[repeat(None)] * 5))
-        for column, values in zip(columns, (chain.from_iterable(map(repeat, ids, counts)),
-                                            [arm.name] * n, types, days, cycles, [None] * n,
-                                            [None] * n, ["untiered"] * n)):
-            column += values
+                        zip(ids[first:first + arm.n_subjects], repeat(arm.name), repeat("U"),
+                            *[repeat(None)] * 5))
+        for column, codes in zip(columns, (
+                list(chain.from_iterable(map(repeat, range(first, len(subjects)), counts))),
+                [a] * n, [bisect_right(cum, x * total) for x in u[::width]],
+                [0] * n if span is None else [1 + int(x * (span + 1)) for x in u[1::width]],
+                cycles, [0] * n, [0] * n, [0] * n)):
+            column.extend(codes)
     return TrialDataset(subjects=tuple(subjects), episodes=EpisodeColumns(columns))
 
 
@@ -269,19 +278,12 @@ def _arm_validation(arm: ArmScenario, adxs: np.ndarray, ses: np.ndarray,
     true_h = arm.true_adx()
     k = sum(p > 0 for p in arm.probs)
     n_total = max(1, round(arm.n_subjects * arm.episodes_per_subject))
-    return ArmValidation(
-        arm=arm.name,
-        true_adx=true_h,
-        replicates=len(adxs),
-        mean_adx=float(adxs.mean()),
-        sd_adx=sd,
-        mean_analytic_se=mean_se,
-        sd_over_se=sd / mean_se if mean_se > 0 else None,
-        bias=float(adxs.mean() - true_h),
-        first_order_bias=-(k - 1) / (2.0 * n_total),
-        degenerate=degenerate,
-        **shape,
-    )
+    return ArmValidation(arm=arm.name, true_adx=true_h, replicates=len(adxs),
+                         mean_adx=float(adxs.mean()), sd_adx=sd, mean_analytic_se=mean_se,
+                         sd_over_se=sd / mean_se if mean_se > 0 else None,
+                         bias=float(adxs.mean() - true_h),
+                         first_order_bias=-(k - 1) / (2.0 * n_total), degenerate=degenerate,
+                         **shape)
 
 
 def validate_variance(scenario: Scenario, replicates: int = 1000) -> ValidationReport:
@@ -336,8 +338,7 @@ def validate_normality(scenario: Scenario, replicates: int = 1000,
         sd = float(adxs.std(ddof=1))
         if sd == 0.0:
             raise DegenerateScenario(
-                f"arm {arm.name!r}: every replicate has the same adx; nothing to standardize"
-            )
+                f"arm {arm.name!r}: every replicate has the same adx; nothing to standardize")
         z = (adxs - adxs.mean()) / sd
         arms.append(_arm_validation(arm, adxs, ses, False, **_shape_diagnostics(z)))
     return ValidationReport(scenario, replicates, arms)

@@ -12,18 +12,11 @@ from typing import NamedTuple
 
 from .cohorts import AgeBinning, CohortKey, _cells, _estimate_and_pair
 from .data import TrialDataset
-from .entropy import (
-    AdxEstimate,
-    ComparisonResult,
-    FrequencyProfile,
-    estimate,
-    profile_from_episodes,
-)
+from .entropy import (AdxEstimate, ComparisonResult, FrequencyProfile, estimate,
+                      profile_from_episodes)
 from .errors import NoCycleData, NoDatedEpisodes
 
-SEQUENTIAL_CAVEAT = (
-    "per-look tests are unadjusted for repeated looks (no alpha spending)"
-)
+SEQUENTIAL_CAVEAT = "per-look tests are unadjusted for repeated looks (no alpha spending)"
 
 
 class _LookScheduleFields(NamedTuple):
@@ -48,8 +41,8 @@ def default_schedule(data: TrialDataset) -> LookSchedule:
     """Divide the observed onset-day span into thirds, repeated cutoffs
     dropped; the last cutoff is the max onset day so the final look sees
     every dated episode."""
-    days = set(data.columns.onset_day)
-    days.discard(None)
+    column = data.columns.onset_day  # its table may hold days no episode has
+    days = {column.values[code] for code in set(column.codes)} - {None}
     if not days:
         raise NoDatedEpisodes("no episode carries onset_day")
     lo, hi = min(days), max(days)
@@ -68,16 +61,10 @@ class InterimSeries:
         self.excluded_undated = excluded_undated
 
 
-def interim_series(
-    data: TrialDataset,
-    schedule: LookSchedule | None = None,
-    dimensions: list[str] | None = None,
-    level: str = "pt",
-    age_binning: AgeBinning | None = None,
-    control: str | None = None,
-    alpha: float = 0.05,
-    two_sided: bool = True,
-) -> InterimSeries:
+def interim_series(data: TrialDataset, schedule: LookSchedule | None = None,
+                   dimensions: list[str] | None = None, level: str = "pt",
+                   age_binning: AgeBinning | None = None, control: str | None = None,
+                   alpha: float = 0.05, two_sided: bool = True) -> InterimSeries:
     """Cumulative estimates per (arm x optional subgroup cell x look).
 
     Look t covers episodes with onset_day <= cutoff[t]; undated episodes
@@ -103,14 +90,16 @@ def interim_series(
 def _cumulative_profiles(data: TrialDataset, column, cutoffs, level: str, dimensions=(),
                          age_binning: AgeBinning | None = None):
     """Per ascending cutoff, the profile of each (arm x subgroup) cell's
-    episodes whose value in ``column`` is at most the cutoff (cells with none
-    left out). An episode's look, the first whose cutoff it is within, is
-    worked out once per distinct value up to the last cutoff; one pass groups
-    the PT terms of the episodes with a look by cell and look, and each look
-    adds its group to the cell's running counts: O(N + looks x K)."""
-    look = {v: bisect_left(cutoffs, v) for v in set(column) - {None} if v <= cutoffs[-1]}
-    within = bytes(map(look.__contains__, column))
-    groups = _cells(data, dimensions, age_binning, within, map(look.get, column))
+    episodes whose value in the coded ``column`` is at most the cutoff (cells
+    with none left out). An episode's look, the first whose cutoff it is
+    within, is worked out once per code; one pass groups the PT codes of the
+    episodes with a look by cell and look, and each look adds its group to
+    the cell's running counts: O(N + looks x K)."""
+    look = [None if v is None or v > cutoffs[-1] else bisect_left(cutoffs, v)
+            for v in column.values]
+    has_look = [i is not None for i in look]
+    groups = _cells(data, dimensions, age_binning, map(has_look.__getitem__, column.codes),
+                    map(look.__getitem__, column.codes))
     running = {key: Counter() for key, _ in groups}
     for i in range(len(cutoffs)):
         for key, counts in running.items():
@@ -128,12 +117,8 @@ class ExposureCurves(NamedTuple):
     excluded_no_cycle: int
 
 
-def exposure_curves(
-    data: TrialDataset,
-    max_cycle: int | None = None,
-    exposure: dict[str, int] | None = None,
-    level: str = "pt",
-) -> ExposureCurves:
+def exposure_curves(data: TrialDataset, max_cycle: int | None = None,
+                    exposure: dict[str, int] | None = None, level: str = "pt") -> ExposureCurves:
     """Cumulative AdX/K/N per arm as a function of cycles completed.
 
     subjects_at_cycle c counts subjects whose exposure (explicit
@@ -147,11 +132,13 @@ def exposure_curves(
     no_cycle = cycle.count(None)
     if no_cycle == len(cycle):
         raise NoCycleData("no episode carries a cycle number")
-    last_cycle: dict[str, int] = {}  # each subject's highest episode cycle
-    for subject_id, c in zip(data.columns.subject_id, cycle):
-        if c is not None and c > last_cycle.get(subject_id, 0):
-            last_cycle[subject_id] = c
-    top = max(last_cycle.values()) if max_cycle is None else max_cycle
+    ids = data.columns.subject_id
+    last = [0] * len(ids.values)  # per subject code, the highest episode cycle
+    for s, c in zip(ids.codes, cycle):
+        if c is not None and c > last[s]:
+            last[s] = c
+    top = max(last) if max_cycle is None else max_cycle
+    last_cycle = dict(zip(ids.values, last))
     if exposure:
         last_cycle.update(exposure)
     exposed = {

@@ -449,6 +449,57 @@ def test_exposure_file_is_read(capsys, tiny_trial_files, tmp_path):
     assert {r["arm"]: r["subjects_at_cycle"] for r in at_six} == {"A": 1, "B": 0}
 
 
+@pytest.mark.parametrize("rows, error, line", [
+    ([["S1", "3"], ["S1", "9"], ["S3", "4"]], "second exposure row for subject 'S1'", 3),
+    ([["S1", "3"], ["S99999", "4"]], "exposure row references unknown subject 'S99999'", 3),
+    ([["S99999", "4"], ["S99999", "5"]], "exposure row references unknown subject 'S99999'", 2),
+])
+def test_exposure_file_rejects_a_repeated_or_unknown_subject(capsys, tiny_trial_files, tmp_path,
+                                                             rows, error, line):
+    exposure = write_csv(tmp_path / "exposure.csv", ["subject_id", "last_cycle"], rows)
+    code, out, err = run(
+        capsys, "exposure",
+        "--episodes", str(tiny_trial_files["episodes"]),
+        "--subjects", str(tiny_trial_files["subjects"]),
+        "--exposure-file", str(exposure), "--out", str(tmp_path / "o"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"adx: input error: {exposure}:{line}: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
+_THREADS_CHILD = """
+import os, sys
+from adx import cli
+sys.argv = ["adx", "validate", "--scenario", sys.argv[1], "--replicates", "2",
+            "--out", sys.argv[2], "--format", "json-lines"]
+code = cli.run()
+print(code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"),
+      os.environ.get("OMP_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ("1", "1")),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, ("2", "3")),
+])
+def test_run_keeps_numpy_blas_to_one_thread_unless_set(tmp_path, preset, expected):
+    scenario = _scenario(tmp_path, [("A", "0.5 0.3 0.2")])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                            "OMP_NUM_THREADS")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env.update(preset, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(scenario),
+                           str(tmp_path / "o")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    code, threads, *values = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert tuple(values) == expected
+    if not preset:  # numpy loaded and no BLAS worker started: the main thread alone
+        assert threads == "1"
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["exposure", "--max-cycle", "-3"], "max_cycle must be >= 1, got -3",
                  id="max-cycle=-3"),

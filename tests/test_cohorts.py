@@ -145,9 +145,10 @@ def test_cells_match_per_episode_grouping():
         expected.setdefault(key, []).append(ep.pt_term)
         if kept:
             expected_split.setdefault((key, part), []).append(ep.pt_term)
-    assert list(_cells(trial, dims, binning).items()) == list(expected.items())
+    decoded = [(key, list(cell)) for key, cell in _cells(trial, dims, binning).items()]
+    assert decoded == list(expected.items())
     cells = _cells(trial, dims, binning, within, iter(split))
-    assert list(cells.items()) == list(expected_split.items())
+    assert [(key, list(cell)) for key, cell in cells.items()] == list(expected_split.items())
 
 
 def test_single_arm_no_comparisons():

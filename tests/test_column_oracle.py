@@ -319,5 +319,5 @@ def test_loaded_trial_holds_no_episode_records(tiny_trial_files):
                   if hasattr(obj, name)]
     assert found == []
     assert len(trial.columns) == 5
-    assert trial.columns.pt_term == ["nausea", "headache", "nausea", "fatigue", "nausea"]
+    assert list(trial.columns.pt_term) == ["nausea", "headache", "nausea", "fatigue", "nausea"]
     assert trial.episodes == tuple(itertools.chain(*(trial.episodes_for_arm(a) for a in "AB")))

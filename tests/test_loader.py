@@ -7,9 +7,15 @@ raise the same first error: same type, same line number, same message.
 The reader works in chunks, so the generated files are read with chunks of
 1, 2 and 3 records as well as the default, and one test puts the fault past
 the first default chunk.
+
+The reader codes each column into a table of its distinct values. The list
+reader it replaced, which kept a list of parsed values per column, stays
+here as the oracle of the coded columns: decoded, they must equal its lists.
 """
 import csv
 from contextlib import contextmanager
+from itertools import islice, repeat
+from operator import attrgetter, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +199,8 @@ def reference_load_exposure(path):
             last = _opt_int(row.get("last_cycle"), path, line_no, "last_cycle")
             if not sid or last is None:
                 raise MalformedRow(path, line_no, "empty subject_id or last_cycle")
+            if sid in exposure:
+                raise MalformedRow(path, line_no, f"second exposure row for subject {sid!r}")
             exposure[sid] = last
     return exposure
 
@@ -432,8 +440,139 @@ def test_loaded_rows_are_named_tuples_sharing_parsed_values(tmp_path):
     first, second = columns.records()
     assert type(first) is AeEpisode
     assert first == AeEpisode("S1", "A", "nausea", onset_day=3, serious=True)
-    assert columns.pt_term == [first.pt_term, second.pt_term]
+    assert list(columns.pt_term) == [first.pt_term, second.pt_term]
     assert first.pt_term is second.pt_term
+
+
+# --- the list reader: ``data.read_table`` as it was before it coded columns ---
+
+
+def reference_read_table(path, cls, columns, check=None):
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None) or []
+            missing = [c.name for c in columns if c.required and c.name not in header]
+            if missing:
+                raise MalformedRow(path, 1, f"missing required column(s): {', '.join(missing)}")
+            width, index = len(header), {name: i for i, name in enumerate(header)}
+            picks = [index.get(c.name) for c in columns]
+            memos = [{} for _ in columns]
+            parsed, failure, last = [[] for _ in columns], None, False
+            while not last:
+                rows = []
+                try:
+                    rows.extend(islice(reader, data.CHUNK_ROWS))
+                except (csv.Error, UnicodeDecodeError) as exc:
+                    failure = exc
+                last = failure is not None or len(rows) < data.CHUNK_ROWS
+                if set(map(len, rows)) - {width}:
+                    rows = [(row + [None] * width)[:width] for row in rows if row]
+                if rows:
+                    for column, values in zip(parsed, _reference_chunk(
+                            rows, path, 2 + len(parsed[0]), cls, columns, picks, memos, check)):
+                        column += values
+            if failure:
+                raise failure
+            return parsed if cls is None else list(map(tuple.__new__, repeat(cls), zip(*parsed)))
+        except csv.Error as exc:
+            reason = f"unreadable CSV: {exc}"
+            if "field limit" in reason:
+                reason += ", the csv module's default"
+            raise MalformedRow(path, reader.line_num, reason) from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _reference_chunk(rows, path, line, cls, columns, picks, memos, check):
+    n = len(rows)
+    raw = list(zip(*rows))
+    cols = [raw[pick] if pick is not None else (column.absent,) * n
+            for column, pick in zip(columns, picks)]
+    parsed, first_fault = [], n
+    for column, col, memo in zip(columns, cols, memos):
+        for value in set(col).difference(memo):
+            try:
+                memo[value] = column.parse(value)
+            except ValueError as exc:
+                memo[value] = exc if isinstance(exc, data.Fault) else data.Fault(str(exc))
+                first_fault = min(first_fault, col.index(value))
+        parsed.append(itemgetter(*col)(memo) if n > 1 else (memo[col[0]],))
+    records = islice(map(tuple.__new__, repeat(cls), zip(*parsed)), first_fault) if check else ()
+    for line_no, record in enumerate(records, line):
+        try:
+            check(record, line_no)
+        except ValueError as exc:
+            raise MalformedRow(path, line_no, str(exc)) from None
+    if first_fault < n:
+        found = [memo[col[first_fault]] for memo, col in zip(memos, cols)]
+        fault = min((f for f in found if isinstance(f, data.Fault)), key=attrgetter("stage"))
+        raise MalformedRow(path, line + first_fault, str(fault))
+    return parsed
+
+
+def _columns(read, path):
+    """What ``read`` makes of the episodes CSV at ``path``: the repr of its
+    columns as lists and of its ``AeEpisode`` records, or its first error."""
+    try:
+        columns = [list(column) for column in read(path, None, data._EPISODE_COLUMNS)]
+    except InputError as exc:
+        return "error", (type(exc), getattr(exc, "line_no", None), str(exc))
+    return repr(columns), repr(list(map(tuple.__new__, repeat(AeEpisode), zip(*columns))))
+
+
+_AWKWARD = st.text(st.characters(codec="utf-8")
+                   | st.sampled_from([",", '"', " ", "\n", "é", "Ω"]), max_size=5)
+_FIELDS = {
+    "subject_id": st.sampled_from(["S1", " S1", "Sé", 'S,"2"', ""]) | _AWKWARD,
+    "arm": st.sampled_from(["A", "B, ctl", " A ", ""]),
+    "pt_term": st.sampled_from(["Nausea", " nausea ", "rash, NOS", '"dry" eye', "Ωmega"])
+    | _AWKWARD,
+    "onset_day": st.sampled_from(["", " ", "0", "3", " 3", "-1", "x"])
+    | st.integers(0, 400).map(str),
+    "cycle": st.sampled_from(["", "1", "2", "0", "c"]),
+    "serious": st.sampled_from(["", "true", "No", "Y", "maybe"]),
+    "severity": st.sampled_from(["", "1", "3", "2.5"]),
+    "tier": st.sampled_from(["", "tier1", "TIER23", "untiered", "tier9"]),
+}
+
+
+@st.composite
+def awkward_episodes(draw):
+    header = draw(st.permutations(COLUMNS[:3] + draw(st.lists(st.sampled_from(COLUMNS[3:]),
+                                                                unique=True))))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(_FIELDS[name]) for name in header]
+        rows.append(row[:draw(st.integers(1, len(row)))] if draw(st.booleans()) else row)
+    return header, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=awkward_episodes(), chunk_rows=st.sampled_from([1, 2, 3, data.CHUNK_ROWS]))
+def test_coded_columns_decode_to_the_list_readers_columns(tmp_path_factory, drawn, chunk_rows):
+    path = write_csv(tmp_path_factory.getbasetemp() / "awkward_episodes.csv", *drawn)
+    with _chunks_of(chunk_rows):
+        coded = _columns(data.read_table, path)
+        expected = _columns(reference_read_table, path)
+        assert coded == expected
+        if coded[0] != "error":
+            assert repr(load_episodes(path).records()) == coded[1]
+
+
+def test_columns_widen_as_their_tables_grow(tmp_path):
+    # subject_id: a new value every row, past 256 in the second chunk and
+    # past 65,536 far into the file; pt_term: past 256 after 300 rows
+    rows = [[f"S{i}", "A", f"pt {i % 300}", str(i % 7), "", "", "", ""] for i in range(65_700)]
+    path = write_csv(tmp_path / "episodes.csv", COLUMNS, rows)
+    columns = load_episodes(path)
+    assert [columns.subject_id.codes.typecode, columns.pt_term.codes.typecode] == ["I", "H"]
+    assert isinstance(columns.arm.codes, bytearray)
+    assert _columns(data.read_table, path) == _columns(reference_read_table, path)
 
 
 @pytest.mark.parametrize("hierarchy_rows", [

@@ -3,7 +3,15 @@ import tracemalloc
 import pytest
 
 from adx.cohorts import CohortKey, subgroup_analysis
-from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset, load_trial, write_trial
+from adx.data import (
+    AeEpisode,
+    HierarchyMap,
+    SubjectRecord,
+    TrialDataset,
+    load_episodes,
+    load_trial,
+    write_trial,
+)
 from adx.entropy import estimate, profile_from_episodes
 from adx.errors import NoCycleData, NoDatedEpisodes
 from adx.simulate import ArmScenario, Scenario, generate_trial
@@ -137,20 +145,52 @@ def test_interim_and_exposure_scratch_stays_a_small_share_of_the_trial(tmp_path)
     assert max(scratch) < 0.35, scratch
 
 
-@pytest.mark.parametrize("early, full", [
-    (lambda t: interim_series(t, LookSchedule((72,))),
-     lambda t: interim_series(t, LookSchedule(tuple(range(60, 721, 60))))),
-    (lambda t: exposure_curves(t, max_cycle=1), lambda t: exposure_curves(t)),
+@pytest.mark.parametrize("early, past", [
+    (lambda t: interim_series(t, LookSchedule((72,))), lambda e: e.onset_day > 72),
+    (lambda t: exposure_curves(t, max_cycle=1), lambda e: e.cycle > 1),
 ], ids=["interim-day-72", "exposure-cycle-1"])
-def test_episodes_past_the_last_look_take_no_scratch(tmp_path, early, full):
-    # the first look (day 72, cycle 1) counts 10-15% of the episodes; one
-    # look past which no episode is grouped takes well under half the
-    # scratch of every look, where grouping them all would take nearly as much
+def test_episodes_past_the_last_look_take_no_scratch(early, past):
+    # the only look (day 72, cycle 1) counts 10-15% of the episodes: a second
+    # copy of each episode past it leaves the look's scratch as it is, where
+    # grouping or masking every episode would add at least a byte for each
+    episodes = tuple(generate_trial(_scratch_scenario()).columns.records())
+    subjects = tuple(SubjectRecord(s, a) for s, a in dict.fromkeys((e[0], e[1]) for e in episodes))
+    late = tuple(filter(past, episodes))
+    base, more = (TrialDataset(subjects, episodes + extra) for extra in ((), late))
+    early(base)  # first-call allocations (caches, interned names) out of the measure
+    added = _scratch(lambda: early(more)) - _scratch(lambda: early(base))
+    assert len(late) > 15_000
+    assert added < len(late) / 8, added
+
+
+def _loaded_scratch_trial(tmp_path):
     write_trial(generate_trial(_scratch_scenario()), tmp_path / "episodes.csv",
                 tmp_path / "subjects.csv")
-    trial = load_trial(tmp_path / "episodes.csv", tmp_path / "subjects.csv")
-    share = _scratch(lambda: early(trial)) / _scratch(lambda: full(trial))
-    assert share < 0.5, share
+    return tmp_path / "episodes.csv", tmp_path / "subjects.csv"
+
+
+def test_loaded_episodes_take_at_most_32_bytes_each(tmp_path):
+    # one pointer per episode and field, as columns of values, would take 64
+    episodes_file, _ = _loaded_scratch_trial(tmp_path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        columns = load_episodes(episodes_file)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(columns) > 19_000
+    assert retained <= 32 * len(columns), retained / len(columns)
+
+
+def test_subgroup_scratch_holds_no_object_per_episode(tmp_path):
+    # cells of 1-byte PT codes and per-code filter tables: a pointer per
+    # episode in the cells alone would take 8 bytes each
+    trial = load_trial(*_loaded_scratch_trial(tmp_path))
+    run = lambda: subgroup_analysis(trial, ["sex", "age", "seriousness"])  # noqa: E731
+    run()  # first-call allocations (the interpreter's free lists) out of the measure
+    scratch = _scratch(run)
+    assert scratch <= 6 * len(trial.columns), scratch / len(trial.columns)
 
 
 def test_interim_keeps_zero_variance_pairs_per_look():
