@@ -16,7 +16,12 @@ import numpy as np
 
 from .data import Column, Fault, TrialDataset, read_table
 from .entropy import AdxEstimate, FrequencyProfile, estimate
-from .errors import DivisionByZeroBenefit, InsufficientData, MalformedRow, ZeroAdversity
+from .errors import (
+    DivisionByZeroBenefit,
+    InsufficientData,
+    MalformedRow,
+    ZeroAdversity,
+)
 from . import kernel
 
 
@@ -112,8 +117,11 @@ class BenefitRiskResult(NamedTuple):
     re_read_values: dict[tuple[str, str], float]
 
 
-def benefit_risk(estimates: dict[str, AdxEstimate], efficacy: dict[str, EfficacyInput],
-                 pairs: list[tuple[str, str]]) -> BenefitRiskResult:
+def benefit_risk(
+    estimates: dict[str, AdxEstimate],
+    efficacy: dict[str, EfficacyInput],
+    pairs: list[tuple[str, str]],
+) -> BenefitRiskResult:
     """REAd per arm and Re-REAd per pair of ``pairs``."""
     check_sign_consistency(efficacy)
     reads = {arm: read_score(efficacy[arm], est) for arm, est in estimates.items()
@@ -122,10 +130,16 @@ def benefit_risk(estimates: dict[str, AdxEstimate], efficacy: dict[str, Efficacy
     return BenefitRiskResult(read_values=reads, re_read_values=rr)
 
 
-def re_read_bootstrap_ci(data: TrialDataset, efficacy: dict[str, EfficacyInput],
-                         arms: tuple[str, str], level: float = 0.95, replicates: int = 1000,
-                         seed: int = 0, unit: str = "episode",
-                         hierarchy_level: str = "pt") -> tuple[float, float]:
+def re_read_bootstrap_ci(
+    data: TrialDataset,
+    efficacy: dict[str, EfficacyInput],
+    arms: tuple[str, str],
+    level: float = 0.95,
+    replicates: int = 1000,
+    seed: int = 0,
+    unit: str = "episode",
+    hierarchy_level: str = "pt",
+) -> tuple[float, float]:
     """Percentile bootstrap interval for Re-REAd(arms[0]/arms[1]).
 
     Resampling unit is the episode by default (matching the estimator's

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, data, entropy, report
-from .errors import AdxError, ConfigError
+from .errors import AdxError, ConfigError, UnknownSubject
 
 if TYPE_CHECKING:
     from . import cohorts
@@ -420,8 +420,13 @@ def cmd_exposure(args) -> None:
     from . import temporal
 
     trial = _load(args)
-    subject_ids = {s.subject_id for s in trial.subjects}
-    exposure = data.load_exposure(args.exposure_file, subject_ids) if args.exposure_file else None
+    exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
+    if exposure:  # one row per subject, so the i-th subject is on the file's line i + 2
+        known = {s.subject_id for s in trial.subjects}
+        for line, subject_id in enumerate(exposure, 2):
+            if subject_id not in known:
+                raise UnknownSubject(f"{args.exposure_file}:{line}: exposure row references "
+                                     f"unknown subject {subject_id!r}")
     curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
     records = [{"record": "exposure", "arm": arm, "cycle": cycle, "adx": h, "k": k, "n": n,
                 "subjects_at_cycle": subj}

@@ -16,10 +16,23 @@ from itertools import compress
 from typing import NamedTuple
 
 from .data import Coded, SubjectRecord, TrialDataset, _store, normalize_term
-from .entropy import (AdxEstimate, ComparisonResult, FrequencyProfile, compare, estimate,
-                      profile_from_episodes, rollup)
-from .errors import (DegenerateVariance, EmptyProfile, MissingHierarchy, UnknownDimension,
-                     UnknownSoc, UnmappedTerm)
+from .entropy import (
+    AdxEstimate,
+    ComparisonResult,
+    FrequencyProfile,
+    compare,
+    estimate,
+    profile_from_episodes,
+    rollup,
+)
+from .errors import (
+    DegenerateVariance,
+    EmptyProfile,
+    MissingHierarchy,
+    UnknownDimension,
+    UnknownSoc,
+    UnmappedTerm,
+)
 
 SUBJECT_DIMENSIONS = ("sex", "age", "background_therapy", "substudy")
 EPISODE_DIMENSIONS = ("soc", "seriousness", "severity", "tier")
@@ -81,7 +94,8 @@ class CohortKey(_CohortKeyFields):
         return tuple.__new__(cls, (arm, tuple(sorted(filters))))
 
     def __str__(self) -> str:
-        return " | ".join([self.arm] + [f"{d}={v}" for d, v in self.filters])
+        parts = [self.arm] + [f"{d}={v}" for d, v in self.filters]
+        return " | ".join(parts)
 
 
 class SubgroupReport:
@@ -108,22 +122,30 @@ def _episode_dimension_value(dim: str, value, data: TrialDataset) -> str:
     if dim == "soc":
         return data.require_hierarchy().term_at(value, "soc")
     if dim == "seriousness":
-        return UNKNOWN if value is None else "serious" if value else "non-serious"
+        if value is None:
+            return UNKNOWN
+        return "serious" if value else "non-serious"
     if dim == "severity":
         return UNKNOWN if value is None else str(value)
     return value  # tier
 
 
 def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> str:
+    if dim == "sex":
+        return subj.sex
     if dim == "age":
         return age_binning.label(subj.age_years)
     value = getattr(subj, dim)
     return value if value is not None else UNKNOWN
 
 
-def _cells(data: TrialDataset, dimensions: Sequence[str] = (),
-           age_binning: AgeBinning | None = None, within: Iterable | None = None,
-           by: Iterable | None = None) -> dict:
+def _cells(
+    data: TrialDataset,
+    dimensions: Sequence[str] = (),
+    age_binning: AgeBinning | None = None,
+    within: Iterable | None = None,
+    by: Iterable | None = None,
+) -> dict:
     """Group the episodes, or those that ``within`` marks true, into
     (arm x subgroup) cells: each the ``Coded`` PT terms of its episodes, in
     episode order, under its ``CohortKey``. With ``by``, one value per
@@ -138,7 +160,7 @@ def _cells(data: TrialDataset, dimensions: Sequence[str] = (),
         if dim not in DIMENSIONS:
             raise UnknownDimension(f"{dim!r}; valid: {', '.join(DIMENSIONS)}")
     binning = age_binning or AgeBinning()
-    columns, tables = data.columns, []  # per key part after the arm, its filters -> code
+    columns, tables = data.columns, []  # per key part after the arm, its filters by code
 
     def coded(column, filters):
         """Each episode's code of ``filters(value)`` for its value in ``column``."""
@@ -160,9 +182,6 @@ def _cells(data: TrialDataset, dimensions: Sequence[str] = (),
     if by is not None:
         keys.append(by)
     pts = columns.pt_term
-    if len(keys) == 1 and within is None:  # by arm alone: a mask per arm
-        cells = {CohortKey(arm): pts.select(columns.arm.mask(arm)) for arm in columns.arm.values}
-        return {key: cell for key, cell in cells.items() if len(cell)}
     groups = defaultdict(partial(_store, len(pts.values)))  # in order of first appearance
     rows = zip(pts.codes, zip(*keys))
     for code, key in rows if within is None else compress(rows, within):
@@ -185,8 +204,13 @@ def _or_fault(filters, value):
         return exc
 
 
-def _estimate_and_pair(data: TrialDataset, profiles: dict[CohortKey, FrequencyProfile],
-                       control: str | None, alpha: float, two_sided: bool) -> SubgroupReport:
+def _estimate_and_pair(
+    data: TrialDataset,
+    profiles: dict[CohortKey, FrequencyProfile],
+    control: str | None,
+    alpha: float,
+    two_sided: bool,
+) -> SubgroupReport:
     """Estimate every cell's profile and compare the arms within each cell.
 
     Cells are ordered by (filters, arm). Arms pair in ``data.arms`` order:
@@ -201,8 +225,10 @@ def _estimate_and_pair(data: TrialDataset, profiles: dict[CohortKey, FrequencyPr
         by_cell.setdefault(key.filters, {})[key.arm] = key
     for filters, arm_keys in by_cell.items():
         arms = [a for a in data.arms if a in arm_keys]
-        pairs = ([(a, control) for a in arms if a != control] if control in arm_keys
-                 else itertools.combinations(arms, 2))
+        if control in arm_keys:
+            pairs = [(a, control) for a in arms if a != control]
+        else:
+            pairs = itertools.combinations(arms, 2)
         for a, b in pairs:
             ka, kb = arm_keys[a], arm_keys[b]
             try:
@@ -215,10 +241,16 @@ def _estimate_and_pair(data: TrialDataset, profiles: dict[CohortKey, FrequencyPr
     return report
 
 
-def subgroup_analysis(data: TrialDataset, dimensions: list[str], level: str = "pt",
-                      age_binning: AgeBinning | None = None, min_episodes: int = 10,
-                      control: str | None = None, alpha: float = 0.05,
-                      two_sided: bool = True) -> SubgroupReport:
+def subgroup_analysis(
+    data: TrialDataset,
+    dimensions: list[str],
+    level: str = "pt",
+    age_binning: AgeBinning | None = None,
+    min_episodes: int = 10,
+    control: str | None = None,
+    alpha: float = 0.05,
+    two_sided: bool = True,
+) -> SubgroupReport:
     """One estimate per (arm x subgroup cell), pairwise arm comparisons
     within each cell.
 
@@ -228,23 +260,30 @@ def subgroup_analysis(data: TrialDataset, dimensions: list[str], level: str = "p
     """
     binning = age_binning or AgeBinning()
     cells = _cells(data, dimensions, binning)
-    profiles = {key: profile_from_episodes(cell, level, data.hierarchy)
-                for key, cell in cells.items()}
+    profiles = {
+        key: profile_from_episodes(terms, level, data.hierarchy) for key, terms in cells.items()
+    }
     report = _estimate_and_pair(data, profiles, control, alpha, two_sided)
     report.low_n = {key for key, est in report.estimates.items() if est.n < min_episodes}
     if "age" in dimensions:
         report.footnotes.append(
-            "age bins are left-closed right-open: " + ", ".join(binning.labels()))
+            "age bins are left-closed right-open: " + ", ".join(binning.labels())
+        )
     return report
 
 
-def soc_analysis(data: TrialDataset, control: str | None = None, alpha: float = 0.05,
-                 two_sided: bool = True) -> SubgroupReport:
+def soc_analysis(
+    data: TrialDataset,
+    control: str | None = None,
+    alpha: float = 0.05,
+    two_sided: bool = True,
+) -> SubgroupReport:
     """Per-SOC AdX per arm (PT-level profiles restricted to the SOC) with
     active-vs-control comparisons."""
     data.require_hierarchy()
     return subgroup_analysis(
-        data, ["soc"], level="pt", control=control, alpha=alpha, two_sided=two_sided)
+        data, ["soc"], level="pt", control=control, alpha=alpha, two_sided=two_sided
+    )
 
 
 class DrilldownTable(NamedTuple):
@@ -287,9 +326,15 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None,
     others = {a: sum(counts[pt][a] for pt in rest) for a in arms}
     zero = {a: sum(1 for pt in counts if counts[pt][a] == 0) for a in arms}
     totals = {a: sum(counts[pt][a] for pt in counts) for a in arms}
-    return DrilldownTable(soc=soc_n, arms=arms, rows=[(pt, dict(counts[pt])) for pt in top],
-                          others=others, zero_count_types=zero, totals=totals,
-                          total_types=len(counts))
+    return DrilldownTable(
+        soc=soc_n,
+        arms=arms,
+        rows=[(pt, dict(counts[pt])) for pt in top],
+        others=others,
+        zero_count_types=zero,
+        totals=totals,
+        total_types=len(counts),
+    )
 
 
 class PropositionReport(NamedTuple):
@@ -313,9 +358,13 @@ class PropositionReport(NamedTuple):
     p4_holds: bool
 
 
-def hierarchy_sweep(data: TrialDataset, levels: tuple[str, ...] = ("pt", "hlt", "hlgt"),
-                    control: str | None = None, alpha: float = 0.05,
-                    two_sided: bool = True) -> PropositionReport:
+def hierarchy_sweep(
+    data: TrialDataset,
+    levels: tuple[str, ...] = ("pt", "hlt", "hlgt"),
+    control: str | None = None,
+    alpha: float = 0.05,
+    two_sided: bool = True,
+) -> PropositionReport:
     data.require_hierarchy()
     arms = list(data.arms)
     cells = _cells(data)
@@ -325,7 +374,7 @@ def hierarchy_sweep(data: TrialDataset, levels: tuple[str, ...] = ("pt", "hlt", 
     estimates: dict[tuple[str, str], AdxEstimate] = {}
     comparisons: dict[tuple[str, str, str], ComparisonResult] = {}
     degenerate: list[tuple[str, str, str]] = []
-    by_pt = {key: profile_from_episodes(cell) for key, cell in cells.items()}
+    by_pt = {key: profile_from_episodes(terms) for key, terms in cells.items()}
     for level in levels:
         profiles = {key: rollup(profile, level, data.hierarchy) for key, profile in by_pt.items()}
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
@@ -335,12 +384,17 @@ def hierarchy_sweep(data: TrialDataset, levels: tuple[str, ...] = ("pt", "hlt", 
         degenerate += [(ka.arm, kb.arm, level) for ka, kb in rep.degenerate]
 
     # P1: coarsening never increases the index (theorem; tiny float slack)
-    p1 = all(estimates[(arm, levels[i])].adx >= estimates[(arm, levels[i + 1])].adx - 1e-9
-             for arm in arms for i in range(len(levels) - 1))
+    p1 = all(
+        estimates[(arm, levels[i])].adx >= estimates[(arm, levels[i + 1])].adx - 1e-9
+        for arm in arms
+        for i in range(len(levels) - 1)
+    )
     if not p1:
         raise AssertionError("coarsening increased AdX; entropy rollup is broken")
 
-    rankings = [tuple(sorted(arms, key=lambda a: estimates[(a, level)].adx)) for level in levels]
+    rankings = [
+        tuple(sorted(arms, key=lambda a: estimates[(a, level)].adx)) for level in levels
+    ]
     p2 = all(r == rankings[0] for r in rankings)
 
     # finer level = earlier in `levels`. P3: significance at a coarser level
@@ -349,10 +403,19 @@ def hierarchy_sweep(data: TrialDataset, levels: tuple[str, ...] = ("pt", "hlt", 
     # so it always equals P3.
     p3 = True
     for a, b in dict.fromkeys((a, b) for a, b, _ in comparisons):
-        sig = [(a, b, lv) in comparisons and comparisons[(a, b, lv)].p_value < alpha
-               for lv in levels]
+        sig = [
+            (a, b, lv) in comparisons and comparisons[(a, b, lv)].p_value < alpha
+            for lv in levels
+        ]
         if any(sig[i + 1] and not sig[i] for i in range(len(levels) - 1)):
             p3 = False
-    return PropositionReport(levels=list(levels), estimates=estimates, comparisons=comparisons,
-                             degenerate=degenerate, p1_holds=p1, p2_holds=p2, p3_holds=p3,
-                             p4_holds=p3)
+    return PropositionReport(
+        levels=list(levels),
+        estimates=estimates,
+        comparisons=comparisons,
+        degenerate=degenerate,
+        p1_holds=p1,
+        p2_holds=p2,
+        p3_holds=p3,
+        p4_holds=p3,
+    )

@@ -16,14 +16,20 @@ import re
 import struct
 from array import array
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import (ArmMismatch, InputError, MalformedRow, MissingHierarchy, UnknownSubject,
-                     UnmappedTerm)
+from .errors import (
+    ArmMismatch,
+    InputError,
+    MalformedRow,
+    MissingHierarchy,
+    UnknownSubject,
+    UnmappedTerm,
+)
 
 HIERARCHY_LEVELS = ("pt", "hlt", "hlgt", "soc")
 
@@ -418,8 +424,9 @@ class HierarchyMap:
             for pt, (hlt, hlgt, soc) in entries.items():
                 pt_n = normalize_term(pt)
                 triple = (normalize_term(hlt), normalize_term(hlgt), normalize_term(soc))
-                if norm.setdefault(pt_n, triple) != triple:
+                if pt_n in norm and norm[pt_n] != triple:
                     raise InputError(f"pt {pt_n!r} mapped to more than one hierarchy triple")
+                norm[pt_n] = triple
             entries = norm
         hlt_parent: dict[str, str] = {}
         hlgt_parent: dict[str, str] = {}
@@ -461,7 +468,8 @@ class HierarchyMap:
             pt, *terms = record
             if entries.setdefault(pt, tuple(terms)) != tuple(terms):
                 raise InputError(
-                    f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path")
+                    f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path"
+                )
         read_table(path, tuple, tuple(Column(f"{level}_term", _term, True)
                                       for level in HIERARCHY_LEVELS), check)
         return cls(entries, normalized=True)
@@ -483,19 +491,18 @@ class TrialDataset:
             if s.subject_id in by_id:
                 raise InputError(f"duplicate subject_id {s.subject_id!r}")
             by_id[s.subject_id] = s
-        # each arm's distinct subjects; on a fault, each distinct (subject, arm)
-        # pair in order of first appearance, so the first faulty episode is reported
+        # each distinct (subject, arm) code pair in order of first appearance,
+        # so the first faulty episode is the one reported
         ids, arms_of = episodes.subject_id, episodes.arm
-        if any(getattr(by_id.get(ids.values[s]), "arm", None) != arm
-               for arm in arms_of.values for s in set(compress(ids.codes, arms_of.mask(arm)))):
-            for s, a in dict.fromkeys(zip(ids.codes, arms_of.codes)):
-                subject_id, arm = ids.values[s], arms_of.values[a]
-                subj = by_id.get(subject_id)
-                if subj is None:
-                    raise UnknownSubject(f"episode references unknown subject {subject_id!r}")
-                if subj.arm != arm:
-                    raise ArmMismatch(
-                        f"episode arm {arm!r} != subject arm {subj.arm!r} for {subject_id!r}")
+        for s, a in dict.fromkeys(zip(ids.codes, arms_of.codes)):
+            subject_id, arm = ids.values[s], arms_of.values[a]
+            subj = by_id.get(subject_id)
+            if subj is None:
+                raise UnknownSubject(f"episode references unknown subject {subject_id!r}")
+            if subj.arm != arm:
+                raise ArmMismatch(
+                    f"episode arm {arm!r} != subject arm {subj.arm!r} for {subject_id!r}"
+                )
         present = tuple(dict.fromkeys(s.arm for s in subjects))
         if not arms:
             arms = present
@@ -537,9 +544,9 @@ def load_episodes(path: str | Path) -> EpisodeColumns:
     return EpisodeColumns(read_table(path, None, _EPISODE_COLUMNS))
 
 
-def load_exposure(path: str | Path, subject_ids: Collection[str] | None = None) -> dict[str, int]:
+def load_exposure(path: str | Path) -> dict[str, int]:
     """Read an exposure CSV (subject_id,last_cycle) into subject_id -> last
-    cycle: one row per subject and, given ``subject_ids``, one of those."""
+    cycle, one row per subject."""
     exposure: dict[str, int] = {}
 
     def check(record: tuple, line_no: int) -> None:
@@ -548,9 +555,6 @@ def load_exposure(path: str | Path, subject_ids: Collection[str] | None = None) 
             raise ValueError("empty subject_id or last_cycle")
         if subject_id in exposure:
             raise ValueError(f"second exposure row for subject {subject_id!r}")
-        if subject_ids is not None and subject_id not in subject_ids:
-            raise UnknownSubject(f"{path}:{line_no}: exposure row references unknown subject "
-                                 f"{subject_id!r}")
         exposure[subject_id] = last_cycle
     read_table(path, tuple, (
         Column("subject_id", _nonblank("empty subject_id or last_cycle"), required=True),
@@ -558,8 +562,12 @@ def load_exposure(path: str | Path, subject_ids: Collection[str] | None = None) 
     return exposure
 
 
-def load_trial(episodes_file: str | Path, subjects_file: str | Path,
-               hierarchy_file: str | Path | None = None, unmapped: str = "reject") -> TrialDataset:
+def load_trial(
+    episodes_file: str | Path,
+    subjects_file: str | Path,
+    hierarchy_file: str | Path | None = None,
+    unmapped: str = "reject",
+) -> TrialDataset:
     """Load and cross-validate the episodes/subjects (and optional hierarchy) CSVs.
 
     ``unmapped`` controls what happens when a hierarchy file is present but
@@ -578,7 +586,8 @@ def load_trial(episodes_file: str | Path, subjects_file: str | Path,
         if missing:
             if unmapped == "reject":
                 raise UnmappedTerm(
-                    f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}")
+                    f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}"
+                )
             routed = dict.fromkeys(missing, ("unmapped",) * 3)
             hierarchy = HierarchyMap({**hierarchy.entries, **routed}, normalized=True)
     return TrialDataset(subjects=tuple(subjects), episodes=episodes, hierarchy=hierarchy)

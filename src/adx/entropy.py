@@ -57,8 +57,11 @@ class FrequencyProfile(_ProfileFields):
         return len(self.counts)
 
 
-def profile_from_episodes(episodes: list[AeEpisode] | Coded, level: str = "pt",
-                          hierarchy: HierarchyMap | None = None) -> FrequencyProfile:
+def profile_from_episodes(
+    episodes: list[AeEpisode] | Coded,
+    level: str = "pt",
+    hierarchy: HierarchyMap | None = None,
+) -> FrequencyProfile:
     """Tally episodes by PT, then roll the counts up to ``level``. The
     episodes are ``AeEpisode`` records or, as the analyses pass a cell of
     the trial's columns, their coded PT terms, whose codes are counted. Terms
@@ -71,8 +74,9 @@ def profile_from_episodes(episodes: list[AeEpisode] | Coded, level: str = "pt",
     return rollup(FrequencyProfile(counts), level, hierarchy)
 
 
-def rollup(profile: FrequencyProfile, level: str,
-           hierarchy: HierarchyMap | None) -> FrequencyProfile:
+def rollup(
+    profile: FrequencyProfile, level: str, hierarchy: HierarchyMap | None
+) -> FrequencyProfile:
     """A PT-level profile with its counts summed into their terms at ``level``:
     ``term_at`` runs once per PT, and terms keep first-appearance order."""
     if level not in HIERARCHY_LEVELS:
@@ -144,8 +148,15 @@ def estimate(profile: FrequencyProfile) -> AdxEstimate:
     """Full point estimate with variance, SE and the EALS/SEALS transforms."""
     h, v = _adx_and_variance(profile.counts.values())
     k_star = eals(h)
-    return AdxEstimate(adx=h, variance=v, se=math.sqrt(v), k=profile.n_types, n=profile.n_total,
-                       eals=k_star, seals=k_star / profile.n_types)
+    return AdxEstimate(
+        adx=h,
+        variance=v,
+        se=math.sqrt(v),
+        k=profile.n_types,
+        n=profile.n_total,
+        eals=k_star,
+        seals=k_star / profile.n_types,
+    )
 
 
 _SQRT1_2 = math.sqrt(0.5)
@@ -175,8 +186,12 @@ class ComparisonResult(NamedTuple):
     two_sided: bool
 
 
-def compare(a: AdxEstimate, b: AdxEstimate, alpha: float = 0.05,
-            two_sided: bool = True) -> ComparisonResult:
+def compare(
+    a: AdxEstimate,
+    b: AdxEstimate,
+    alpha: float = 0.05,
+    two_sided: bool = True,
+) -> ComparisonResult:
     """Normal-approximation test of adx(a) - adx(b).
 
     se(diff)^2 = se(a)^2 + se(b)^2; the treatment with higher adx is read
@@ -187,7 +202,8 @@ def compare(a: AdxEstimate, b: AdxEstimate, alpha: float = 0.05,
     se_diff = math.sqrt(a.se ** 2 + b.se ** 2)
     if se_diff == 0.0:
         raise DegenerateVariance(
-            "se(diff) is zero (both profiles uniform); normal approximation unusable")
+            "se(diff) is zero (both profiles uniform); normal approximation unusable"
+        )
     z = diff / se_diff
     p = normal_cdf(-abs(z))
     if two_sided:
@@ -196,5 +212,7 @@ def compare(a: AdxEstimate, b: AdxEstimate, alpha: float = 0.05,
         direction = "t1_less_safe" if diff > 0 else "t2_less_safe"
     else:
         direction = "no_difference"
-    return ComparisonResult(diff=diff, se_diff=se_diff, z=z, p_value=p,
-                            direction=direction, alpha=alpha, two_sided=two_sided)
+    return ComparisonResult(
+        diff=diff, se_diff=se_diff, z=z, p_value=p,
+        direction=direction, alpha=alpha, two_sided=two_sided,
+    )

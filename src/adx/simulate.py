@@ -120,11 +120,13 @@ def load_scenario(path: str | Path) -> Scenario:
         except ValueError:
             raise InvalidScenario(f"arm {name!r}: unparseable probs list")
         arms.append(ArmScenario(
-            name=name, probs=probs,
+            name=name,
+            probs=probs,
             episodes_per_subject=get(section, "episodes_per_subject", float, 1.0),
             n_subjects=get(section, "subjects", int, 100),
             onset_span=get(section, "onset_span", int, None),
-            cycle_dropout=get(section, "cycle_dropout", float, None)))
+            cycle_dropout=get(section, "cycle_dropout", float, None),
+        ))
     if not arms:
         raise InvalidScenario(f"no [arm NAME] sections in {path}")
     return Scenario(arms=tuple(arms), seed=seed)
@@ -278,12 +280,19 @@ def _arm_validation(arm: ArmScenario, adxs: np.ndarray, ses: np.ndarray,
     true_h = arm.true_adx()
     k = sum(p > 0 for p in arm.probs)
     n_total = max(1, round(arm.n_subjects * arm.episodes_per_subject))
-    return ArmValidation(arm=arm.name, true_adx=true_h, replicates=len(adxs),
-                         mean_adx=float(adxs.mean()), sd_adx=sd, mean_analytic_se=mean_se,
-                         sd_over_se=sd / mean_se if mean_se > 0 else None,
-                         bias=float(adxs.mean() - true_h),
-                         first_order_bias=-(k - 1) / (2.0 * n_total), degenerate=degenerate,
-                         **shape)
+    return ArmValidation(
+        arm=arm.name,
+        true_adx=true_h,
+        replicates=len(adxs),
+        mean_adx=float(adxs.mean()),
+        sd_adx=sd,
+        mean_analytic_se=mean_se,
+        sd_over_se=sd / mean_se if mean_se > 0 else None,
+        bias=float(adxs.mean() - true_h),
+        first_order_bias=-(k - 1) / (2.0 * n_total),
+        degenerate=degenerate,
+        **shape,
+    )
 
 
 def validate_variance(scenario: Scenario, replicates: int = 1000) -> ValidationReport:
@@ -338,7 +347,8 @@ def validate_normality(scenario: Scenario, replicates: int = 1000,
         sd = float(adxs.std(ddof=1))
         if sd == 0.0:
             raise DegenerateScenario(
-                f"arm {arm.name!r}: every replicate has the same adx; nothing to standardize")
+                f"arm {arm.name!r}: every replicate has the same adx; nothing to standardize"
+            )
         z = (adxs - adxs.mean()) / sd
         arms.append(_arm_validation(arm, adxs, ses, False, **_shape_diagnostics(z)))
     return ValidationReport(scenario, replicates, arms)

@@ -12,11 +12,18 @@ from typing import NamedTuple
 
 from .cohorts import AgeBinning, CohortKey, _cells, _estimate_and_pair
 from .data import TrialDataset
-from .entropy import (AdxEstimate, ComparisonResult, FrequencyProfile, estimate,
-                      profile_from_episodes)
+from .entropy import (
+    AdxEstimate,
+    ComparisonResult,
+    FrequencyProfile,
+    estimate,
+    profile_from_episodes,
+)
 from .errors import NoCycleData, NoDatedEpisodes
 
-SEQUENTIAL_CAVEAT = "per-look tests are unadjusted for repeated looks (no alpha spending)"
+SEQUENTIAL_CAVEAT = (
+    "per-look tests are unadjusted for repeated looks (no alpha spending)"
+)
 
 
 class _LookScheduleFields(NamedTuple):
@@ -61,10 +68,16 @@ class InterimSeries:
         self.excluded_undated = excluded_undated
 
 
-def interim_series(data: TrialDataset, schedule: LookSchedule | None = None,
-                   dimensions: list[str] | None = None, level: str = "pt",
-                   age_binning: AgeBinning | None = None, control: str | None = None,
-                   alpha: float = 0.05, two_sided: bool = True) -> InterimSeries:
+def interim_series(
+    data: TrialDataset,
+    schedule: LookSchedule | None = None,
+    dimensions: list[str] | None = None,
+    level: str = "pt",
+    age_binning: AgeBinning | None = None,
+    control: str | None = None,
+    alpha: float = 0.05,
+    two_sided: bool = True,
+) -> InterimSeries:
     """Cumulative estimates per (arm x optional subgroup cell x look).
 
     Look t covers episodes with onset_day <= cutoff[t]; undated episodes
@@ -97,17 +110,38 @@ def _cumulative_profiles(data: TrialDataset, column, cutoffs, level: str, dimens
     the cell's running counts: O(N + looks x K)."""
     look = [None if v is None or v > cutoffs[-1] else bisect_left(cutoffs, v)
             for v in column.values]
-    has_look = [i is not None for i in look]
+    has_look = bytes(i is not None for i in look)
     groups = _cells(data, dimensions, age_binning, map(has_look.__getitem__, column.codes),
                     map(look.__getitem__, column.codes))
-    running = {key: Counter() for key, _ in groups}
+    running = {key: {} for key, _ in groups}
     for i in range(len(cutoffs)):
         for key, counts in running.items():
             if (key, i) in groups:
-                counts.update(profile_from_episodes(groups[key, i], level, data.hierarchy).counts)
-        # the running counts are all positive: a copy needs no re-check
-        yield {key: tuple.__new__(FrequencyProfile, (dict(counts),))
+                profile = profile_from_episodes(groups[key, i], level, data.hierarchy)
+                for term, n in profile.counts.items():
+                    counts[term] = counts.get(term, 0) + n
+        # the running counts are all positive: a profile of them needs no
+        # re-check, and the last look takes them without a copy
+        last = i + 1 == len(cutoffs)
+        yield {key: tuple.__new__(FrequencyProfile, (counts if last else dict(counts),))
                for key, counts in running.items() if counts}
+
+
+def _last_cycles(data: TrialDataset, exposure: dict[str, int]) -> tuple[int, Counter]:
+    """The highest episode cycle, and per (arm, last cycle) how many subjects
+    have it: a subject's ``exposure`` row, if any, in place of its episodes'
+    highest cycle. Its per-subject scratch is freed on return."""
+    ids, arms = data.columns.subject_id, data.columns.arm
+    # per subject code, the highest episode cycle and the arm code of that episode
+    last, arm_of = [0] * len(ids.values), [0] * len(ids.values)
+    for s, a, c in zip(ids.codes, arms.codes, data.columns.cycle):
+        if c is not None and c > last[s]:
+            last[s], arm_of[s] = c, a
+    reach = Counter((arms.values[a], c) for s, a, c in zip(ids.values, arm_of, last)
+                    if c and s not in exposure)
+    reach.update((s.arm, exposure[s.subject_id]) for s in data.subjects
+                 if s.subject_id in exposure)
+    return max(last), reach
 
 
 class ExposureCurves(NamedTuple):
@@ -117,8 +151,12 @@ class ExposureCurves(NamedTuple):
     excluded_no_cycle: int
 
 
-def exposure_curves(data: TrialDataset, max_cycle: int | None = None,
-                    exposure: dict[str, int] | None = None, level: str = "pt") -> ExposureCurves:
+def exposure_curves(
+    data: TrialDataset,
+    max_cycle: int | None = None,
+    exposure: dict[str, int] | None = None,
+    level: str = "pt",
+) -> ExposureCurves:
     """Cumulative AdX/K/N per arm as a function of cycles completed.
 
     subjects_at_cycle c counts subjects whose exposure (explicit
@@ -132,26 +170,14 @@ def exposure_curves(data: TrialDataset, max_cycle: int | None = None,
     no_cycle = cycle.count(None)
     if no_cycle == len(cycle):
         raise NoCycleData("no episode carries a cycle number")
-    ids = data.columns.subject_id
-    last = [0] * len(ids.values)  # per subject code, the highest episode cycle
-    for s, c in zip(ids.codes, cycle):
-        if c is not None and c > last[s]:
-            last[s] = c
-    top = max(last) if max_cycle is None else max_cycle
-    last_cycle = dict(zip(ids.values, last))
-    if exposure:
-        last_cycle.update(exposure)
-    exposed = {
-        arm: sorted(last_cycle.get(s.subject_id, 0) for s in data.subjects if s.arm == arm)
-        for arm in data.arms
-    }
-
+    highest, reach = _last_cycles(data, exposure or {})
+    top = highest if max_cycle is None else max_cycle
     cycles = range(1, top + 1)
     looks = _cumulative_profiles(data, cycle, cycles, level)
     curves: dict[str, list[tuple[int, float, int, int, int]]] = {arm: [] for arm in data.arms}
     for c, profiles in zip(cycles, looks):
         for arm, rows in curves.items():
-            at_cycle = len(exposed[arm]) - bisect_left(exposed[arm], c)
+            at_cycle = sum(n for (a, last_c), n in reach.items() if a == arm and last_c >= c)
             if CohortKey(arm) in profiles:
                 est = estimate(profiles[CohortKey(arm)])
                 rows.append((c, est.adx, est.k, est.n, at_cycle))

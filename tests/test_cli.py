@@ -452,7 +452,8 @@ def test_exposure_file_is_read(capsys, tiny_trial_files, tmp_path):
 @pytest.mark.parametrize("rows, error, line", [
     ([["S1", "3"], ["S1", "9"], ["S3", "4"]], "second exposure row for subject 'S1'", 3),
     ([["S1", "3"], ["S99999", "4"]], "exposure row references unknown subject 'S99999'", 3),
-    ([["S99999", "4"], ["S99999", "5"]], "exposure row references unknown subject 'S99999'", 2),
+    # the file's own faults come before a subject the subjects file lacks
+    ([["S99999", "4"], ["S99999", "5"]], "second exposure row for subject 'S99999'", 3),
 ])
 def test_exposure_file_rejects_a_repeated_or_unknown_subject(capsys, tiny_trial_files, tmp_path,
                                                              rows, error, line):

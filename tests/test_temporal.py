@@ -145,11 +145,27 @@ def test_interim_and_exposure_scratch_stays_a_small_share_of_the_trial(tmp_path)
     assert max(scratch) < 0.35, scratch
 
 
+@pytest.mark.parametrize("early, full", [
+    (lambda t: interim_series(t, LookSchedule((72,))),
+     lambda t: interim_series(t, LookSchedule(tuple(range(60, 721, 60))))),
+    (lambda t: exposure_curves(t, max_cycle=1), lambda t: exposure_curves(t)),
+], ids=["interim-day-72", "exposure-cycle-1"])
+def test_episodes_past_the_last_look_take_no_scratch(tmp_path, early, full):
+    # the first look (day 72, cycle 1) counts 10-15% of the episodes; one
+    # look past which no episode is grouped takes well under half the
+    # scratch of every look, where grouping them all would take nearly as much
+    write_trial(generate_trial(_scratch_scenario()), tmp_path / "episodes.csv",
+                tmp_path / "subjects.csv")
+    trial = load_trial(tmp_path / "episodes.csv", tmp_path / "subjects.csv")
+    share = _scratch(lambda: early(trial)) / _scratch(lambda: full(trial))
+    assert share < 0.5, share
+
+
 @pytest.mark.parametrize("early, past", [
     (lambda t: interim_series(t, LookSchedule((72,))), lambda e: e.onset_day > 72),
     (lambda t: exposure_curves(t, max_cycle=1), lambda e: e.cycle > 1),
 ], ids=["interim-day-72", "exposure-cycle-1"])
-def test_episodes_past_the_last_look_take_no_scratch(early, past):
+def test_a_copy_of_the_episodes_past_the_last_look_adds_no_scratch(early, past):
     # the only look (day 72, cycle 1) counts 10-15% of the episodes: a second
     # copy of each episode past it leaves the look's scratch as it is, where
     # grouping or masking every episode would add at least a byte for each
