@@ -26,7 +26,7 @@ def main() -> None:
 
     estimates = {}
     for arm in trial.arms:
-        est = estimate(profile_from_episodes(trial.episodes_for_arm(arm)))
+        est = estimate(profile_from_episodes(trial.columns.pt_term.select(trial.in_arm(arm))))
         estimates[arm] = est
         print(
             f"{arm:>8}: AdX={fmt_adx(est.adx)} (SE {fmt_se(est.se)}), "

@@ -25,8 +25,10 @@ def main() -> None:
         "low_dose": EfficacyInput("low_dose", 1.3, higher_is_better=True, label="response ratio"),
     }
 
+    pt_terms = trial.columns.pt_term
     estimates = {
-        arm: estimate(profile_from_episodes(trial.episodes_for_arm(arm))) for arm in trial.arms
+        arm: estimate(profile_from_episodes(pt_terms.select(trial.in_arm(arm))))
+        for arm in trial.arms
     }
     result = benefit_risk(estimates, efficacy, pairs=[("high_dose", "low_dose")])
     for arm, score in result.read_values.items():

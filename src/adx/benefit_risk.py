@@ -12,8 +12,6 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .data import Column, Fault, TrialDataset, read_table
 from .entropy import AdxEstimate, FrequencyProfile, estimate
 from .errors import (
@@ -22,7 +20,6 @@ from .errors import (
     MalformedRow,
     ZeroAdversity,
 )
-from . import kernel
 
 
 class _EfficacyFields(NamedTuple):
@@ -154,6 +151,8 @@ def re_read_bootstrap_ci(
         raise ValueError("level must be in (0, 1)")
     if replicates < 200:
         raise InsufficientData("need at least 200 bootstrap replicates")
+    import numpy as np  # only a bootstrap loads numpy, after its arguments are checked
+    from . import kernel
 
     # Re-code each arm's terms (at ``hierarchy_level``) and subjects from the
     # trial's codes, in order of first appearance. A replicate's counts are
@@ -169,8 +168,8 @@ def re_read_bootstrap_ci(
             raise InsufficientData(f"arm {arm!r} has fewer than 2 episodes")
         label = terms.__getitem__ if hierarchy_level == "pt" else (
             lambda code, h=data.require_hierarchy(): h.term_at(terms[code], hierarchy_level))
-        codes, k = _recode(pts[in_arm], label)
-        arm_codes[arm] = (codes, k, *_recode(ids[in_arm], int))
+        codes, k = kernel.recode(pts[in_arm], label)
+        arm_codes[arm] = (codes, k, *kernel.recode(ids[in_arm], int))
         if k == 1:  # fail fast on a degenerate point estimate
             read_score(efficacy[arm], estimate(FrequencyProfile({"": len(codes)})))
 
@@ -198,28 +197,4 @@ def re_read_bootstrap_ci(
     values = reads[0] / reads[1]
     values.sort()
     lo_q = (1.0 - level) / 2.0
-    return _quantile(values, lo_q), _quantile(values, 1.0 - lo_q)
-
-
-def _recode(codes: np.ndarray, label) -> tuple[np.ndarray, int]:
-    """Each of ``codes`` as the number of its ``label(code)`` among the
-    distinct labels in order of first appearance, and how many there are:
-    ``label`` runs once per distinct code, through a remap table."""
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    numbers: dict = {}
-    remap = np.empty(len(first), np.intp)
-    remap[order] = [numbers.setdefault(label(code), len(numbers))
-                    for code in codes[first[order]].tolist()]
-    return remap[inverse], len(numbers)
-
-
-def _quantile(ordered, q: float) -> float:
-    """``np.quantile`` of the ascending ``ordered`` values, to the bit, without
-    the ``numpy.ma`` it imports: numpy's linear rule at index ``(n - 1) * q``."""
-    last = len(ordered) - 1
-    index = last * q
-    below = int(index)
-    a, b = float(ordered[below]), float(ordered[min(below + 1, last)])
-    g = index - below
-    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+    return kernel.quantile(values, lo_q), kernel.quantile(values, 1.0 - lo_q)

@@ -7,14 +7,13 @@ body (``command``), with its flags drawn from ``FLAGS``. It builds one list
 of JSON-lines records, and its text and CSV are column views of it
 (``_emit``).
 
-The report commands and ``simulate`` need neither numpy nor scipy, so
-start-up stays small: ``cohorts``, ``temporal``, ``benefit_risk`` and
-``simulate`` are imported only by the commands that use them, and only
-``benefit-risk`` and ``validate``, which resample on every CPU (forking in
-``kernel.replicates``), load numpy. ``main`` runs a command with the cyclic
-garbage collector off; ``run``, the entry point, then freezes the heap. The
-list flags (``--by``, ``--arms``, ``--looks``, ``--age-cuts``) are read by
-one helper, ``_entries``.
+No command needs scipy, so start-up stays small: ``cohorts``, ``temporal``,
+``benefit_risk`` and ``simulate`` are imported only by the commands that use
+them, and only ``benefit-risk --bootstrap`` and ``validate``, which resample
+on every CPU (forking in ``kernel.replicates``), load numpy. ``main`` runs a
+command with the cyclic garbage collector off; ``run``, the entry point,
+then freezes the heap. The list flags (``--by``, ``--arms``, ``--looks``,
+``--age-cuts``) are read by one helper, ``_entries``.
 """
 from __future__ import annotations
 
@@ -122,6 +121,8 @@ def _check_config(args):
         raise ConfigError("replicates must be >= 2")
     if getattr(args, "min_episodes", 0) < 0:
         raise ConfigError(f"min_episodes must be >= 0, got {args.min_episodes}")
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ci = getattr(args, "ci", None)
     if ci is not None and not 0.0 < ci < 1.0:
         raise ConfigError("ci level must be in (0, 1)")

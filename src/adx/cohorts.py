@@ -149,7 +149,8 @@ def _cells(
     """Group the episodes, or those that ``within`` marks true, into
     (arm x subgroup) cells: each the ``Coded`` PT terms of its episodes, in
     episode order, under its ``CohortKey``. With ``by``, one value per
-    episode, each cell is split by that value, under ``(CohortKey, value)``.
+    episode, each cell is split by that value, under ``(CohortKey, value)``;
+    a None value keys its cell (its order and fault) but stores nothing.
     ``within`` and ``by`` are read once, in episode order.
 
     A cell's filters are worked out once per code of the subject column and
@@ -185,7 +186,9 @@ def _cells(
     groups = defaultdict(partial(_store, len(pts.values)))  # in order of first appearance
     rows = zip(pts.codes, zip(*keys))
     for code, key in rows if within is None else compress(rows, within):
-        groups[key].append(code)
+        group = groups[key]
+        if by is None or key[-1] is not None:
+            group.append(code)
     cells = {}
     for (arm, *codes), group in groups.items():
         filters = list(map(list.__getitem__, tables, codes))  # stops before ``by``

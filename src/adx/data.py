@@ -7,7 +7,7 @@ occurrence of an adverse-event term in one subject. Repeated identical
 All five CSV loaders share one table reader, ``read_table``. It reads a file
 in chunks of ``CHUNK_ROWS`` records and parses and checks each distinct raw
 value of a column once, coding each value as its index in the column's table
-of distinct values (``Coded``); a trial keeps the episodes as coded columns.
+of distinct values (``Coded``). A trial's episodes are read only as such columns.
 """
 from __future__ import annotations
 
@@ -314,9 +314,9 @@ class AeEpisode(_EpisodeFields):
 
 
 class EpisodeColumns:
-    """Episodes as columns: a ``Coded`` column per ``AeEpisode`` field, under
-    the field's name, its values checked as ``load_episodes`` checks them and
-    not to be changed; ``len()`` is the number of episodes."""
+    """The episodes as a ``Coded`` column per ``AeEpisode`` field, under the
+    field's name, checked as ``load_episodes`` checks them and not to be
+    changed: the one form in which episodes are read. ``len()`` counts them."""
 
     __slots__ = _EpisodeFields._fields
 
@@ -326,11 +326,6 @@ class EpisodeColumns:
 
     def __len__(self) -> int:
         return len(self.subject_id)
-
-    def records(self) -> list[AeEpisode]:
-        """The ``AeEpisode`` of each episode."""
-        rows = zip(*(getattr(self, name) for name in self.__slots__))
-        return list(map(tuple.__new__, repeat(AeEpisode), rows))
 
 
 _EPISODE_COLUMNS = (
@@ -482,7 +477,7 @@ class TrialDataset:
 
     def __init__(self, subjects: tuple[SubjectRecord, ...], episodes: EpisodeColumns | tuple,
                  hierarchy: HierarchyMap | None = None, arms: tuple[str, ...] = ()):
-        """``episodes`` are columns, or ``AeEpisode`` records to code column by column."""
+        """``episodes`` are columns, or ``AeEpisode`` records to code into columns (not kept)."""
         if not isinstance(episodes, EpisodeColumns):
             episodes = EpisodeColumns(map(Coded.encode, list(zip(*episodes))
                                           or [()] * len(_EpisodeFields._fields)))
@@ -516,17 +511,9 @@ class TrialDataset:
 
     __delattr__ = __setattr__
 
-    @property
-    def episodes(self) -> tuple[AeEpisode, ...]:
-        """The episodes as records, built on each call from the columns."""
-        return tuple(self.columns.records())
-
     def in_arm(self, arm: str) -> bytes | bytearray:
         """Per episode, 1 if it is one of ``arm``'s, else 0."""
         return self.columns.arm.mask(arm)
-
-    def episodes_for_arm(self, arm: str) -> list[AeEpisode]:
-        return [e for e in self.episodes if e.arm == arm]
 
     def require_hierarchy(self) -> HierarchyMap:
         if self.hierarchy is None:

@@ -17,13 +17,11 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Collection
-from operator import attrgetter, mul
+from operator import mul
 from typing import NamedTuple
 
-from .data import HIERARCHY_LEVELS, AeEpisode, Coded, HierarchyMap
+from .data import HIERARCHY_LEVELS, Coded, HierarchyMap
 from .errors import DegenerateVariance, EmptyProfile, MissingHierarchy
-
-_PT = attrgetter("pt_term")
 
 
 class _ProfileFields(NamedTuple):
@@ -58,19 +56,14 @@ class FrequencyProfile(_ProfileFields):
 
 
 def profile_from_episodes(
-    episodes: list[AeEpisode] | Coded,
+    episodes: Coded,
     level: str = "pt",
     hierarchy: HierarchyMap | None = None,
 ) -> FrequencyProfile:
-    """Tally episodes by PT, then roll the counts up to ``level``. The
-    episodes are ``AeEpisode`` records or, as the analyses pass a cell of
-    the trial's columns, their coded PT terms, whose codes are counted. Terms
-    keep the order of their first appearance in ``episodes``."""
-    if isinstance(episodes, Coded):
-        terms = episodes.values
-        counts = {terms[code]: n for code, n in Counter(episodes.codes).items()}
-    else:
-        counts = Counter(map(_PT, episodes))
+    """Tally a cell of coded PT terms (such as a column's ``select``) by code,
+    then roll the counts up to ``level``, terms in order of first appearance."""
+    terms = episodes.values
+    counts = {terms[code]: n for code, n in Counter(episodes.codes).items()}
     return rollup(FrequencyProfile(counts), level, hierarchy)
 
 

@@ -7,8 +7,9 @@ is its first half alone; the pure-Python pair stays the reference they are
 tested against. ``replicates`` computes one row per replicate, splitting
 the replicates between the process and forked workers; a replicate draws
 from its own seeded stream, so the rows do not depend on the number of
-workers. Only ``benefit_risk`` and ``simulate`` import this module, so the
-report commands still load no numpy and never fork.
+workers. ``recode`` and ``quantile`` code a bootstrap's terms and read its
+interval. Only a bootstrap or a validation imports this module, when first
+called, so every other command loads no numpy and never forks.
 """
 from __future__ import annotations
 
@@ -51,6 +52,30 @@ def entropy_and_variance(counts: np.ndarray) -> tuple[float, float]:
         return h, 0.0
     lp += h
     return h, float((p * lp * lp).sum()) / float(n)
+
+
+def recode(codes: np.ndarray, label) -> tuple[np.ndarray, int]:
+    """Each of ``codes`` as the number of its ``label(code)`` among the
+    distinct labels in order of first appearance, and how many there are:
+    ``label`` runs once per distinct code, through a remap table."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    numbers: dict = {}
+    remap = np.empty(len(first), np.intp)
+    remap[order] = [numbers.setdefault(label(code), len(numbers))
+                    for code in codes[first[order]].tolist()]
+    return remap[inverse], len(numbers)
+
+
+def quantile(ordered, q: float) -> float:
+    """``np.quantile`` of the ascending ``ordered`` values, to the bit, without
+    the ``numpy.ma`` it imports: numpy's linear rule at index ``(n - 1) * q``."""
+    last = len(ordered) - 1
+    index = last * q
+    below = int(index)
+    a, b = float(ordered[below]), float(ordered[min(below + 1, last)])
+    g = index - below
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
 def _cpus() -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
-from .data import AeEpisode, Coded, EpisodeColumns, SubjectRecord, TrialDataset
+from .data import Coded, EpisodeColumns, SubjectRecord, TrialDataset, _pt
 from .entropy import normal_cdf
 from .errors import DegenerateScenario, InvalidScenario
 
@@ -170,7 +170,7 @@ def generate_trial(scenario: Scenario) -> TrialDataset:
     cycle (geometric by inversion, at least 1), the last two only where the
     arm sets them.
 
-    The type labels go through ``AeEpisode``'s checks once, and the episode
+    The type labels go through the loader's PT check once, and the episode
     columns are coded as they are drawn: a type's ``bisect`` index is its PT
     code, day d has code d + 1 and cycle c code c, code 0 standing for a
     missing day or cycle.
@@ -181,7 +181,7 @@ def generate_trial(scenario: Scenario) -> TrialDataset:
     ids = [f"S{sid + 1:05d}" for sid in range(sum(arm.n_subjects for arm in arms))]
     top_span = max((arm.onset_span for arm in arms if arm.onset_span is not None), default=-1)
     n_types = max(len(arm.probs) for arm in arms)
-    labels = [AeEpisode("", "", type_label(i)).pt_term for i in range(n_types)]
+    labels = [_pt(type_label(i)) for i in range(n_types)]
     columns = [Coded(bytearray(), table) for table in (
         ids, [arm.name for arm in arms], labels, [None, *range(top_span + 1)], [None], [None],
         [None], ["untiered"])]

@@ -107,11 +107,12 @@ def _cumulative_profiles(data: TrialDataset, column, cutoffs, level: str, dimens
     with none left out). An episode's look, the first whose cutoff it is
     within, is worked out once per code; one pass groups the PT codes of the
     episodes with a look by cell and look, and each look adds its group to
-    the cell's running counts: O(N + looks x K)."""
+    the cell's running counts: O(N + looks x K). An episode past the last
+    cutoff is not stored, but orders the cells and raises its faults."""
     look = [None if v is None or v > cutoffs[-1] else bisect_left(cutoffs, v)
             for v in column.values]
-    has_look = bytes(i is not None for i in look)
-    groups = _cells(data, dimensions, age_binning, map(has_look.__getitem__, column.codes),
+    valued = bytes(v is not None for v in column.values)
+    groups = _cells(data, dimensions, age_binning, map(valued.__getitem__, column.codes),
                     map(look.__getitem__, column.codes))
     running = {key: {} for key, _ in groups}
     for i in range(len(cutoffs)):

@@ -1,12 +1,14 @@
 import csv
 import math
 import os
+from collections import Counter
+from itertools import repeat
 
 import pytest
 
 from adx import kernel
 from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
-from adx.entropy import AdxEstimate, eals
+from adx.entropy import AdxEstimate, FrequencyProfile, eals, rollup
 
 
 def estimate_from_stats(adx_value: float, se: float, k: int, n: int = 0) -> AdxEstimate:
@@ -55,6 +57,21 @@ def dataset_from_counts(arm_counts, hierarchy=None, subjects_per_arm=1):
                 episodes.append(AeEpisode(subject_id=ids[i % len(ids)], arm=arm, pt_term=pt))
                 i += 1
     return TrialDataset(subjects=tuple(subjects), episodes=tuple(episodes), hierarchy=hierarchy)
+
+
+def episode_records(columns, arm=None) -> list[AeEpisode]:
+    """The episodes of ``columns`` (an ``EpisodeColumns``, such as
+    ``trial.columns``) decoded into ``AeEpisode`` records, in order, and only
+    ``arm``'s when given. The package reads episodes only as columns; the
+    tests read them back as records here, and nowhere else."""
+    rows = zip(*(getattr(columns, name) for name in columns.__slots__))
+    return [e for e in map(tuple.__new__, repeat(AeEpisode), rows) if arm is None or e.arm == arm]
+
+
+def record_profile(episodes, level="pt", hierarchy=None) -> FrequencyProfile:
+    """``AeEpisode`` records tallied by PT and rolled up to ``level``: the
+    record oracle of ``entropy.profile_from_episodes``."""
+    return rollup(FrequencyProfile(Counter(e.pt_term for e in episodes)), level, hierarchy)
 
 
 def run_on_cpus(cpus, fn, *args):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from adx.benefit_risk import (
     EfficacyInput,
-    _quantile,
     benefit_risk,
     load_efficacy,
     re_read,
@@ -20,8 +19,10 @@ from adx.benefit_risk import (
 from adx.data import HierarchyMap
 from adx.entropy import FrequencyProfile, adx, estimate
 from adx.errors import DivisionByZeroBenefit, InsufficientData, ZeroAdversity
+from adx.kernel import quantile
 
-from conftest import dataset_from_counts, estimate_from_stats, run_on_cpus, write_csv
+from conftest import (dataset_from_counts, episode_records, estimate_from_stats, run_on_cpus,
+                      write_csv)
 
 
 def test_read_golden_el():
@@ -158,7 +159,7 @@ def test_bootstrap_against_independent_oracle():
     ratios = None
     reads = {}
     for arm in ("A", "B"):
-        eps = t.episodes_for_arm(arm)
+        eps = episode_records(t.columns, arm)
         from collections import Counter
         counts = np.array(list(Counter(e.pt_term for e in eps).values()), dtype=float)
         n = int(counts.sum())
@@ -188,7 +189,7 @@ def _reference_bootstrap_ci(data, efficacy, arms, level, replicates, seed, unit,
     the same ``[seed, r]`` streams and draws, tallied into a FrequencyProfile."""
     terms, clusters = {}, {}
     for arm in arms:
-        eps = data.episodes_for_arm(arm)
+        eps = episode_records(data.columns, arm)
         terms[arm] = [e.pt_term if hierarchy_level == "pt"
                       else data.hierarchy.term_at(e.pt_term, hierarchy_level) for e in eps]
         by_subject = {}
@@ -222,7 +223,7 @@ def test_quantile_is_numpys_linear_rule_to_the_bit(values, q):
     # two or more keep every case of the rule, infinities and signed zeros too
     with np.errstate(invalid="ignore"):
         want = float(np.quantile(np.array(values), [q])[0])
-    got = _quantile(np.sort(np.array(values)), q)
+    got = quantile(np.sort(np.array(values)), q)
     if math.isnan(want):
         assert math.isnan(got)
     else:

@@ -14,10 +14,10 @@ from adx.cohorts import (
     subgroup_analysis,
 )
 from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
-from adx.entropy import FrequencyProfile, adx, estimate, profile_from_episodes
+from adx.entropy import FrequencyProfile, adx, estimate
 from adx.errors import DegenerateVariance, MissingHierarchy, UnknownDimension, UnknownSoc
 
-from conftest import dataset_from_counts
+from conftest import dataset_from_counts, episode_records, record_profile
 
 
 def make_trial(subject_rows, episode_rows, hierarchy=None):
@@ -73,8 +73,8 @@ def test_subgroup_restriction_consistency(sexed_trial):
     key = CohortKey("A", (("sex", "F"),))
     sex = {s.subject_id: s.sex for s in sexed_trial.subjects}
     direct = estimate(
-        profile_from_episodes([e for e in sexed_trial.episodes
-                               if e.arm == "A" and sex[e.subject_id] == "F"])
+        record_profile([e for e in episode_records(sexed_trial.columns)
+                        if e.arm == "A" and sex[e.subject_id] == "F"])
     )
     assert rep.estimates[key].adx == direct.adx
 
@@ -83,7 +83,7 @@ def test_subgroup_partition_consistency(sexed_trial):
     rep = subgroup_analysis(sexed_trial, ["sex"], min_episodes=1)
     for arm in sexed_trial.arms:
         cell_total = sum(est.n for key, est in rep.estimates.items() if key.arm == arm)
-        assert cell_total == len(sexed_trial.episodes_for_arm(arm))
+        assert cell_total == len(episode_records(sexed_trial.columns, arm))
 
 
 def test_subgroup_unknown_cell():
@@ -133,7 +133,7 @@ def test_cells_match_per_episode_grouping():
     split = [i % 3 // 2 for i in range(len(episodes))]
     expected, expected_split = {}, {}
     by_id = {s.subject_id: s for s in trial.subjects}
-    for ep, kept, part in zip(trial.episodes, within, split):
+    for ep, kept, part in zip(episode_records(trial.columns), within, split):
         subj = by_id[ep.subject_id]
         value = {"sex": subj.sex, "age": binning.label(subj.age_years),
                  "background_therapy": subj.background_therapy or "Unknown",
@@ -419,7 +419,7 @@ def test_hierarchy_sweep_rollup_equals_direct_estimates():
     rep = hierarchy_sweep(t, levels=levels)
     for arm in t.arms:
         for level in levels:
-            direct = estimate(profile_from_episodes(t.episodes_for_arm(arm), level, t.hierarchy))
+            direct = estimate(record_profile(episode_records(t.columns, arm), level, t.hierarchy))
             assert rep.estimates[(arm, level)] == direct
 
 
@@ -430,10 +430,10 @@ def test_subgroup_at_hlt_equals_direct_estimates():
     sex = {s.subject_id: s.sex for s in t.subjects}
     for key, est in rep.estimates.items():
         cell = dict(key.filters)
-        eps = [e for e in t.episodes if e.arm == key.arm
+        eps = [e for e in episode_records(t.columns) if e.arm == key.arm
                and sex[e.subject_id] == cell["sex"]
                and ("serious" if e.serious else "non-serious") == cell["seriousness"]]
-        assert est == estimate(profile_from_episodes(eps, "hlt", t.hierarchy))
+        assert est == estimate(record_profile(eps, "hlt", t.hierarchy))
 
 
 def _drilldown_oracle(data, soc, arms, top_n):
@@ -441,7 +441,7 @@ def _drilldown_oracle(data, soc, arms, top_n):
     episode of the listed arms."""
     hierarchy = data.require_hierarchy()
     counts = {}
-    for ep in data.episodes:
+    for ep in episode_records(data.columns):
         if ep.arm not in arms:
             continue
         if hierarchy.term_at(ep.pt_term, "soc") != soc:

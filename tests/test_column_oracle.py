@@ -1,6 +1,7 @@
 """The analyses on the trial's columns against the per-episode path they
-replaced, kept here as the oracle: cells of ``AeEpisode`` records grouped
-episode by episode, and profiles tallied off the records' ``pt_term``.
+replaced, kept here as the oracle: cells of ``AeEpisode`` records (decoded
+from the columns by ``conftest.episode_records``) grouped episode by episode,
+and profiles tallied off the records' ``pt_term`` (``conftest.record_profile``).
 
 Trials are drawn with empty arms, missing onset, cycle, serious and
 severity values, and terms with commas and non-ASCII letters. Some are
@@ -42,17 +43,13 @@ from adx.data import (
     normalize_term,
     write_trial,
 )
-from adx.entropy import FrequencyProfile, estimate, rollup
+from adx.entropy import estimate, rollup
 from adx.errors import AdxError, EmptyProfile, NoCycleData, NoDatedEpisodes, UnknownDimension
 from adx.temporal import ExposureCurves, InterimSeries, LookSchedule
 
-from conftest import write_csv
+from conftest import episode_records, record_profile, write_csv
 
 # --- the per-episode path -------------------------------------------------
-
-
-def reference_profile(episodes, level="pt", hierarchy=None):
-    return rollup(FrequencyProfile(Counter(e.pt_term for e in episodes)), level, hierarchy)
 
 
 def reference_cells(data, episodes, dimensions=(), age_binning=None):
@@ -84,8 +81,8 @@ def reference_cells(data, episodes, dimensions=(), age_binning=None):
 def reference_subgroup_analysis(data, dimensions, level="pt", age_binning=None, min_episodes=10,
                                 control=None, alpha=0.05, two_sided=True):
     binning = age_binning or AgeBinning()
-    cells = reference_cells(data, data.episodes, dimensions, binning)
-    profiles = {key: reference_profile(eps, level, data.hierarchy) for key, eps in cells.items()}
+    cells = reference_cells(data, episode_records(data.columns), dimensions, binning)
+    profiles = {key: record_profile(eps, level, data.hierarchy) for key, eps in cells.items()}
     report = _estimate_and_pair(data, profiles, control, alpha, two_sided)
     report.low_n = {key for key, est in report.estimates.items() if est.n < min_episodes}
     if "age" in dimensions:
@@ -100,7 +97,7 @@ def reference_drilldown(data, soc, arms=None, top_n=2):
     arms = list(arms) if arms else list(data.arms)
     counts = {}
     for arm in dict.fromkeys(arms):
-        for pt, c in reference_profile(data.episodes_for_arm(arm)).counts.items():
+        for pt, c in record_profile(episode_records(data.columns, arm)).counts.items():
             if hierarchy.term_at(pt, "soc") == soc_n:
                 counts.setdefault(pt, {a: 0 for a in arms})[arm] = c
     ranked = sorted(counts, key=lambda pt: (-max(counts[pt].values()), pt))
@@ -116,12 +113,12 @@ def reference_hierarchy_sweep(data, levels=("pt", "hlt", "hlgt"), control=None, 
                               two_sided=True):
     data.require_hierarchy()
     arms = list(data.arms)
-    cells = reference_cells(data, data.episodes)
+    cells = reference_cells(data, episode_records(data.columns))
     missing = [arm for arm in arms if CohortKey(arm) not in cells]
     if missing:
         raise EmptyProfile(f"no episodes in arm(s): {', '.join(missing)}")
     estimates, comparisons, degenerate = {}, {}, []
-    by_pt = {key: reference_profile(eps) for key, eps in cells.items()}
+    by_pt = {key: record_profile(eps) for key, eps in cells.items()}
     for level in levels:
         profiles = {key: rollup(profile, level, data.hierarchy) for key, profile in by_pt.items()}
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
@@ -146,12 +143,12 @@ def reference_cumulative_profiles(data, cells, attr, cutoffs, level):
     """Each look's profiles, recounted from each cell's episodes up to its cutoff."""
     for cutoff in cutoffs:
         upto = {key: [e for e in eps if getattr(e, attr) <= cutoff] for key, eps in cells.items()}
-        yield {key: reference_profile(eps, level, data.hierarchy)
+        yield {key: record_profile(eps, level, data.hierarchy)
                for key, eps in upto.items() if eps}
 
 
 def reference_default_schedule(data):
-    days = [e.onset_day for e in data.episodes if e.onset_day is not None]
+    days = [e.onset_day for e in episode_records(data.columns) if e.onset_day is not None]
     if not days:
         raise NoDatedEpisodes("no episode carries onset_day")
     lo, hi = min(days), max(days)
@@ -168,12 +165,12 @@ def reference_default_schedule(data):
 
 def reference_interim_series(data, schedule=None, dimensions=None, level="pt", age_binning=None,
                              control=None, alpha=0.05, two_sided=True):
-    dated = [e for e in data.episodes if e.onset_day is not None]
+    dated = [e for e in episode_records(data.columns) if e.onset_day is not None]
     if not dated:
         raise NoDatedEpisodes("no episode carries onset_day")
     schedule = schedule or reference_default_schedule(data)
     cells = reference_cells(data, dated, dimensions or (), age_binning)
-    series = InterimSeries(schedule, len(data.episodes) - len(dated))
+    series = InterimSeries(schedule, len(episode_records(data.columns)) - len(dated))
     looks = reference_cumulative_profiles(data, cells, "onset_day", schedule.cutoff_days, level)
     for look, profiles in enumerate(looks):
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
@@ -184,7 +181,7 @@ def reference_interim_series(data, schedule=None, dimensions=None, level="pt", a
 
 
 def reference_exposure_curves(data, max_cycle=None, exposure=None, level="pt"):
-    cycled = [e for e in data.episodes if e.cycle is not None]
+    cycled = [e for e in episode_records(data.columns) if e.cycle is not None]
     if not cycled:
         raise NoCycleData("no episode carries a cycle number")
     last_cycle = {e.subject_id: e.cycle for e in sorted(cycled, key=attrgetter("cycle"))}
@@ -204,7 +201,7 @@ def reference_exposure_curves(data, max_cycle=None, exposure=None, level="pt"):
                 rows.append((c, est.adx, est.k, est.n, at_cycle))
             else:
                 rows.append((c, 0.0, 0, 0, at_cycle))
-    return ExposureCurves(top, curves, len(data.episodes) - len(cycled))
+    return ExposureCurves(top, curves, len(episode_records(data.columns)) - len(cycled))
 
 
 def reference_dataset_summary(data):
@@ -215,8 +212,8 @@ def reference_dataset_summary(data):
                 "pct_subjects_with_ae": 100.0 * n_with / n_subj if n_subj else 0.0}
 
     subjects = Counter(s.arm for s in data.subjects)
-    rows = [row(arm, subjects[arm], data.episodes_for_arm(arm)) for arm in data.arms]
-    return rows + [row("Total", len(data.subjects), data.episodes)]
+    rows = [row(arm, subjects[arm], episode_records(data.columns, arm)) for arm in data.arms]
+    return rows + [row("Total", len(data.subjects), episode_records(data.columns))]
 
 
 # --- drawn trials ---------------------------------------------------------
@@ -298,10 +295,36 @@ def test_every_analysis_matches_the_per_episode_path(tmp_path_factory, data):
     ]
     pairs += [(cohorts.drilldown, reference_drilldown, (trial, soc, arms, 1), {})
               for soc in trial.hierarchy.socs() for arms in (None, trial.arms[::-1])]
-    pairs += [(cli._arm_estimate, lambda t, arm, lv: estimate(reference_profile(
-        t.episodes_for_arm(arm), lv, t.hierarchy)), (trial, arm, level), {}) for arm in trial.arms]
+    pairs += [(cli._arm_estimate, lambda t, arm, lv: estimate(record_profile(
+        episode_records(t.columns, arm), lv, t.hierarchy)), (trial, arm, level), {})
+        for arm in trial.arms]
     for new, reference, args, kwargs in pairs:
         assert _outcome(new, *args, **kwargs) == _outcome(reference, *args, **kwargs), new
+
+
+def test_episodes_past_the_last_look_order_the_cells_and_raise_their_faults():
+    # arm A's first episode (day 25, cycle 4) is past the last look: the
+    # per-episode path still puts A's cell first, so the fault names A's
+    # unmapped term; and an unmapped PT seen only past the last look still
+    # fails a soc filter
+    subjects = (SubjectRecord("S0", "A"), SubjectRecord("S1", "B"))
+    episodes = (AeEpisode("S0", "A", "nausea", onset_day=25, cycle=4),
+                AeEpisode("S1", "B", "rash", onset_day=5, cycle=1),
+                AeEpisode("S0", "A", "headache", onset_day=3, cycle=1))
+    trial = TrialDataset(subjects, episodes, HierarchyMap({"nausea": ("h", "g", "soc, 0")}))
+    late = TrialDataset(subjects, episodes[:1] + (AeEpisode("S1", "B", "nausea", onset_day=5),),
+                        HierarchyMap({"rash": ("h", "g", "soc, 0")}))
+    pairs = [
+        (temporal.interim_series, reference_interim_series, (trial, LookSchedule((0, 7, 19))),
+         {"level": "hlt"}),
+        (temporal.exposure_curves, reference_exposure_curves, (trial, 3), {"level": "hlt"}),
+        (temporal.interim_series, reference_interim_series, (late, LookSchedule((7,))),
+         {"dimensions": ["soc"]}),
+    ]
+    for new, reference, args, kwargs in pairs:
+        outcome = _outcome(new, *args, **kwargs)
+        assert outcome == _outcome(reference, *args, **kwargs), new
+        assert outcome[0] == "error" and ("'headache'" in outcome[2] or args[0] is late), outcome
 
 
 def test_loaded_trial_holds_no_episode_records(tiny_trial_files):
@@ -320,4 +343,5 @@ def test_loaded_trial_holds_no_episode_records(tiny_trial_files):
     assert found == []
     assert len(trial.columns) == 5
     assert list(trial.columns.pt_term) == ["nausea", "headache", "nausea", "fatigue", "nausea"]
-    assert trial.episodes == tuple(itertools.chain(*(trial.episodes_for_arm(a) for a in "AB")))
+    assert episode_records(trial.columns) == list(
+        itertools.chain(*(episode_records(trial.columns, a) for a in "AB")))

@@ -12,7 +12,7 @@ from adx.data import (
 )
 from adx.errors import ArmMismatch, InputError, MalformedRow, UnknownSubject, UnmappedTerm
 
-from conftest import dataset_from_counts, write_csv
+from conftest import dataset_from_counts, episode_records, write_csv
 
 
 def test_normalize_term():
@@ -24,7 +24,7 @@ def test_load_minimal_trial(tiny_trial_files):
     t = load_trial(tiny_trial_files["episodes"], tiny_trial_files["subjects"],
                    tiny_trial_files["hierarchy"])
     assert len(t.subjects) == 3
-    assert len(t.episodes) == 5
+    assert len(episode_records(t.columns)) == 5
     assert set(t.arms) == {"A", "B"}
 
 
@@ -168,7 +168,7 @@ def test_repeated_rows_are_distinct_episodes(tiny_trial_files):
         [["S1", "A", "nausea", 5, "", "", "", ""]] * 3,
     )
     t = load_trial(eps, tiny_trial_files["subjects"])
-    assert len(t.episodes) == 3
+    assert len(episode_records(t.columns)) == 3
 
 
 def test_dataset_summary_by_hand():
@@ -243,7 +243,8 @@ def test_round_trip(tmp_path, tiny_trial_files):
         t2.subjects, key=lambda s: s.subject_id
     )
     key = lambda e: (e.subject_id, e.pt_term, e.onset_day or -1, e.cycle or -1)
-    assert sorted(t.episodes, key=key) == sorted(t2.episodes, key=key)
+    assert (sorted(episode_records(t.columns), key=key)
+            == sorted(episode_records(t2.columns), key=key))
 
 
 def test_write_trial_text_of_records_built_in_code(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adx.data import AeEpisode, HierarchyMap
+from adx.data import HierarchyMap
 from adx.entropy import (
     FrequencyProfile,
     adx,
@@ -19,7 +19,7 @@ from adx.entropy import (
 )
 from adx.errors import DegenerateVariance, EmptyProfile, MissingHierarchy
 
-from conftest import estimate_from_stats, ordered_adx, ordered_adx_variance
+from conftest import dataset_from_counts, estimate_from_stats, ordered_adx, ordered_adx_variance
 
 counts_strategy = st.dictionaries(
     st.text(alphabet="abcdefghij", min_size=1, max_size=3),
@@ -187,10 +187,8 @@ def test_one_sided_is_half_two_sided():
 # --- profiles from episodes -------------------------------------------------
 
 def _eps(counts, arm="A"):
-    out = []
-    for pt, n in counts.items():
-        out += [AeEpisode(subject_id="S1", arm=arm, pt_term=pt) for _ in range(n)]
-    return out
+    """The coded PT terms of ``counts`` episodes of one arm, the cell an analysis tallies."""
+    return dataset_from_counts({arm: counts}).columns.pt_term
 
 
 def test_profile_pt_level():
@@ -213,7 +211,7 @@ def test_profile_level_needs_hierarchy():
 
 def test_empty_episode_list_fails_downstream():
     with pytest.raises(EmptyProfile):
-        adx(profile_from_episodes([]))
+        adx(profile_from_episodes(_eps({})))
 
 
 # --- invariants (property tests) ----------------------------------------------

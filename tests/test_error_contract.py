@@ -260,6 +260,17 @@ def test_a_bad_flag_value_ends_in_one_line_and_an_exit_code(inputs, flag, comman
     _check(code, err, argv)
 
 
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_a_seed_below_0_names_the_flag_before_any_file_is_read(inputs, bootstrap, tmp_path,
+                                                               capsys):
+    # before the load and the bootstrap's workers: a missing input is not reported
+    directory, files = inputs
+    argv = _argv("benefit-risk", files, episodes=directory / "episodes-missing")
+    argv = [*(argv if bootstrap else argv[:-2]), "--seed=-1"]
+    assert _run(argv, tmp_path / "out", capsys) == (
+        3, "adx: configuration error: --seed must be >= 0, got -1\n")
+
+
 @pytest.mark.parametrize("command,swap", [("simulate", {}), ("summary", {}),
                                           ("summary", {"episodes": "episodes-missing"})])
 def test_a_bad_format_fails_before_any_work(inputs, command, swap, tmp_path, capsys):

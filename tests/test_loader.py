@@ -35,7 +35,7 @@ from adx.data import (
 )
 from adx.errors import InputError, MalformedRow
 
-from conftest import write_csv
+from conftest import episode_records, write_csv
 
 COLUMNS = ["subject_id", "arm", "pt_term", "onset_day", "cycle", "serious", "severity", "tier"]
 
@@ -292,7 +292,7 @@ TABLES = {
 }
 
 LOADERS = {
-    "episodes": (lambda path: load_episodes(path).records(), reference_load_episodes),
+    "episodes": (lambda path: episode_records(load_episodes(path)), reference_load_episodes),
     "subjects": (load_subjects, reference_load_subjects),
     "hierarchy": (HierarchyMap.from_csv, reference_hierarchy_from_csv),
     "exposure": (load_exposure, reference_load_exposure),
@@ -437,7 +437,7 @@ def test_loaded_rows_are_named_tuples_sharing_parsed_values(tmp_path):
                      [["S1", "A", "Nausea", "3", "", "yes", "", ""],
                       ["S1", "A", "Nausea", "3", "", "yes", "", ""]])
     columns = load_episodes(path)
-    first, second = columns.records()
+    first, second = episode_records(columns)
     assert type(first) is AeEpisode
     assert first == AeEpisode("S1", "A", "nausea", onset_day=3, serious=True)
     assert list(columns.pt_term) == [first.pt_term, second.pt_term]
@@ -561,7 +561,7 @@ def test_coded_columns_decode_to_the_list_readers_columns(tmp_path_factory, draw
         expected = _columns(reference_read_table, path)
         assert coded == expected
         if coded[0] != "error":
-            assert repr(load_episodes(path).records()) == coded[1]
+            assert repr(episode_records(load_episodes(path))) == coded[1]
 
 
 def test_columns_widen_as_their_tables_grow(tmp_path):

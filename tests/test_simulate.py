@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adx.data import TrialDataset, load_trial, write_trial
-from adx.entropy import estimate, profile_from_episodes
+from adx.entropy import estimate
 from adx.errors import DegenerateScenario, InvalidScenario
 from adx.simulate import (
     ArmScenario,
@@ -21,6 +21,8 @@ from adx.simulate import (
     validate_normality,
     validate_variance,
 )
+
+from conftest import episode_records, record_profile
 
 
 def one_arm(probs, rate=1.0, subjects=100, **kw):
@@ -67,7 +69,7 @@ def test_poisson_zero_rate_draws_nothing():
 def test_cycles_are_geometric():
     # about 10,000 episodes; tolerance five standard errors, sqrt(1 - p) / p / sqrt(n)
     t = generate_trial(one_arm((1.0,), rate=5.0, subjects=2000, cycle_dropout=0.3))
-    cycles = [e.cycle for e in t.episodes]
+    cycles = [e.cycle for e in episode_records(t.columns)]
     n = len(cycles)
     assert min(cycles) == 1
     assert abs(sum(cycles) / n - 1 / 0.3) <= 5 * math.sqrt(0.7) / 0.3 / math.sqrt(n)
@@ -75,13 +77,14 @@ def test_cycles_are_geometric():
 
 def test_cycle_dropout_one_gives_cycle_one():
     t = generate_trial(one_arm((1.0,), rate=5.0, subjects=200, cycle_dropout=1.0))
-    assert t.episodes and {e.cycle for e in t.episodes} == {1}
+    episodes = episode_records(t.columns)
+    assert episodes and {e.cycle for e in episodes} == {1}
 
 
 @pytest.mark.parametrize("span", [0, 3, 720])
 def test_onsets_stay_within_span(span):
     t = generate_trial(one_arm((1.0,), rate=5.0, subjects=400, onset_span=span))
-    onsets = {e.onset_day for e in t.episodes}
+    onsets = {e.onset_day for e in episode_records(t.columns)}
     assert min(onsets) >= 0 and max(onsets) <= span
     if span <= 3:  # about 2000 draws: each of the span + 1 days comes up
         assert onsets == set(range(span + 1))
@@ -89,7 +92,7 @@ def test_onsets_stay_within_span(span):
 
 def test_zero_probability_type_is_never_drawn():
     t = generate_trial(one_arm((0.0, 0.5, 0.0, 0.5, 0.0), rate=5.0, subjects=400))
-    assert {e.pt_term for e in t.episodes} == {"ae_002", "ae_004"}
+    assert {e.pt_term for e in episode_records(t.columns)} == {"ae_002", "ae_004"}
 
 
 def test_simulated_episodes_are_byte_identical_across_runs_and_hash_seeds(tmp_path):
@@ -116,22 +119,23 @@ def test_simulated_episodes_are_byte_identical_across_runs_and_hash_seeds(tmp_pa
 def test_generate_zero_rate():
     t = generate_trial(one_arm((1.0,), rate=0.0, subjects=1))
     assert len(t.subjects) == 1
-    assert len(t.episodes) == 0
+    assert len(episode_records(t.columns)) == 0
 
 
 def test_generate_degenerate_one_type():
     t = generate_trial(one_arm((1.0,), rate=3.0, subjects=20))
-    assert {e.pt_term for e in t.episodes} == {"ae_001"}
-    assert estimate(profile_from_episodes(list(t.episodes))).adx == 0.0
+    episodes = episode_records(t.columns)
+    assert {e.pt_term for e in episodes} == {"ae_001"}
+    assert estimate(record_profile(episodes)).adx == 0.0
 
 
 def test_generate_reproducible():
     s = one_arm((0.5, 0.3, 0.2), rate=2.0, subjects=50, onset_span=200, cycle_dropout=0.4)
     t1, t2 = generate_trial(s), generate_trial(s)
-    assert t1.episodes == t2.episodes
+    assert episode_records(t1.columns) == episode_records(t2.columns)
     assert t1.subjects == t2.subjects
     t3 = generate_trial(Scenario(arms=s.arms, seed=8))
-    assert t3.episodes != t1.episodes
+    assert episode_records(t3.columns) != episode_records(t1.columns)
 
 
 def test_generated_frequencies_match_truth():
@@ -140,9 +144,10 @@ def test_generated_frequencies_match_truth():
     raw = np.arange(1, k + 1, dtype=float)
     probs = tuple(raw / raw.sum())
     t = generate_trial(one_arm(probs, rate=10.0, subjects=500))
-    n = len(t.episodes)
+    episodes = episode_records(t.columns)
+    n = len(episodes)
     from collections import Counter
-    counts = Counter(e.pt_term for e in t.episodes)
+    counts = Counter(e.pt_term for e in episodes)
     outliers = 0
     for i, p in enumerate(probs):
         c = counts.get(f"ae_{i + 1:03d}", 0)
@@ -160,7 +165,7 @@ def test_generated_dataset_loader_round_trip(tmp_path):
     assert isinstance(t, TrialDataset)  # constructor enforces all invariants
     write_trial(t, tmp_path / "e.csv", tmp_path / "s.csv")
     t2 = load_trial(tmp_path / "e.csv", tmp_path / "s.csv")
-    assert len(t2.episodes) == len(t.episodes)
+    assert len(episode_records(t2.columns)) == len(episode_records(t.columns))
     assert len(t2.subjects) == len(t.subjects)
 
 

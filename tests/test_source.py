@@ -1,4 +1,5 @@
-"""Hygiene of the package source: short lines and no unused imports.
+"""Hygiene of the package source: short lines, no unused imports, and
+``AeEpisode`` records known only to the module that builds trials from them.
 
 Lines are cut to fit, not joined to save lines, and an import that a
 deletion leaves behind goes with it. An import kept for its side effect or
@@ -40,3 +41,11 @@ def test_every_import_is_used(path):
             if name not in used:
                 unused.append((node.lineno, name))
     assert unused == [], f"{path.name}: (line, name) imported and never used"
+
+
+def test_only_data_names_the_episode_record():
+    # a trial is read only as coded columns: AeEpisode records build one in
+    # ``data`` (``__init__`` re-exports the class) and are never read back
+    naming = [path.name for path in SOURCES if path.name not in ("data.py", "__init__.py")
+              and "AeEpisode" in path.read_text(encoding="utf-8")]
+    assert naming == [], "modules other than data.py that name AeEpisode"

@@ -1,8 +1,9 @@
-"""Start-up budget: the report commands and ``simulate`` load neither numpy nor
-scipy, no command loads ``dataclasses`` or ``inspect``, only a JSON-lines
-run loads ``json``, a bootstrap loads no ``numpy.ma``, the resampling kernel
-loads ``numpy.random`` before it forks, and scipy is a test oracle only,
-never a runtime import. ``import adx.cli`` loads only the modules every
+"""Start-up budget: the report commands, ``simulate`` and ``benefit-risk``
+without ``--bootstrap`` load neither numpy nor scipy, no command loads
+``dataclasses`` or ``inspect``, only a JSON-lines run loads ``json``, a
+bootstrap loads no ``numpy.ma``, the resampling kernel loads
+``numpy.random`` before it forks, and scipy is a test oracle only, never a
+runtime import. ``import adx.cli`` loads only the modules every
 command needs, and ``cli.main`` runs with the cyclic garbage collector off,
 leaving its caller's setting as it found it and the heap unfrozen; only
 ``cli.run``, the entry point, freezes it."""
@@ -141,6 +142,24 @@ def test_bootstrap_loads_no_numpy_ma(tmp_path):
     assert code == 0 and "'numpy.random'" in numpy
     assert "'numpy.ma'" not in numpy
     assert "bootstrap CI" in (tmp_path / "br" / "benefit_risk.txt").read_text()
+
+
+def test_benefit_risk_without_bootstrap_loads_no_numpy(tmp_path):
+    # numpy and the kernel are imported inside the bootstrap, not by the module
+    code = ("import adx.benefit_risk, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIO)
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    (tmp_path / "efficacy.csv").write_text("arm,value\nA,2.0\nB,1.5\n")
+    assert _numpy_after(["benefit-risk", "--episodes", str(tmp_path / "episodes.csv"),
+                         "--subjects", str(tmp_path / "subjects.csv"),
+                         "--efficacy", str(tmp_path / "efficacy.csv"), "--arms", "A,B",
+                         "--out", str(tmp_path / "br")]) == (0, "[]")
+    assert "re-read(A/B) = " in (tmp_path / "br" / "benefit_risk.txt").read_text()
 
 
 def test_kernel_import_loads_numpy_random():

@@ -12,7 +12,7 @@ from adx.data import (
     load_trial,
     write_trial,
 )
-from adx.entropy import estimate, profile_from_episodes
+from adx.entropy import estimate
 from adx.errors import NoCycleData, NoDatedEpisodes
 from adx.simulate import ArmScenario, Scenario, generate_trial
 from adx.temporal import (
@@ -21,6 +21,8 @@ from adx.temporal import (
     exposure_curves,
     interim_series,
 )
+
+from conftest import episode_records, record_profile
 
 
 def dated_trial(arm_specs):
@@ -169,7 +171,7 @@ def test_a_copy_of_the_episodes_past_the_last_look_adds_no_scratch(early, past):
     # the only look (day 72, cycle 1) counts 10-15% of the episodes: a second
     # copy of each episode past it leaves the look's scratch as it is, where
     # grouping or masking every episode would add at least a byte for each
-    episodes = tuple(generate_trial(_scratch_scenario()).columns.records())
+    episodes = tuple(episode_records(generate_trial(_scratch_scenario()).columns))
     subjects = tuple(SubjectRecord(s, a) for s, a in dict.fromkeys((e[0], e[1]) for e in episodes))
     late = tuple(filter(past, episodes))
     base, more = (TrialDataset(subjects, episodes + extra) for extra in ((), late))
@@ -247,7 +249,7 @@ def test_interim_final_look_equals_full_data():
     t = dated_trial({"A": rows})
     series = interim_series(t, LookSchedule((100, 200, 300)))
     key = next(k for k, look in series.estimates if look == 2)
-    full = estimate(profile_from_episodes(list(t.episodes)))
+    full = estimate(record_profile(episode_records(t.columns)))
     last = series.estimates[(key, 2)]
     assert last.adx == full.adx
     assert last.n == full.n
@@ -307,7 +309,7 @@ def test_interim_early_signal_persists():
         for arm, rows in (("A", a_rows), ("B", b_rows)):
             eps = [AeEpisode(subject_id=f"{arm}-1", arm=arm, pt_term=pt, onset_day=d)
                    for pt, d, _ in rows if d <= cutoff]
-            direct[arm] = estimate(profile_from_episodes(eps)).adx
+            direct[arm] = estimate(record_profile(eps)).adx
         assert res.diff == pytest.approx(direct[ka.arm] - direct[kb.arm], abs=1e-12)
 
 
@@ -362,7 +364,7 @@ def test_exposure_dropout_shape():
     assert ns == sorted(ns)
     for cycle, h, k, n, _ in rows:
         upto = [e for e in episodes if e.cycle <= cycle]
-        direct = estimate(profile_from_episodes(upto))
+        direct = estimate(record_profile(upto))
         assert h == direct.adx and k == direct.k and n == direct.n
 
 
@@ -394,5 +396,5 @@ def test_exposure_rows_equal_direct_estimates(level):
                 if not upto:
                     assert (h, k, n) == (0.0, 0, 0)
                     continue
-                direct = estimate(profile_from_episodes(upto, level, hier))
+                direct = estimate(record_profile(upto, level, hier))
                 assert (h, k, n) == (direct.adx, direct.k, direct.n)
