@@ -167,7 +167,7 @@ def _arms(spec: str, *known: tuple, pair: bool = False) -> tuple[str, ...]:
     return arms
 
 
-def _emit(args, records: list[dict], *pieces, csv: tuple | None = None):
+def _emit(args, records: list[dict], *pieces, csv: tuple):
     """Write ``records`` as JSON lines, the text ``pieces`` as text and the
     ``csv=(kind, columns)`` view of ``records`` as CSV, each to a file named
     after the command (``benefit-risk`` writes ``benefit_risk.*``).
@@ -192,7 +192,7 @@ def _emit(args, records: list[dict], *pieces, csv: tuple | None = None):
         sys.stdout.write(body)
     if "json-lines" in fmts:
         report.write_jsonl(out / f"{name}.jsonl", cfg, records)
-    if "csv" in fmts and csv is not None:
+    if "csv" in fmts:
         report.write_csv(out / f"{name}.csv", cfg, *report.csv_view(records, *csv))
 
 
@@ -490,7 +490,8 @@ def cmd_simulate(args) -> None:
     records = [{"record": "simulated", "arm": arm, "subjects": subjects[arm],
                 "episodes": trial.columns.arm.count(arm), "seed": scenario.seed}
                for arm in trial.arms]
-    _emit(args, records, ("simulated", ["arm", "subjects", "episodes"]))
+    columns = ["arm", "subjects", "episodes"]
+    _emit(args, records, ("simulated", columns), csv=("simulated", columns))
 
 
 def _validate_notes(r: dict) -> str:
@@ -520,10 +521,12 @@ def cmd_validate(args) -> None:
     f4, f5 = "{:.4f}".format, "{:.5f}".format
     columns = [("check", lambda r: r["record"][len("validate_"):]), "arm",
                ("true_adx", "true_adx", f4), ("mean_adx", "mean_adx", f4), ("sd", "sd_adx", f5),
-               ("mean_se", "mean_analytic_se", f5),
-               ("sd/se", lambda r: "n/a" if r["sd_over_se"] is None else f"{r['sd_over_se']:.3f}"),
-               ("bias", "bias", "{:+.5f}".format), ("notes", _validate_notes)]
-    _emit(args, records, (lambda r: True, columns))
+               ("mean_se", "mean_analytic_se", f5)]
+    bias = ("bias", "bias", "{:+.5f}".format)
+    sd_se = ("sd/se", lambda r: "n/a" if r["sd_over_se"] is None else f"{r['sd_over_se']:.3f}")
+    _emit(args, records, (lambda r: True, [*columns, sd_se, bias, ("notes", _validate_notes)]),
+          csv=(lambda r: True,
+               [*columns, ("sd/se", "sd_over_se"), bias, "ks_distance", "degenerate"]))
 
 
 def main(argv: list[str] | None = None) -> int:

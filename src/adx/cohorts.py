@@ -131,8 +131,6 @@ def _episode_dimension_value(dim: str, value, data: TrialDataset) -> str:
 
 
 def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> str:
-    if dim == "sex":
-        return subj.sex
     if dim == "age":
         return age_binning.label(subj.age_years)
     value = getattr(subj, dim)
@@ -153,33 +151,36 @@ def _cells(
     a None value keys its cell (its order and fault) but stores nothing.
     ``within`` and ``by`` are read once, in episode order.
 
-    A cell's filters are worked out once per code of the subject column and
-    of an episode dimension's column. A filter that fails is raised only if
-    an episode grouped has it, so the first such episode's fault is raised.
+    Each dimension is one part of an episode's key. One pass over the
+    distinct values of its column (the subject column for a subject
+    dimension) builds its filters, each ``(dim, value)`` once per distinct
+    value, or the soc filter's fault in its place; episodes map to them by
+    code. A fault is raised only if an episode grouped has it, so the first
+    such episode's fault is raised.
     """
     for dim in dimensions:
         if dim not in DIMENSIONS:
             raise UnknownDimension(f"{dim!r}; valid: {', '.join(DIMENSIONS)}")
     binning = age_binning or AgeBinning()
     columns, tables = data.columns, []  # per key part after the arm, its filters by code
-
-    def coded(column, filters):
-        """Each episode's code of ``filters(value)`` for its value in ``column``."""
-        table = {}
-        code = [table.setdefault(_or_fault(filters, v), len(table)) for v in column.values]
-        tables.append(list(table))
-        return map(code.__getitem__, column.codes)
-
-    keys = [columns.arm.codes]
-    subject_dims = [d for d in dimensions if d in SUBJECT_DIMENSIONS]
-    if subject_dims:
+    if not set(dimensions).isdisjoint(SUBJECT_DIMENSIONS):
         by_id = {s.subject_id: s for s in data.subjects}
-        keys.append(coded(columns.subject_id, lambda subject_id: tuple(
-            (d, _subject_value(by_id[subject_id], d, binning)) for d in subject_dims)))
+    keys = [columns.arm.codes]
     for dim in dimensions:
-        if dim in EPISODE_DIMENSIONS:
-            keys.append(coded(getattr(columns, _EPISODE_FIELD[dim]),
-                              lambda v, dim=dim: ((dim, _episode_dimension_value(dim, v, data)),)))
+        if dim in SUBJECT_DIMENSIONS:
+            column, value = columns.subject_id, lambda v: _subject_value(by_id[v], dim, binning)
+        else:
+            column = getattr(columns, _EPISODE_FIELD[dim])
+            value = partial(_episode_dimension_value, dim, data=data)
+        table, index = {}, []  # value (or fault) -> its code; per column code, that code
+        for v in column.values:
+            try:
+                v = value(v)
+            except (MissingHierarchy, UnmappedTerm) as exc:
+                v = exc
+            index.append(table.setdefault(v, len(table)))
+        tables.append([v if isinstance(v, Exception) else (dim, v) for v in table])
+        keys.append(map(index.__getitem__, column.codes))
     if by is not None:
         keys.append(by)
     pts = columns.pt_term
@@ -194,17 +195,9 @@ def _cells(
         filters = list(map(list.__getitem__, tables, codes))  # stops before ``by``
         for fault in (f for f in filters if isinstance(f, Exception)):
             raise fault
-        key = CohortKey(columns.arm.values[arm], sum(filters, ()))
+        key = CohortKey(columns.arm.values[arm], tuple(filters))
         cells[key if by is None else (key, codes[-1])] = Coded(group, pts.values)
     return cells
-
-
-def _or_fault(filters, value):
-    """``filters(value)``, or the fault a soc filter raises."""
-    try:
-        return filters(value)
-    except (MissingHierarchy, UnmappedTerm) as exc:
-        return exc
 
 
 def _estimate_and_pair(

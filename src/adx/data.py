@@ -432,16 +432,13 @@ class HierarchyMap:
                 raise InputError(f"hlgt {hlgt!r} mapped to more than one soc")
         self.entries = entries
 
-    # Keys are normalized and normalize_term is idempotent, so a term found
-    # as given needs no normalizing; loaded PTs are already normalized.
-    def __contains__(self, pt_term: str) -> bool:
-        return pt_term in self.entries or normalize_term(pt_term) in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 
     def term_at(self, pt_term: str, level: str) -> str:
         """Resolve a PT to its term at the requested hierarchy level."""
+        # Keys are normalized and normalize_term is idempotent, so a term found
+        # as given needs no normalizing; loaded PTs are already normalized.
         triple = self.entries.get(pt_term)
         if triple is None:
             pt_term = normalize_term(pt_term)

@@ -85,9 +85,9 @@ def table(records: list[dict], kind, columns: list, footnotes: list[str] | None 
 
 def csv_view(records: list[dict], kind, columns: list) -> tuple[list[str], list[list]]:
     """The header and rows of ``table`` for ``write_csv``: full precision,
-    no display formats."""
+    no display formats, a missing value as an empty cell."""
     rows, columns = _view(records, kind, columns)
-    return [c[0] for c in columns], [[_value(r, c[1]) for c in columns] for r in rows]
+    return [c[0] for c in columns], [[_cell(r, c[1]) for c in columns] for r in rows]
 
 
 def atomic_write(path: str | Path, text: str) -> None:

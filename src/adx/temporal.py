@@ -104,27 +104,23 @@ def _cumulative_profiles(data: TrialDataset, column, cutoffs, level: str, dimens
                          age_binning: AgeBinning | None = None):
     """Per ascending cutoff, the profile of each (arm x subgroup) cell's
     episodes whose value in the coded ``column`` is at most the cutoff (cells
-    with none left out). An episode's look, the first whose cutoff it is
-    within, is worked out once per code; one pass groups the PT codes of the
-    episodes with a look by cell and look, and each look adds its group to
-    the cell's running counts: O(N + looks x K). An episode past the last
-    cutoff is not stored, but orders the cells and raises its faults."""
+    with none left out). ``_cells`` builds each filter once per distinct value
+    of each dimension and groups the PT codes by cell and look (the first
+    cutoff an episode is within, worked out once per code); each look's tally
+    updates the cell's running ``Counter``: O(N + looks x K). An episode past
+    the last cutoff is not stored, but orders the cells and raises its faults."""
     look = [None if v is None or v > cutoffs[-1] else bisect_left(cutoffs, v)
             for v in column.values]
     valued = bytes(v is not None for v in column.values)
     groups = _cells(data, dimensions, age_binning, map(valued.__getitem__, column.codes),
                     map(look.__getitem__, column.codes))
-    running = {key: {} for key, _ in groups}
+    running = {key: Counter() for key, _ in groups}
     for i in range(len(cutoffs)):
         for key, counts in running.items():
             if (key, i) in groups:
-                profile = profile_from_episodes(groups[key, i], level, data.hierarchy)
-                for term, n in profile.counts.items():
-                    counts[term] = counts.get(term, 0) + n
-        # the running counts are all positive: a profile of them needs no
-        # re-check, and the last look takes them without a copy
-        last = i + 1 == len(cutoffs)
-        yield {key: tuple.__new__(FrequencyProfile, (counts if last else dict(counts),))
+                counts.update(profile_from_episodes(groups[key, i], level, data.hierarchy).counts)
+        # the running counts are all positive: a profile of them needs no re-check
+        yield {key: tuple.__new__(FrequencyProfile, (dict(counts),))
                for key, counts in running.items() if counts}
 
 

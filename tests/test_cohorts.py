@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +152,35 @@ def test_cells_match_per_episode_grouping():
     assert decoded == list(expected.items())
     cells = _cells(trial, dims, binning, within, iter(split))
     assert [(key, list(cell)) for key, cell in cells.items()] == list(expected_split.items())
+
+
+_FIRST_CALL_CHILD = """
+import tracemalloc
+from adx.cohorts import _cells
+from adx.data import AeEpisode, SubjectRecord, TrialDataset
+
+subjects = tuple(SubjectRecord(f"S{i:04d}", "AB"[i % 2], "U") for i in range(2000))
+episodes = tuple(AeEpisode(s.subject_id, s.arm, f"t{i % 50}")
+                 for i, s in enumerate(subjects * 10))
+trial = TrialDataset(subjects, episodes)
+for _ in range(2):
+    tracemalloc.start()
+    _cells(trial, ["sex"])
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_a_subject_dimension_builds_a_filter_per_distinct_value_not_per_subject():
+    # 2,000 subjects, all of sex U, so one filter: the first call in a fresh
+    # process peaks at most a quarter above the second, where building and
+    # freeing a filter per subject fills the interpreter's free lists first
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _FIRST_CALL_CHILD],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=120, check=True)
+    first, second = map(int, proc.stdout.split())
+    assert first <= 1.25 * second, (first, second)
 
 
 def test_single_arm_no_comparisons():

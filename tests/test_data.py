@@ -151,10 +151,8 @@ def test_episode_is_an_immutable_named_tuple():
 def test_hierarchy_lookup_accepts_unnormalized_terms():
     h = HierarchyMap({"Nausea": ("H1", "G1", "Soc1")})
     for term in ("nausea", "  NAUSEA "):
-        assert term in h
         assert h.term_at(term, "pt") == "nausea"
         assert [h.term_at(term, lv) for lv in ("hlt", "hlgt", "soc")] == ["h1", "g1", "soc1"]
-    assert "vomiting" not in h
     assert h.term_at(" Vomiting", "pt") == "vomiting"
     with pytest.raises(UnmappedTerm, match="'vomiting'"):
         h.term_at(" Vomiting", "soc")

@@ -1,8 +1,9 @@
-"""Hygiene of the package source: short lines, no unused imports, and
-``AeEpisode`` records known only to the module that builds trials from them.
+"""Hygiene of the package source: short lines, no unused imports, no unread
+private names, and ``AeEpisode`` records known only to the module that
+builds trials from them.
 
-Lines are cut to fit, not joined to save lines, and an import that a
-deletion leaves behind goes with it. An import kept for its side effect or
+Lines are cut to fit, not joined to save lines, and an import or a private
+helper that a deletion leaves behind goes with it. An import kept for its side effect or
 as a re-export carries ``# noqa: F401`` on its first line.
 """
 import ast
@@ -41,6 +42,32 @@ def test_every_import_is_used(path):
             if name not in used:
                 unused.append((node.lineno, name))
     assert unused == [], f"{path.name}: (line, name) imported and never used"
+
+
+def test_every_private_module_name_is_read():
+    # a module-level ``_name`` (one leading underscore) is read somewhere in
+    # the package: as a name, or as an attribute of the module that defines it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [(name, d) for d in defined
+                       if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert unread == [], "(module, name) defined at module level and never read"
 
 
 def test_only_data_names_the_episode_record():
