@@ -151,6 +151,7 @@ def re_read_bootstrap_ci(
         raise ValueError("level must be in (0, 1)")
     if replicates < 200:
         raise InsufficientData("need at least 200 bootstrap replicates")
+    terms = data.terms_at(hierarchy_level)
     import numpy as np  # only a bootstrap loads numpy, after its arguments are checked
     from . import kernel
 
@@ -160,15 +161,12 @@ def re_read_bootstrap_ci(
     # every code weighted by how often its subject was drawn.
     pts, ids = (np.frombuffer(c.codes, memoryview(c.codes).format)
                 for c in (data.columns.pt_term, data.columns.subject_id))
-    terms = data.columns.pt_term.values
     arm_codes: dict[str, tuple[np.ndarray, int, np.ndarray, int]] = {}
     for arm in arms:
         in_arm = np.frombuffer(data.in_arm(arm), np.bool_)
         if np.count_nonzero(in_arm) < 2:
             raise InsufficientData(f"arm {arm!r} has fewer than 2 episodes")
-        label = terms.__getitem__ if hierarchy_level == "pt" else (
-            lambda code, h=data.require_hierarchy(): h.term_at(terms[code], hierarchy_level))
-        codes, k = kernel.recode(pts[in_arm], label)
+        codes, k = kernel.recode(pts[in_arm], terms.__getitem__)
         arm_codes[arm] = (codes, k, *kernel.recode(ids[in_arm], int))
         if k == 1:  # fail fast on a degenerate point estimate
             read_score(efficacy[arm], estimate(FrequencyProfile({"": len(codes)})))

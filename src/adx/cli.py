@@ -230,7 +230,7 @@ def _subgroups(args) -> tuple[list[str], cohorts.AgeBinning]:
 
 def _arm_estimate(trial: data.TrialDataset, arm: str, level: str) -> entropy.AdxEstimate:
     terms = trial.columns.pt_term.select(trial.in_arm(arm))
-    return entropy.estimate(entropy.profile_from_episodes(terms, level, trial.hierarchy))
+    return entropy.estimate(entropy.profile_from_episodes(terms, trial.terms_at(level)))
 
 
 def _cohort(arm_field: str):

@@ -3,6 +3,7 @@
 Cells are (arm x subgroup) slices of the trial's episode columns. Every
 estimation delegates to the entropy module, so a subgroup estimate is by
 construction identical to a direct estimate on the restricted episode list.
+PTs map to a level, and to a soc cell, by the trial's ``terms_at`` lists.
 """
 from __future__ import annotations
 
@@ -25,14 +26,7 @@ from .entropy import (
     profile_from_episodes,
     rollup,
 )
-from .errors import (
-    DegenerateVariance,
-    EmptyProfile,
-    MissingHierarchy,
-    UnknownDimension,
-    UnknownSoc,
-    UnmappedTerm,
-)
+from .errors import DegenerateVariance, EmptyProfile, UnknownDimension, UnknownSoc
 
 SUBJECT_DIMENSIONS = ("sex", "age", "background_therapy", "substudy")
 EPISODE_DIMENSIONS = ("soc", "seriousness", "severity", "tier")
@@ -116,18 +110,16 @@ _EPISODE_FIELD = {
 }
 
 
-def _episode_dimension_value(dim: str, value, data: TrialDataset) -> str:
+def _episode_dimension_value(dim: str, value) -> str:
     """Episode dimension ``dim`` for an episode whose ``_EPISODE_FIELD[dim]``
-    holds ``value``."""
-    if dim == "soc":
-        return data.require_hierarchy().term_at(value, "soc")
+    holds ``value``, or for ``soc`` whose PT has the soc term ``value``."""
     if dim == "seriousness":
         if value is None:
             return UNKNOWN
         return "serious" if value else "non-serious"
     if dim == "severity":
         return UNKNOWN if value is None else str(value)
-    return value  # tier
+    return value  # tier, soc
 
 
 def _subject_value(subj: SubjectRecord, dim: str, age_binning: AgeBinning) -> str:
@@ -147,39 +139,31 @@ def _cells(
     """Group the episodes, or those that ``within`` marks true, into
     (arm x subgroup) cells: each the ``Coded`` PT terms of its episodes, in
     episode order, under its ``CohortKey``. With ``by``, one value per
-    episode, each cell is split by that value, under ``(CohortKey, value)``;
-    a None value keys its cell (its order and fault) but stores nothing.
+    episode, each cell is split by that value, under ``(CohortKey, value)``.
     ``within`` and ``by`` are read once, in episode order.
 
     Each dimension is one part of an episode's key. One pass over the
-    distinct values of its column (the subject column for a subject
-    dimension) builds its filters, each ``(dim, value)`` once per distinct
-    value, or the soc filter's fault in its place; episodes map to them by
-    code. A fault is raised only if an episode grouped has it, so the first
-    such episode's fault is raised.
+    dimension's value of each code of its column (the subject column for a
+    subject dimension, the PT column for ``soc``) builds its filters, each
+    ``(dim, value)`` once per distinct value; episodes map to them by code.
     """
     for dim in dimensions:
         if dim not in DIMENSIONS:
             raise UnknownDimension(f"{dim!r}; valid: {', '.join(DIMENSIONS)}")
     binning = age_binning or AgeBinning()
     columns, tables = data.columns, []  # per key part after the arm, its filters by code
-    if not set(dimensions).isdisjoint(SUBJECT_DIMENSIONS):
-        by_id = {s.subject_id: s for s in data.subjects}
     keys = [columns.arm.codes]
     for dim in dimensions:
         if dim in SUBJECT_DIMENSIONS:
-            column, value = columns.subject_id, lambda v: _subject_value(by_id[v], dim, binning)
+            column = columns.subject_id
+            values = (_subject_value(s, dim, binning) for s in data.subject_of_code)
         else:
             column = getattr(columns, _EPISODE_FIELD[dim])
-            value = partial(_episode_dimension_value, dim, data=data)
-        table, index = {}, []  # value (or fault) -> its code; per column code, that code
-        for v in column.values:
-            try:
-                v = value(v)
-            except (MissingHierarchy, UnmappedTerm) as exc:
-                v = exc
-            index.append(table.setdefault(v, len(table)))
-        tables.append([v if isinstance(v, Exception) else (dim, v) for v in table])
+            source = data.terms_at("soc") if dim == "soc" else column.values
+            values = map(partial(_episode_dimension_value, dim), source)
+        table = {}  # value -> its code
+        index = [table.setdefault(v, len(table)) for v in values]  # per column code, that code
+        tables.append([(dim, v) for v in table])
         keys.append(map(index.__getitem__, column.codes))
     if by is not None:
         keys.append(by)
@@ -187,14 +171,10 @@ def _cells(
     groups = defaultdict(partial(_store, len(pts.values)))  # in order of first appearance
     rows = zip(pts.codes, zip(*keys))
     for code, key in rows if within is None else compress(rows, within):
-        group = groups[key]
-        if by is None or key[-1] is not None:
-            group.append(code)
+        groups[key].append(code)
     cells = {}
     for (arm, *codes), group in groups.items():
-        filters = list(map(list.__getitem__, tables, codes))  # stops before ``by``
-        for fault in (f for f in filters if isinstance(f, Exception)):
-            raise fault
+        filters = map(list.__getitem__, tables, codes)  # stops before ``by``
         key = CohortKey(columns.arm.values[arm], tuple(filters))
         cells[key if by is None else (key, codes[-1])] = Coded(group, pts.values)
     return cells
@@ -256,9 +236,8 @@ def subgroup_analysis(
     """
     binning = age_binning or AgeBinning()
     cells = _cells(data, dimensions, binning)
-    profiles = {
-        key: profile_from_episodes(terms, level, data.hierarchy) for key, terms in cells.items()
-    }
+    terms = data.terms_at(level)
+    profiles = {key: profile_from_episodes(cell, terms) for key, cell in cells.items()}
     report = _estimate_and_pair(data, profiles, control, alpha, two_sided)
     report.low_n = {key for key, est in report.estimates.items() if est.n < min_episodes}
     if "age" in dimensions:
@@ -276,7 +255,6 @@ def soc_analysis(
 ) -> SubgroupReport:
     """Per-SOC AdX per arm (PT-level profiles restricted to the SOC) with
     active-vs-control comparisons."""
-    data.require_hierarchy()
     return subgroup_analysis(
         data, ["soc"], level="pt", control=control, alpha=alpha, two_sided=two_sided
     )
@@ -303,9 +281,9 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None,
     """
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
-    hierarchy = data.require_hierarchy()
+    soc_of = dict(zip(data.terms_at("pt"), data.terms_at("soc")))
     soc_n = normalize_term(soc)
-    if soc_n not in hierarchy.socs():
+    if soc_n not in data.hierarchy.socs():
         raise UnknownSoc(f"soc {soc_n!r} not present in hierarchy")
     arms = list(arms) if arms else list(data.arms)
 
@@ -313,7 +291,7 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None,
     for arm in dict.fromkeys(arms):
         terms = data.columns.pt_term.select(data.in_arm(arm))
         for pt, c in profile_from_episodes(terms).counts.items():
-            if hierarchy.term_at(pt, "soc") == soc_n:
+            if soc_of[pt] == soc_n:
                 counts.setdefault(pt, {a: 0 for a in arms})[arm] = c
 
     ranked = sorted(counts, key=lambda pt: (-max(counts[pt].values()), pt))
@@ -361,8 +339,8 @@ def hierarchy_sweep(
     alpha: float = 0.05,
     two_sided: bool = True,
 ) -> PropositionReport:
-    data.require_hierarchy()
     arms = list(data.arms)
+    folds = {level: dict(zip(data.terms_at("pt"), data.terms_at(level))) for level in levels}
     cells = _cells(data)
     missing = [arm for arm in arms if CohortKey(arm) not in cells]
     if missing:
@@ -372,7 +350,7 @@ def hierarchy_sweep(
     degenerate: list[tuple[str, str, str]] = []
     by_pt = {key: profile_from_episodes(terms) for key, terms in cells.items()}
     for level in levels:
-        profiles = {key: rollup(profile, level, data.hierarchy) for key, profile in by_pt.items()}
+        profiles = {key: rollup(profile.counts, folds[level]) for key, profile in by_pt.items()}
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
         by_arm = {key.arm: est for key, est in rep.estimates.items()}
         estimates.update(((arm, level), by_arm[arm]) for arm in arms)

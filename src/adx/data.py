@@ -470,14 +470,25 @@ class HierarchyMap:
 class TrialDataset:
     """Immutable validated container for one trial's safety data, the episodes as ``columns``."""
 
-    __slots__ = ("subjects", "columns", "hierarchy", "arms")
+    __slots__ = ("subjects", "columns", "hierarchy", "arms", "subject_of_code", "_terms")
 
     def __init__(self, subjects: tuple[SubjectRecord, ...], episodes: EpisodeColumns | tuple,
                  hierarchy: HierarchyMap | None = None, arms: tuple[str, ...] = ()):
-        """``episodes`` are columns, or ``AeEpisode`` records to code into columns (not kept)."""
+        """``episodes`` are columns, or ``AeEpisode`` records to code into columns
+        (not kept). ``hierarchy`` must map every PT of ``columns.pt_term.values``."""
         if not isinstance(episodes, EpisodeColumns):
             episodes = EpisodeColumns(map(Coded.encode, list(zip(*episodes))
                                           or [()] * len(_EpisodeFields._fields)))
+        pts = episodes.pt_term.values
+        terms = {"pt": pts}  # per level, each PT code's term
+        if hierarchy is not None:
+            missing = sorted(set(pts) - set(hierarchy.entries))
+            if missing:
+                raise UnmappedTerm(
+                    f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}"
+                )
+            terms.update((level, [hierarchy.term_at(pt, level) for pt in pts])
+                         for level in _TRIPLE_INDEX)
         by_id = {}
         for s in subjects:
             if s.subject_id in by_id:
@@ -500,7 +511,9 @@ class TrialDataset:
             arms = present
         elif set(arms) != set(present):
             raise InputError("declared arms differ from arms present in subjects")
-        for name, value in zip(self.__slots__, (subjects, episodes, hierarchy, arms)):
+        of_code = [by_id.get(i) for i in ids.values]  # per subject_id code, its SubjectRecord
+        for name, value in zip(self.__slots__, (subjects, episodes, hierarchy, arms, of_code,
+                                                terms)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -512,10 +525,13 @@ class TrialDataset:
         """Per episode, 1 if it is one of ``arm``'s, else 0."""
         return self.columns.arm.mask(arm)
 
-    def require_hierarchy(self) -> HierarchyMap:
-        if self.hierarchy is None:
+    def terms_at(self, level: str) -> list[str]:
+        """Per code of ``columns.pt_term``, its term at ``level``."""
+        if level not in HIERARCHY_LEVELS:
+            raise ValueError(f"level must be one of {HIERARCHY_LEVELS}, got {level!r}")
+        if level != "pt" and self.hierarchy is None:
             raise MissingHierarchy("this analysis needs a hierarchy mapping file")
-        return self.hierarchy
+        return self._terms[level]
 
 
 def load_subjects(path: str | Path) -> list[SubjectRecord]:
@@ -565,13 +581,8 @@ def load_trial(
     hierarchy = None
     if hierarchy_file is not None:
         hierarchy = HierarchyMap.from_csv(hierarchy_file)
-        # a loaded column's table holds only values that occur
-        missing = sorted(set(episodes.pt_term.values) - set(hierarchy.entries))
-        if missing:
-            if unmapped == "reject":
-                raise UnmappedTerm(
-                    f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}"
-                )
+        if unmapped == "synthetic":  # a loaded column's table holds only values that occur
+            missing = sorted(set(episodes.pt_term.values) - set(hierarchy.entries))
             routed = dict.fromkeys(missing, ("unmapped",) * 3)
             hierarchy = HierarchyMap({**hierarchy.entries, **routed}, normalized=True)
     return TrialDataset(subjects=tuple(subjects), episodes=episodes, hierarchy=hierarchy)

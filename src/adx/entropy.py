@@ -6,7 +6,8 @@ even counts, read as a lower overall safety level. The asymptotic variance
 is the classical plug-in form sigma^2/N with the sample index substituted
 for the population value; no small-sample bias correction is applied (the
 downward bias of order K/N is characterized empirically in the simulation
-module instead).
+module instead). A profile tallies PT codes and sums them into each code's
+term at a level, read from the trial's list (``TrialDataset.terms_at``).
 
 Known limitation: N counts episodes, so within-subject correlation of
 episodes is ignored, exactly as in the defining formulas.
@@ -16,12 +17,12 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from operator import mul
 from typing import NamedTuple
 
-from .data import HIERARCHY_LEVELS, Coded, HierarchyMap
-from .errors import DegenerateVariance, EmptyProfile, MissingHierarchy
+from .data import Coded
+from .errors import DegenerateVariance, EmptyProfile
 
 
 class _ProfileFields(NamedTuple):
@@ -55,33 +56,19 @@ class FrequencyProfile(_ProfileFields):
         return len(self.counts)
 
 
-def profile_from_episodes(
-    episodes: Coded,
-    level: str = "pt",
-    hierarchy: HierarchyMap | None = None,
-) -> FrequencyProfile:
+def profile_from_episodes(episodes: Coded, terms: Sequence[str] | None = None) -> FrequencyProfile:
     """Tally a cell of coded PT terms (such as a column's ``select``) by code,
-    then roll the counts up to ``level``, terms in order of first appearance."""
-    terms = episodes.values
-    counts = {terms[code]: n for code, n in Counter(episodes.codes).items()}
-    return rollup(FrequencyProfile(counts), level, hierarchy)
+    then sum the counts into each code's term in ``terms`` (a trial's
+    ``terms_at(level)``; the cell's own PT terms by default)."""
+    return rollup(Counter(episodes.codes), episodes.values if terms is None else terms)
 
 
-def rollup(
-    profile: FrequencyProfile, level: str, hierarchy: HierarchyMap | None
-) -> FrequencyProfile:
-    """A PT-level profile with its counts summed into their terms at ``level``:
-    ``term_at`` runs once per PT, and terms keep first-appearance order."""
-    if level not in HIERARCHY_LEVELS:
-        raise ValueError(f"level must be one of {HIERARCHY_LEVELS}, got {level!r}")
-    if level == "pt":
-        return profile
-    if hierarchy is None:
-        raise MissingHierarchy(f"level {level!r} requires a hierarchy mapping")
-    counts: Counter = Counter()
-    for pt, c in profile.counts.items():
-        counts[hierarchy.term_at(pt, level)] += c
-    return FrequencyProfile(counts)
+def rollup(counts: dict, terms) -> FrequencyProfile:
+    """``counts`` summed into ``terms[key]`` of each key, terms in order of first appearance."""
+    rolled: Counter = Counter()
+    for key, c in counts.items():
+        rolled[terms[key]] += c
+    return FrequencyProfile(rolled)
 
 
 def _adx_and_variance(counts: Collection[int]) -> tuple[float, float]:

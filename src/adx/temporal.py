@@ -2,7 +2,8 @@
 
 Per-look tests are the naive normal tests on the cumulative profile at
 that look; no alpha spending or group-sequential adjustment is applied,
-and that caveat travels with every report.
+and that caveat travels with every report. Only the episodes within the
+last look are grouped, their PTs counted by the trial's ``terms_at`` list.
 """
 from __future__ import annotations
 
@@ -83,6 +84,9 @@ def interim_series(
     Look t covers episodes with onset_day <= cutoff[t]; undated episodes
     are excluded and their count reported.
     """
+    terms = data.terms_at(level)
+    if "soc" in (dimensions or ()):  # a soc filter's terms, before the episodes are checked
+        data.terms_at("soc")
     days = data.columns.onset_day
     undated = days.count(None)
     if undated == len(days):
@@ -90,7 +94,7 @@ def interim_series(
     if schedule is None:
         schedule = default_schedule(data)
     series = InterimSeries(schedule, undated)
-    looks = _cumulative_profiles(data, days, schedule.cutoff_days, level, dimensions or (),
+    looks = _cumulative_profiles(data, days, schedule.cutoff_days, terms, dimensions or (),
                                  age_binning)
     for look, profiles in enumerate(looks):
         rep = _estimate_and_pair(data, profiles, control, alpha, two_sided)
@@ -100,25 +104,24 @@ def interim_series(
     return series
 
 
-def _cumulative_profiles(data: TrialDataset, column, cutoffs, level: str, dimensions=(),
+def _cumulative_profiles(data: TrialDataset, column, cutoffs, terms, dimensions=(),
                          age_binning: AgeBinning | None = None):
-    """Per ascending cutoff, the profile of each (arm x subgroup) cell's
-    episodes whose value in the coded ``column`` is at most the cutoff (cells
-    with none left out). ``_cells`` builds each filter once per distinct value
-    of each dimension and groups the PT codes by cell and look (the first
-    cutoff an episode is within, worked out once per code); each look's tally
-    updates the cell's running ``Counter``: O(N + looks x K). An episode past
-    the last cutoff is not stored, but orders the cells and raises its faults."""
+    """Per ascending cutoff, the profile at ``terms`` (a ``terms_at``) of each
+    (arm x subgroup) cell's episodes whose value in the coded ``column`` is at
+    most the cutoff (cells with none left out). ``_cells`` groups the PT codes
+    of the episodes within the last cutoff by cell and look (the first cutoff
+    an episode is within, worked out once per code); each look's tally
+    updates the cell's running ``Counter``: O(N + looks x K)."""
     look = [None if v is None or v > cutoffs[-1] else bisect_left(cutoffs, v)
             for v in column.values]
-    valued = bytes(v is not None for v in column.values)
-    groups = _cells(data, dimensions, age_binning, map(valued.__getitem__, column.codes),
+    has_look = bytes(i is not None for i in look)
+    groups = _cells(data, dimensions, age_binning, map(has_look.__getitem__, column.codes),
                     map(look.__getitem__, column.codes))
     running = {key: Counter() for key, _ in groups}
     for i in range(len(cutoffs)):
         for key, counts in running.items():
             if (key, i) in groups:
-                counts.update(profile_from_episodes(groups[key, i], level, data.hierarchy).counts)
+                counts.update(profile_from_episodes(groups[key, i], terms).counts)
         # the running counts are all positive: a profile of them needs no re-check
         yield {key: tuple.__new__(FrequencyProfile, (dict(counts),))
                for key, counts in running.items() if counts}
@@ -163,6 +166,7 @@ def exposure_curves(
     """
     if max_cycle is not None and max_cycle < 1:
         raise ValueError(f"max_cycle must be >= 1, got {max_cycle}")
+    terms = data.terms_at(level)
     cycle = data.columns.cycle
     no_cycle = cycle.count(None)
     if no_cycle == len(cycle):
@@ -170,7 +174,7 @@ def exposure_curves(
     highest, reach = _last_cycles(data, exposure or {})
     top = highest if max_cycle is None else max_cycle
     cycles = range(1, top + 1)
-    looks = _cumulative_profiles(data, cycle, cycles, level)
+    looks = _cumulative_profiles(data, cycle, cycles, terms)
     curves: dict[str, list[tuple[int, float, int, int, int]]] = {arm: [] for arm in data.arms}
     for c, profiles in zip(cycles, looks):
         for arm, rows in curves.items():

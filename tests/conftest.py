@@ -7,8 +7,9 @@ from itertools import repeat
 import pytest
 
 from adx import kernel
-from adx.data import AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
-from adx.entropy import AdxEstimate, FrequencyProfile, eals, rollup
+from adx.data import HIERARCHY_LEVELS, AeEpisode, HierarchyMap, SubjectRecord, TrialDataset
+from adx.entropy import AdxEstimate, FrequencyProfile, eals
+from adx.errors import MissingHierarchy
 
 
 def estimate_from_stats(adx_value: float, se: float, k: int, n: int = 0) -> AdxEstimate:
@@ -66,6 +67,21 @@ def episode_records(columns, arm=None) -> list[AeEpisode]:
     tests read them back as records here, and nowhere else."""
     rows = zip(*(getattr(columns, name) for name in columns.__slots__))
     return [e for e in map(tuple.__new__, repeat(AeEpisode), rows) if arm is None or e.arm == arm]
+
+
+def rollup(profile: FrequencyProfile, level: str, hierarchy) -> FrequencyProfile:
+    """A PT-level profile with its counts summed into their terms at ``level``,
+    ``term_at`` once per PT: the rollup oracle of the trial's ``terms_at`` lists."""
+    if level not in HIERARCHY_LEVELS:
+        raise ValueError(f"level must be one of {HIERARCHY_LEVELS}, got {level!r}")
+    if level == "pt":
+        return profile
+    if hierarchy is None:
+        raise MissingHierarchy(f"level {level!r} requires a hierarchy mapping")
+    counts = Counter()
+    for pt, c in profile.counts.items():
+        counts[hierarchy.term_at(pt, level)] += c
+    return FrequencyProfile(counts)
 
 
 def record_profile(episodes, level="pt", hierarchy=None) -> FrequencyProfile:

@@ -471,7 +471,7 @@ def test_subgroup_at_hlt_equals_direct_estimates():
 def _drilldown_oracle(data, soc, arms, top_n):
     """The per-episode loop ``drilldown`` replaced: ``term_at`` on every
     episode of the listed arms."""
-    hierarchy = data.require_hierarchy()
+    hierarchy = data.hierarchy
     counts = {}
     for ep in episode_records(data.columns):
         if ep.arm not in arms:

@@ -5,10 +5,10 @@ and profiles tallied off the records' ``pt_term`` (``conftest.record_profile``).
 
 Trials are drawn with empty arms, missing onset, cycle, serious and
 severity values, and terms with commas and non-ASCII letters. Some are
-built in code, with a full or a partial hierarchy (an unmapped term then
-fails the analyses that resolve it, the same way on both paths); the rest
-go through CSV files and ``load_trial`` with a partial hierarchy read with
-``unmapped="synthetic"``.
+built in code with a full hierarchy; the rest go through CSV files and
+``load_trial`` with a partial hierarchy read with ``unmapped="synthetic"``,
+after building them in code with that hierarchy has failed on the PTs it
+does not map.
 """
 import gc
 import itertools
@@ -17,6 +17,7 @@ from collections import Counter, defaultdict
 from functools import cache
 from operator import attrgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,11 +44,18 @@ from adx.data import (
     normalize_term,
     write_trial,
 )
-from adx.entropy import estimate, rollup
-from adx.errors import AdxError, EmptyProfile, NoCycleData, NoDatedEpisodes, UnknownDimension
+from adx.entropy import estimate
+from adx.errors import (
+    AdxError,
+    EmptyProfile,
+    NoCycleData,
+    NoDatedEpisodes,
+    UnknownDimension,
+    UnmappedTerm,
+)
 from adx.temporal import ExposureCurves, InterimSeries, LookSchedule
 
-from conftest import episode_records, record_profile, write_csv
+from conftest import episode_records, record_profile, rollup, write_csv
 
 # --- the per-episode path -------------------------------------------------
 
@@ -67,7 +75,9 @@ def reference_cells(data, episodes, dimensions=(), age_binning=None):
 
     @cache
     def episode_filter(dim, value):
-        return dim, _episode_dimension_value(dim, value, data)
+        if dim == "soc":
+            return dim, data.hierarchy.term_at(value, "soc")
+        return dim, _episode_dimension_value(dim, value)
 
     groups = defaultdict(list)
     for ep in episodes:
@@ -92,7 +102,7 @@ def reference_subgroup_analysis(data, dimensions, level="pt", age_binning=None, 
 
 
 def reference_drilldown(data, soc, arms=None, top_n=2):
-    hierarchy = data.require_hierarchy()
+    hierarchy = data.hierarchy
     soc_n = normalize_term(soc)
     arms = list(arms) if arms else list(data.arms)
     counts = {}
@@ -111,7 +121,6 @@ def reference_drilldown(data, soc, arms=None, top_n=2):
 
 def reference_hierarchy_sweep(data, levels=("pt", "hlt", "hlgt"), control=None, alpha=0.05,
                               two_sided=True):
-    data.require_hierarchy()
     arms = list(data.arms)
     cells = reference_cells(data, episode_records(data.columns))
     missing = [arm for arm in arms if CohortKey(arm) not in cells]
@@ -245,7 +254,13 @@ def trials(draw, tmp_path_factory):
     if not draw(st.booleans()):  # built in code, with every term mapped or only some
         every = {normalize_term(t): ("h", "g", "soc, 0") for t in TERMS}
         hierarchy = HierarchyMap({**every, **entries} if draw(st.booleans()) else entries)
-        return TrialDataset(tuple(subjects), tuple(episodes), hierarchy)
+        missing = sorted({e.pt_term for e in episodes} - set(hierarchy.entries))
+        if not missing:
+            return TrialDataset(tuple(subjects), tuple(episodes), hierarchy)
+        with pytest.raises(UnmappedTerm) as fault:
+            TrialDataset(tuple(subjects), tuple(episodes), hierarchy)
+        assert str(fault.value) == (
+            f"{len(missing)} pt term(s) absent from hierarchy, e.g. {missing[:5]}")
     base = tmp_path_factory.getbasetemp()
     write_trial(TrialDataset(tuple(subjects), tuple(episodes)), base / "e.csv", base / "s.csv")
     write_csv(base / "h.csv", ["pt_term", "hlt_term", "hlgt_term", "soc_term"],
@@ -302,29 +317,21 @@ def test_every_analysis_matches_the_per_episode_path(tmp_path_factory, data):
         assert _outcome(new, *args, **kwargs) == _outcome(reference, *args, **kwargs), new
 
 
-def test_episodes_past_the_last_look_order_the_cells_and_raise_their_faults():
-    # arm A's first episode (day 25, cycle 4) is past the last look: the
-    # per-episode path still puts A's cell first, so the fault names A's
-    # unmapped term; and an unmapped PT seen only past the last look still
-    # fails a soc filter
+def test_a_hierarchy_that_misses_a_pt_fails_the_trial_built_with_it():
+    # the analyses of these trials once named the unmapped PT of an episode
+    # past the last look; building the trial now names every unmapped PT
     subjects = (SubjectRecord("S0", "A"), SubjectRecord("S1", "B"))
     episodes = (AeEpisode("S0", "A", "nausea", onset_day=25, cycle=4),
                 AeEpisode("S1", "B", "rash", onset_day=5, cycle=1),
                 AeEpisode("S0", "A", "headache", onset_day=3, cycle=1))
-    trial = TrialDataset(subjects, episodes, HierarchyMap({"nausea": ("h", "g", "soc, 0")}))
-    late = TrialDataset(subjects, episodes[:1] + (AeEpisode("S1", "B", "nausea", onset_day=5),),
-                        HierarchyMap({"rash": ("h", "g", "soc, 0")}))
-    pairs = [
-        (temporal.interim_series, reference_interim_series, (trial, LookSchedule((0, 7, 19))),
-         {"level": "hlt"}),
-        (temporal.exposure_curves, reference_exposure_curves, (trial, 3), {"level": "hlt"}),
-        (temporal.interim_series, reference_interim_series, (late, LookSchedule((7,))),
-         {"dimensions": ["soc"]}),
-    ]
-    for new, reference, args, kwargs in pairs:
-        outcome = _outcome(new, *args, **kwargs)
-        assert outcome == _outcome(reference, *args, **kwargs), new
-        assert outcome[0] == "error" and ("'headache'" in outcome[2] or args[0] is late), outcome
+    late = episodes[:1] + (AeEpisode("S1", "B", "nausea", onset_day=5),)
+    for eps, mapped, message in [
+        (episodes, "nausea", "2 pt term(s) absent from hierarchy, e.g. ['headache', 'rash']"),
+        (late, "rash", "1 pt term(s) absent from hierarchy, e.g. ['nausea']"),
+    ]:
+        with pytest.raises(UnmappedTerm) as fault:
+            TrialDataset(subjects, eps, HierarchyMap({mapped: ("h", "g", "soc, 0")}))
+        assert str(fault.value) == message
 
 
 def test_loaded_trial_holds_no_episode_records(tiny_trial_files):

@@ -200,13 +200,20 @@ def test_profile_pt_level():
 
 def test_profile_hlt_rollup():
     h = HierarchyMap({"a": ("h1", "g", "s"), "b": ("h1", "g", "s"), "c": ("h2", "g", "s")})
-    p = profile_from_episodes(_eps({"a": 2, "b": 3, "c": 5}), "hlt", h)
+    trial = dataset_from_counts({"A": {"a": 2, "b": 3, "c": 5}}, h)
+    assert trial.terms_at("hlt") == ["h1", "h1", "h2"]
+    p = profile_from_episodes(trial.columns.pt_term, trial.terms_at("hlt"))
     assert p.counts == {"h1": 5, "h2": 5}
 
 
 def test_profile_level_needs_hierarchy():
-    with pytest.raises(MissingHierarchy):
-        profile_from_episodes(_eps({"a": 1}), "soc")
+    trial = dataset_from_counts({"A": {"a": 1}})
+    assert trial.terms_at("pt") == ["a"]
+    for level in ("hlt", "hlgt", "soc"):
+        with pytest.raises(MissingHierarchy, match="^this analysis needs a hierarchy mapping"):
+            trial.terms_at(level)
+    with pytest.raises(ValueError, match="level must be one of"):
+        trial.terms_at("llt")
 
 
 def test_empty_episode_list_fails_downstream():

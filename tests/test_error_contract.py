@@ -260,6 +260,35 @@ def test_a_bad_flag_value_ends_in_one_line_and_an_exit_code(inputs, flag, comman
     _check(code, err, argv)
 
 
+# the flags with which each trial command counts above PT level or by SOC
+NEEDS_HIERARCHY = [
+    ["summary", "--level", "hlt"],
+    ["compare", "--level", "hlgt"],
+    ["subgroup", "--by", "soc"],
+    ["subgroup", "--level", "soc"],
+    ["soc"],
+    ["drilldown"],
+    ["hierarchy"],
+    ["interim", "--level", "hlt"],
+    ["interim", "--by", "soc"],
+    ["exposure", "--level", "soc"],
+    ["benefit-risk", "--level", "hlt"],
+]
+
+
+@pytest.mark.parametrize("episodes", ["episodes.csv", "episodes-header-only"])
+@pytest.mark.parametrize("argv", NEEDS_HIERARCHY, ids=" ".join)
+def test_a_missing_hierarchy_is_one_error_in_every_command(inputs, argv, episodes, tmp_path,
+                                                            capsys):
+    # with episodes to count or none, before any other fault of the run
+    directory, files = inputs
+    command, *flags = argv
+    full = _argv(command, files, episodes=directory / episodes)
+    at = full.index("--hierarchy")
+    code, err = _run([*full[:at], *full[at + 2:], *flags], tmp_path / "out", capsys)
+    assert (code, err) == (2, "adx: error: this analysis needs a hierarchy mapping file\n")
+
+
 @pytest.mark.parametrize("bootstrap", [True, False])
 def test_a_seed_below_0_names_the_flag_before_any_file_is_read(inputs, bootstrap, tmp_path,
                                                                capsys):

@@ -1,6 +1,6 @@
 """Hygiene of the package source: short lines, no unused imports, no unread
-private names, and ``AeEpisode`` records known only to the module that
-builds trials from them.
+private names, and ``AeEpisode`` records and the hierarchy's lookups known
+only to the module that builds trials from them.
 
 Lines are cut to fit, not joined to save lines, and an import or a private
 helper that a deletion leaves behind goes with it. An import kept for its side effect or
@@ -76,3 +76,12 @@ def test_only_data_names_the_episode_record():
     naming = [path.name for path in SOURCES if path.name not in ("data.py", "__init__.py")
               and "AeEpisode" in path.read_text(encoding="utf-8")]
     assert naming == [], "modules other than data.py that name AeEpisode"
+
+
+def test_only_data_resolves_the_hierarchy():
+    # a trial maps each PT code to its term at each level once, when built:
+    # every other module reads those lists through ``TrialDataset.terms_at``
+    resolving = [(path.name, node.lineno, node.attr) for path in SOURCES if path.name != "data.py"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr in ("term_at", "entries")]
+    assert resolving == [], "(module, line, attribute) of a hierarchy lookup outside data.py"
