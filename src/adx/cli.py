@@ -13,7 +13,7 @@ them, and only ``benefit-risk --bootstrap`` and ``validate``, which resample
 on every CPU (forking in ``kernel.replicates``), load numpy. ``main`` runs a
 command with the cyclic garbage collector off; ``run``, the entry point,
 then freezes the heap. The list flags (``--by``, ``--arms``, ``--looks``,
-``--age-cuts``) are read by one helper, ``_entries``.
+``--age-cuts``, ``--format``) are read by one helper, ``_entries``.
 """
 from __future__ import annotations
 
@@ -101,7 +101,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _formats(args) -> set[str]:
-    fmts = {f.strip() for f in args.format.split(",") if f.strip()}
+    fmts = set(_entries(args.format, "--format"))
+    if not fmts:
+        raise ConfigError("--format needs at least one of text,json-lines,csv")
     bad = fmts - {"text", "json-lines", "csv"}
     if bad:
         raise ConfigError(f"unknown format(s): {', '.join(sorted(bad))}")
@@ -155,11 +157,14 @@ def _entries(spec: str | None, flag: str, kind: type = str) -> list:
 
 
 def _arms(spec: str, *known: tuple, pair: bool = False) -> tuple[str, ...]:
-    """Parse ``--arms A,B,...``, exactly two labels with ``pair``; each arm
-    must be in every ``(arms, where)`` of ``known``."""
+    """Parse ``--arms A,B,...``, distinct labels, exactly two with ``pair``;
+    each arm must be in every ``(arms, where)`` of ``known``."""
     arms = tuple(_entries(spec, "--arms"))
     if pair and len(arms) != 2:
         raise ConfigError("--arms needs exactly two comma-separated labels")
+    repeated = [a for a, n in Counter(arms).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"--arms repeats arm(s): {', '.join(repeated)}")
     for present, where in known:
         missing = [a for a in arms if a not in present]
         if missing:

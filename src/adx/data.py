@@ -407,22 +407,12 @@ def _term(raw: str | None) -> str:
 class HierarchyMap:
     """PT -> (HLT, HLGT, SOC) lookup with a functional chain.
 
-    A given PT maps to exactly one triple, a given HLT to one HLGT, and a
-    given HLGT to one SOC; violations are rejected at construction.
+    A given HLT maps to one HLGT, and a given HLGT to one SOC; violations
+    are rejected at construction. Terms are kept as given, so a map built in
+    code takes ``normalize_term`` terms; ``from_csv`` normalizes a file's.
     """
 
-    def __init__(self, entries: dict[str, tuple[str, str, str]], normalized: bool = False):
-        """The map of ``entries``; their terms are normalized here unless
-        they are ``normalized`` already."""
-        if not normalized:
-            norm: dict[str, tuple[str, str, str]] = {}
-            for pt, (hlt, hlgt, soc) in entries.items():
-                pt_n = normalize_term(pt)
-                triple = (normalize_term(hlt), normalize_term(hlgt), normalize_term(soc))
-                if pt_n in norm and norm[pt_n] != triple:
-                    raise InputError(f"pt {pt_n!r} mapped to more than one hierarchy triple")
-                norm[pt_n] = triple
-            entries = norm
+    def __init__(self, entries: dict[str, tuple[str, str, str]]):
         hlt_parent: dict[str, str] = {}
         hlgt_parent: dict[str, str] = {}
         for hlt, hlgt, soc in entries.values():
@@ -436,15 +426,10 @@ class HierarchyMap:
         return len(self.entries)
 
     def term_at(self, pt_term: str, level: str) -> str:
-        """Resolve a PT to its term at the requested hierarchy level."""
-        # Keys are normalized and normalize_term is idempotent, so a term found
-        # as given needs no normalizing; loaded PTs are already normalized.
-        triple = self.entries.get(pt_term)
-        if triple is None:
-            pt_term = normalize_term(pt_term)
-            triple = self.entries.get(pt_term)
+        """Resolve a PT, as given, to its term at the requested hierarchy level."""
         if level == "pt":
             return pt_term
+        triple = self.entries.get(pt_term)
         if triple is None:
             raise UnmappedTerm(f"pt {pt_term!r} not in hierarchy")
         return triple[_TRIPLE_INDEX[level]]
@@ -464,7 +449,7 @@ class HierarchyMap:
                 )
         read_table(path, tuple, tuple(Column(f"{level}_term", _term, True)
                                       for level in HIERARCHY_LEVELS), check)
-        return cls(entries, normalized=True)
+        return cls(entries)
 
 
 class TrialDataset:
@@ -584,7 +569,7 @@ def load_trial(
         if unmapped == "synthetic":  # a loaded column's table holds only values that occur
             missing = sorted(set(episodes.pt_term.values) - set(hierarchy.entries))
             routed = dict.fromkeys(missing, ("unmapped",) * 3)
-            hierarchy = HierarchyMap({**hierarchy.entries, **routed}, normalized=True)
+            hierarchy = HierarchyMap({**hierarchy.entries, **routed})
     return TrialDataset(subjects=tuple(subjects), episodes=episodes, hierarchy=hierarchy)
 
 

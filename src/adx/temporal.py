@@ -131,14 +131,13 @@ def _last_cycles(data: TrialDataset, exposure: dict[str, int]) -> tuple[int, Cou
     """The highest episode cycle, and per (arm, last cycle) how many subjects
     have it: a subject's ``exposure`` row, if any, in place of its episodes'
     highest cycle. Its per-subject scratch is freed on return."""
-    ids, arms = data.columns.subject_id, data.columns.arm
-    # per subject code, the highest episode cycle and the arm code of that episode
-    last, arm_of = [0] * len(ids.values), [0] * len(ids.values)
-    for s, a, c in zip(ids.codes, arms.codes, data.columns.cycle):
+    ids = data.columns.subject_id
+    last = [0] * len(ids.values)  # per subject code, the highest episode cycle
+    for s, c in zip(ids.codes, data.columns.cycle):
         if c is not None and c > last[s]:
-            last[s], arm_of[s] = c, a
-    reach = Counter((arms.values[a], c) for s, a, c in zip(ids.values, arm_of, last)
-                    if c and s not in exposure)
+            last[s] = c
+    reach = Counter((subject.arm, c) for subject, c in zip(data.subject_of_code, last)
+                    if c and subject.subject_id not in exposure)
     reach.update((s.arm, exposure[s.subject_id]) for s in data.subjects
                  if s.subject_id in exposure)
     return max(last), reach

@@ -320,6 +320,24 @@ def test_unknown_control_is_config_error(capsys, tiny_trial_files, tmp_path, com
     assert err.count("\n") == 1 and "Nope" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, repeated", [
+    (["compare", "--arms", "A,A"], "A"),
+    (["drilldown", "--soc", "gastrointestinal disorders", "--arms", "A,B, A"], "A"),
+    # before the dataset check: the repeat is named, not the unknown arm
+    (["drilldown", "--soc", "gastrointestinal disorders", "--arms", "Nope,Nope"], "Nope"),
+])
+def test_a_repeated_arm_is_config_error(capsys, tiny_trial_files, tmp_path, argv, repeated):
+    # an arm compared with itself is no independent sample, and drilldown's
+    # columns are one per distinct arm
+    code, out, err = run(capsys, *argv, "--episodes", str(tiny_trial_files["episodes"]),
+                         "--subjects", str(tiny_trial_files["subjects"]),
+                         "--hierarchy", str(tiny_trial_files["hierarchy"]),
+                         "--out", str(tmp_path / "o"))
+    assert (code, out) == (3, "")
+    assert err == f"adx: configuration error: --arms repeats arm(s): {repeated}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _strict_jsonl(path):
     def reject(const):
         raise ValueError(f"non-JSON constant {const}")
@@ -398,6 +416,14 @@ def test_benefit_risk_unknown_arm_is_config_error(capsys, efficacy_trial, arms, 
     code, _, err = _benefit_risk(capsys, files, eff, "--arms", arms)
     assert code == 3
     assert err.count("\n") == 1 and missing in err
+
+
+def test_benefit_risk_repeated_arm_is_config_error(capsys, efficacy_trial):
+    files, write = efficacy_trial
+    eff = write([["Arm1", "pfs", "5.3", "true"], ["Arm2", "pfs", "3.5", "true"]])
+    code, out, err = _benefit_risk(capsys, files, eff, "--arms", "Arm1,Arm1")
+    assert (code, out) == (3, "")
+    assert err == "adx: configuration error: --arms repeats arm(s): Arm1\n"
 
 
 @pytest.mark.parametrize("header, rows, reason", [

@@ -148,14 +148,19 @@ def test_episode_is_an_immutable_named_tuple():
         pos.note = "free text"
 
 
-def test_hierarchy_lookup_accepts_unnormalized_terms():
-    h = HierarchyMap({"Nausea": ("H1", "G1", "Soc1")})
-    for term in ("nausea", "  NAUSEA "):
-        assert h.term_at(term, "pt") == "nausea"
-        assert [h.term_at(term, lv) for lv in ("hlt", "hlgt", "soc")] == ["h1", "g1", "soc1"]
-    assert h.term_at(" Vomiting", "pt") == "vomiting"
-    with pytest.raises(UnmappedTerm, match="'vomiting'"):
-        h.term_at(" Vomiting", "soc")
+def test_a_hierarchy_built_in_code_keeps_its_terms_as_given():
+    # the loaders normalize the terms they read; a map built in code takes
+    # normalized terms, and one that does not fails the trial built with it
+    raw = {"Nausea": ("H1", "G1", "Soc1")}
+    assert HierarchyMap(raw).entries == raw
+    subjects, episodes = (SubjectRecord("S1", "A"),), (AeEpisode("S1", "A", " NAUSEA "),)
+    with pytest.raises(UnmappedTerm, match=r"\['nausea'\]"):
+        TrialDataset(subjects, episodes, HierarchyMap(raw))
+    normalized = {normalize_term(pt): tuple(map(normalize_term, triple))
+                  for pt, triple in raw.items()}
+    trial = TrialDataset(subjects, episodes, HierarchyMap(normalized))
+    assert [trial.terms_at(level) for level in ("pt", "hlt", "hlgt", "soc")] == [
+        ["nausea"], ["h1"], ["g1"], ["soc1"]]
 
 
 def test_repeated_rows_are_distinct_episodes(tiny_trial_files):

@@ -312,6 +312,21 @@ def test_a_bad_format_fails_before_any_work(inputs, command, swap, tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("spec", [",", "", " , "])
+@pytest.mark.parametrize("command,swap", [("simulate", {}), ("summary", {}),
+                                          ("summary", {"episodes": "episodes-missing"})])
+def test_a_format_without_entries_fails_before_any_work(inputs, command, swap, spec, tmp_path,
+                                                        capsys):
+    # a run that would write no file and print nothing is a configuration error
+    directory, files = inputs
+    out = tmp_path / "out"
+    argv = _argv(command, files, **{k: directory / v for k, v in swap.items()})
+    argv += ["--format", spec]
+    assert _run(argv, out, capsys) == (
+        3, "adx: configuration error: --format needs at least one of text,json-lines,csv\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("kind,fault,command,flag", [
     ("scenario", "no-section-header", "simulate", None),
     ("episodes", "non-utf-8", "summary", None),

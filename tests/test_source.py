@@ -1,6 +1,7 @@
 """Hygiene of the package source: short lines, no unused imports, no unread
-private names, and ``AeEpisode`` records and the hierarchy's lookups known
-only to the module that builds trials from them.
+private names, ``AeEpisode`` records and the hierarchy's lookups known
+only to the module that builds trials from them, and terms normalized only
+where they enter.
 
 Lines are cut to fit, not joined to save lines, and an import or a private
 helper that a deletion leaves behind goes with it. An import kept for its side effect or
@@ -85,3 +86,19 @@ def test_only_data_resolves_the_hierarchy():
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Attribute) and node.attr in ("term_at", "entries")]
     assert resolving == [], "(module, line, attribute) of a hierarchy lookup outside data.py"
+
+
+def test_terms_are_normalized_only_where_they_enter():
+    # the input parsers normalize each term once: a PT (``data._pt``), a
+    # hierarchy file's term (``data._term``) and drilldown's ``--soc`` value
+    uses = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> its innermost function; ast.walk meets outer functions first
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, function.name) for node in ast.walk(function))
+        uses += [(path.stem, owner.get(node, "<module>")) for node in ast.walk(tree)
+                 if getattr(node, "id", getattr(node, "attr", None)) == "normalize_term"]
+    assert sorted(uses) == [("cohorts", "drilldown"), ("data", "_pt"), ("data", "_term")], \
+        "(module, function) of each use of normalize_term"
