@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, data, entropy, report
-from .errors import AdxError, ConfigError, UnknownSubject
+from .errors import AdxError, ConfigError, InputError, UnknownSubject
 
 if TYPE_CHECKING:
     from . import cohorts
@@ -83,9 +83,10 @@ def command(name: str, help_line: str, *flags: str):
     return declare
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None, defaults: bool = True) -> argparse.ArgumentParser:
     """The ``adx`` parser: a subparser for every command, with its flags
-    added to every one or, given ``command``, to that command's alone."""
+    added to every one or, given ``command``, to that command's alone.
+    Without ``defaults``, a flag not given is left out of the parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="adx",
         description="Adverse-event safety summarization with the Adversity Index",
@@ -95,8 +96,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (help_line, flags) in DECLARED.items():
         p = sub.add_parser(name, help=help_line)
         for flag in flags if command in (None, name) else ():
+            spec = FLAGS[flag.rstrip("!")]
             p.add_argument(flag.rstrip("!"), required=flag.endswith("!"),
-                           **FLAGS[flag.rstrip("!")])
+                           **(spec if defaults else {**spec, "default": argparse.SUPPRESS}))
     return parser
 
 
@@ -110,7 +112,10 @@ def _formats(args) -> set[str]:
     return fmts
 
 
-def _check_config(args):
+BOOTSTRAP_ONLY = ("--seed", "--ci", "--bootstrap-unit")  # benefit-risk flags of the bootstrap
+
+
+def _check_config(args, argv: list[str]):
     _formats(args)  # so that a bad --format fails before any file is read or written
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not 0.0 < alpha < 1.0:
@@ -128,6 +133,12 @@ def _check_config(args):
     ci = getattr(args, "ci", None)
     if ci is not None and not 0.0 < ci < 1.0:
         raise ConfigError("ci level must be in (0, 1)")
+    if args.command == "benefit-risk" and args.bootstrap is None:
+        given = vars(build_parser(args.command, defaults=False).parse_args(argv))
+        unused = [flag for flag in BOOTSTRAP_ONLY if flag[2:].replace("-", "_") in given]
+        if unused:
+            raise ConfigError(f"without --bootstrap, nothing uses {', '.join(unused)}")
+        args.seed = args.ci = args.bootstrap_unit = None  # so the header leaves them out
     out = Path(args.out)
     for path in (out, *out.parents):
         if path.exists() and not path.is_dir():
@@ -429,10 +440,15 @@ def cmd_exposure(args) -> None:
     exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
     if exposure:  # one row per subject, so the i-th subject is on the file's line i + 2
         known = {s.subject_id for s in trial.subjects}
-        for line, subject_id in enumerate(exposure, 2):
+        highest = dict(zip(trial.columns.subject_id.values, temporal.highest_cycles(trial)))
+        for line, (subject_id, last_cycle) in enumerate(exposure.items(), 2):
+            row = f"{args.exposure_file}:{line}: exposure row"
             if subject_id not in known:
-                raise UnknownSubject(f"{args.exposure_file}:{line}: exposure row references "
-                                     f"unknown subject {subject_id!r}")
+                raise UnknownSubject(f"{row} references unknown subject {subject_id!r}")
+            top = highest.get(subject_id, 0)  # 0 when none of its episodes has a cycle
+            if top and last_cycle < top:
+                raise InputError(f"{row} gives subject {subject_id!r} last_cycle {last_cycle}, "
+                                 f"below its episodes' cycle {top}")
     curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
     records = [{"record": "exposure", "arm": arm, "cycle": cycle, "adx": h, "k": k, "n": n,
                 "subjects_at_cycle": subj}
@@ -543,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         # the first argument not an option names the command: adx itself has no option values
         args = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
-        _check_config(args)
+        _check_config(args, argv)
         COMMANDS[args.command](args)
         return 0
     except AdxError as exc:

@@ -7,20 +7,28 @@ occurrence of an adverse-event term in one subject. Repeated identical
 All five CSV loaders share one table reader, ``read_table``. It reads a file
 in chunks of ``CHUNK_ROWS`` records and parses and checks each distinct raw
 value of a column once, coding each value as its index in the column's table
-of distinct values (``Coded``). A trial's episodes are read only as such columns.
+of distinct values (``Coded``). A trial's episodes are read only as such columns,
+and ``load_episodes`` keeps them in a cache keyed by the file's content.
 """
 from __future__ import annotations
 
 import csv
+import marshal
+import os
 import re
+import stat
 import struct
+import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import suppress
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+from _blake2 import blake2b  # not hashlib, whose import loads OpenSSL
 
 from .errors import (
     ArmMismatch,
@@ -40,6 +48,11 @@ _TRIPLE_INDEX = {"hlt": 0, "hlgt": 1, "soc": 2}  # position in a PT's (hlt, hlgt
 _WS = re.compile(r"\s+")
 
 CHUNK_ROWS = 256  # records per chunk: one chunk's raw fields are the loader's transient peak
+
+CACHE_ENTRIES = 16  # episodes files kept in the cache; the oldest beyond are removed on a write
+_CACHE_FORMAT = "adx-episodes-1"  # the layout of a cache entry: a checksum, then a marshal dump
+_CACHE_SUM = 20  # bytes of an entry's checksum of the rest
+_CACHE_SUFFIX = ".episodes"
 
 
 def normalize_term(text: str) -> str:
@@ -409,7 +422,9 @@ class HierarchyMap:
 
     A given HLT maps to one HLGT, and a given HLGT to one SOC; violations
     are rejected at construction. Terms are kept as given, so a map built in
-    code takes ``normalize_term`` terms; ``from_csv`` normalizes a file's.
+    code takes ``normalize_term`` terms: an HLT, HLGT or SOC that is not is
+    rejected, and a PT that is not misses (``TrialDataset``). ``from_csv``
+    normalizes a file's.
     """
 
     def __init__(self, entries: dict[str, tuple[str, str, str]]):
@@ -420,6 +435,12 @@ class HierarchyMap:
                 raise InputError(f"hlt {hlt!r} mapped to more than one hlgt")
             if hlgt_parent.setdefault(hlgt, soc) != soc:
                 raise InputError(f"hlgt {hlgt!r} mapped to more than one soc")
+        for level, terms in zip(_TRIPLE_INDEX, (hlt_parent, hlgt_parent,
+                                                dict.fromkeys(hlgt_parent.values()))):
+            for term in terms:  # each distinct term once
+                normalized = normalize_term(term)
+                if normalized != term:
+                    raise InputError(f"{level} {term!r} is not normalized: {normalized!r}")
         self.entries = entries
 
     def __len__(self) -> int:
@@ -525,8 +546,96 @@ def load_subjects(path: str | Path) -> list[SubjectRecord]:
 
 
 def load_episodes(path: str | Path) -> EpisodeColumns:
-    """Read the episodes CSV into validated columns (see ``read_table``)."""
-    return EpisodeColumns(read_table(path, None, _EPISODE_COLUMNS))
+    """Read the episodes CSV into validated columns (see ``read_table``).
+
+    The columns of a regular file are cached by ``_cache_entry``, whose
+    name covers the file's bytes and the code that parses them, so a hit
+    returns what a parse would. A parse is stored only if it succeeds and
+    the file still hashes to the same name; an entry that cannot be read or
+    used is a miss, and a cache that cannot be written is skipped.
+    """
+    entry = _cache_entry(path)
+    columns = _cached(entry) if entry else None
+    if columns is None:
+        columns = EpisodeColumns(read_table(path, None, _EPISODE_COLUMNS))
+        if entry and _cache_entry(path) == entry:  # the bytes parsed are the bytes hashed
+            _save(entry, columns)
+    return columns
+
+
+def _cache_entry(path: str | Path) -> Path | None:
+    """Where the columns of the episodes file at ``path`` are cached: in
+    ``$XDG_CACHE_HOME/adx``, or ``~/.cache/adx``, under a digest of the file
+    and of what parses it (the entry layout, the Python version, the hash
+    seed it is pinned to, which orders a column's table, the csv field limit
+    and this module's bytes). None if ``path`` is not a regular file that
+    can be read, or there is no absolute cache directory."""
+    base = next((base for base in (os.environ.get("XDG_CACHE_HOME", ""),
+                                   os.path.expanduser("~/.cache")) if os.path.isabs(base)), None)
+    try:
+        with open(path, "rb") as fh:
+            if base is None or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return None  # hashing a pipe would use up what the parse is to read
+            source = Path(__file__).read_bytes()
+            digest = blake2b(repr((_CACHE_FORMAT, sys.version, os.environ.get("PYTHONHASHSEED"),
+                                   csv.field_size_limit(), len(source))).encode(), digest_size=20)
+            digest.update(source)
+            while chunk := fh.read(1 << 16):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return Path(base, "adx", digest.hexdigest() + _CACHE_SUFFIX)
+
+
+def _cached(entry: Path) -> EpisodeColumns | None:
+    """The columns stored in ``entry``, if its checksum holds and it holds
+    its own name and one code store per episode column, all of one length,
+    each code inside its table; else None, for a missing, corrupt or
+    malformed entry."""
+    try:
+        blob = memoryview(entry.read_bytes())
+        if blake2b(blob[_CACHE_SUM:], digest_size=_CACHE_SUM).digest() != blob[:_CACHE_SUM]:
+            return None
+        name, stores = marshal.loads(blob[_CACHE_SUM:])
+        if name != entry.name or len(stores) != len(_EPISODE_COLUMNS):
+            return None
+        columns = []
+        for typecode, codes, values in stores:
+            if typecode not in ("B", "H", "I") or type(values) is not list:
+                return None
+            if typecode == "B":  # the codes left after deleting those inside the table
+                codes = bytearray(codes)
+                outside = codes.translate(None, bytes(range(min(len(values), 256))))
+            else:
+                codes = array(typecode, codes)
+                outside = max(codes, default=-1) >= len(values)
+            if outside:
+                return None
+            columns.append(Coded(codes, values))
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+    return EpisodeColumns(columns) if len(set(map(len, columns))) == 1 else None
+
+
+def _save(entry: Path, columns: EpisodeColumns) -> None:
+    """Write ``columns`` to ``entry`` through a temporary file in its
+    directory, then remove the oldest entries beyond ``CACHE_ENTRIES``."""
+    temporary = entry.with_name(f".{entry.name}.{os.getpid()}")
+    stores = [(getattr(c.codes, "typecode", "B"), c.codes, c.values)
+              for c in map(columns.__getattribute__, columns.__slots__)]
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        body = marshal.dumps((entry.name, stores))
+        temporary.write_bytes(blake2b(body, digest_size=_CACHE_SUM).digest() + body)
+        os.replace(temporary, entry)
+        with os.scandir(entry.parent) as found:
+            entries = sorted((e.stat().st_mtime_ns, e.path) for e in found
+                             if e.name.endswith(_CACHE_SUFFIX))  # not a temporary file
+        for _, old in entries[:-CACHE_ENTRIES]:
+            os.remove(old)
+    except OSError:
+        with suppress(OSError):
+            temporary.unlink(missing_ok=True)
 
 
 def load_exposure(path: str | Path) -> dict[str, int]:

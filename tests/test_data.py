@@ -148,17 +148,24 @@ def test_episode_is_an_immutable_named_tuple():
         pos.note = "free text"
 
 
-def test_a_hierarchy_built_in_code_keeps_its_terms_as_given():
+@pytest.mark.parametrize("triple, message", [
+    (("H1", "g1", "soc1"), "hlt 'H1' is not normalized: 'h1'"),
+    (("h1", " g1", "soc1"), "hlgt ' g1' is not normalized: 'g1'"),
+    (("h1", "g1", "Soc  1"), "soc 'Soc  1' is not normalized: 'soc 1'"),
+], ids=["hlt", "hlgt", "soc"])
+def test_a_hierarchy_built_in_code_takes_normalized_terms(triple, message):
     # the loaders normalize the terms they read; a map built in code takes
-    # normalized terms, and one that does not fails the trial built with it
-    raw = {"Nausea": ("H1", "G1", "Soc1")}
+    # normalized terms: an upper term that is not fails where the map is
+    # built, and a PT that is not fails the trial built with it
+    with pytest.raises(InputError) as fault:
+        HierarchyMap({"nausea": ("h0", "g0", "soc0"), "rash": triple})
+    assert str(fault.value) == message
+    raw = {"Nausea": ("h1", "g1", "soc1")}
     assert HierarchyMap(raw).entries == raw
     subjects, episodes = (SubjectRecord("S1", "A"),), (AeEpisode("S1", "A", " NAUSEA "),)
     with pytest.raises(UnmappedTerm, match=r"\['nausea'\]"):
         TrialDataset(subjects, episodes, HierarchyMap(raw))
-    normalized = {normalize_term(pt): tuple(map(normalize_term, triple))
-                  for pt, triple in raw.items()}
-    trial = TrialDataset(subjects, episodes, HierarchyMap(normalized))
+    trial = TrialDataset(subjects, episodes, HierarchyMap({"nausea": raw["Nausea"]}))
     assert [trial.terms_at(level) for level in ("pt", "hlt", "hlgt", "soc")] == [
         ["nausea"], ["h1"], ["g1"], ["soc1"]]
 

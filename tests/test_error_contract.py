@@ -2,6 +2,7 @@
 message prefix ``cli.main`` gives it, and a malformed input file or a bad flag
 value ends in exit 0, or in exit 2, 3 or 4 with one ``adx: `` line on stderr
 (argparse's usage error counts), never in an exception escaping ``cli.main``."""
+import json
 import os
 import subprocess
 import sys
@@ -122,7 +123,7 @@ def _trial(directory: Path) -> dict[str, Path]:
         "efficacy": write_csv(directory / "efficacy.csv", HEADERS["efficacy"].split(","),
                               [["A", "pfs", 10.0, "true"], ["B", "pfs", 8.0, "true"]]),
         "exposure": write_csv(directory / "exposure.csv", HEADERS["exposure"].split(","),
-                              [[s[0], 3] for s in subjects]),
+                              [[s[0], 4] for s in subjects]),
         "scenario": directory / "scenario.ini",
     }
     files["scenario"].write_text(SCENARIO, encoding="utf-8")
@@ -343,3 +344,39 @@ def test_a_child_process_prints_no_traceback(inputs, kind, fault, command, flag,
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode in (2, 3, 4) and "Traceback" not in done.stderr, done.stderr
     assert done.stderr.splitlines()[-1].startswith(("adx: ", f"adx {command}: error: "))
+
+
+def test_an_exposure_row_below_the_episodes_names_its_line_and_subject(inputs, tmp_path,
+                                                                       capsys):
+    # A1's episodes reach cycle 4; so do B0's, whose row comes later
+    directory, files = inputs
+    exposure = write_csv(tmp_path / "exposure.csv", HEADERS["exposure"].split(","),
+                         [["A0", 4], ["A1", 3], ["B0", 2]])
+    code, err = _run(_argv("exposure", files, exposure=exposure), tmp_path / "out", capsys)
+    assert (code, err) == (2, f"adx: input error: {exposure}:3: exposure row gives subject "
+                              "'A1' last_cycle 3, below its episodes' cycle 4\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "5"], "--seed"),
+    (["--ci=0.9", "--seed=0"], "--seed, --ci"),
+    (["--bootstrap-unit", "episode"], "--bootstrap-unit"),  # its default, given
+    (["--se", "5"], "--seed"),  # an abbreviation argparse reads as --seed
+])
+def test_a_bootstrap_flag_without_bootstrap_is_a_configuration_error(inputs, flags, named,
+                                                                      tmp_path, capsys):
+    directory, files = inputs
+    argv = [*_argv("benefit-risk", files)[:-2], *flags]  # without --bootstrap 200
+    assert _run(argv, tmp_path / "out", capsys) == (
+        3, f"adx: configuration error: without --bootstrap, nothing uses {named}\n")
+
+
+def test_a_run_without_bootstrap_leaves_the_bootstrap_flags_out_of_its_header(inputs, tmp_path,
+                                                                              capsys):
+    directory, files = inputs
+    argv = [*_argv("benefit-risk", files)[:-2], "--format", "json-lines"]
+    assert _run(argv, tmp_path / "out", capsys) == (0, "")
+    header = json.loads((tmp_path / "out" / "benefit_risk.jsonl").read_text().splitlines()[0])
+    assert sorted(header["config"]) == ["command", "efficacy", "episodes", "hierarchy", "level",
+                                        "subjects", "unmapped"]

@@ -90,7 +90,9 @@ def test_only_data_resolves_the_hierarchy():
 
 def test_terms_are_normalized_only_where_they_enter():
     # the input parsers normalize each term once: a PT (``data._pt``), a
-    # hierarchy file's term (``data._term``) and drilldown's ``--soc`` value
+    # hierarchy file's term (``data._term``) and drilldown's ``--soc`` value;
+    # ``HierarchyMap.__init__`` only checks that a map built in code holds
+    # normalized HLT, HLGT and SOC terms, and keeps them as given
     uses = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -100,5 +102,6 @@ def test_terms_are_normalized_only_where_they_enter():
                 owner.update((node, function.name) for node in ast.walk(function))
         uses += [(path.stem, owner.get(node, "<module>")) for node in ast.walk(tree)
                  if getattr(node, "id", getattr(node, "attr", None)) == "normalize_term"]
-    assert sorted(uses) == [("cohorts", "drilldown"), ("data", "_pt"), ("data", "_term")], \
+    assert sorted(uses) == [("cohorts", "drilldown"), ("data", "__init__"), ("data", "_pt"),
+                            ("data", "_term")], \
         "(module, function) of each use of normalize_term"

@@ -1,9 +1,10 @@
 """Start-up budget: the report commands, ``simulate`` and ``benefit-risk``
 without ``--bootstrap`` load neither numpy nor scipy, no command loads
-``dataclasses`` or ``inspect``, only a JSON-lines run loads ``json``, a
-bootstrap loads no ``numpy.ma``, the resampling kernel loads
-``numpy.random`` before it forks, and scipy is a test oracle only, never a
-runtime import. ``import adx.cli`` loads only the modules every
+``dataclasses`` or ``inspect``, no report command loads ``hashlib``, only
+a JSON-lines run loads ``json``, a bootstrap loads no ``numpy.ma``, the
+resampling kernel loads ``numpy.random`` before it forks, and scipy is a
+test oracle only, never a runtime import. ``import adx.cli`` loads only the
+modules every
 command needs, and ``cli.main`` runs with the cyclic garbage collector off,
 leaving its caller's setting as it found it and the heap unfrozen; only
 ``cli.run``, the entry point, freezes it."""
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from adx import cli
+
+from conftest import write_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -180,6 +183,27 @@ def test_only_a_json_lines_run_loads_json(tiny_trial_files, tmp_path, fmt, loade
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_no_report_command_loads_hashlib(tiny_trial_files, tmp_path):
+    # the episodes cache hashes with the built-in _blake2: hashlib, with the
+    # OpenSSL its _hashlib loads, would add megabytes to every command's RSS
+    files = tiny_trial_files
+    efficacy = write_csv(tmp_path / "efficacy.csv", ["arm", "value"], [["A", 2.0], ["B", 1.5]])
+    trial = ["--episodes", str(files["episodes"]), "--subjects", str(files["subjects"]),
+             "--hierarchy", str(files["hierarchy"]), "--out", str(tmp_path / "o"),
+             "--format", "text,json-lines,csv"]
+    runs = [["summary"], ["compare"], ["subgroup", "--by", "sex,age"], ["soc"],
+            ["drilldown", "--soc", "gastrointestinal disorders"], ["hierarchy"], ["interim"],
+            ["exposure"], ["benefit-risk", "--efficacy", str(efficacy)]]
+    code = (f"import sys; from adx.cli import main; "
+            f"codes = [main([*argv, *{trial!r}]) for argv in {runs * 2!r}]; "  # cold, then warm
+            "print(codes, sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))")
+    env = dict(_env(), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(runs) * 2} []"
+    assert len(list((tmp_path / "cache" / "adx").iterdir())) == 1
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

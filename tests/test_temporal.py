@@ -187,18 +187,23 @@ def _loaded_scratch_trial(tmp_path):
     return tmp_path / "episodes.csv", tmp_path / "subjects.csv"
 
 
-def test_loaded_episodes_take_at_most_32_bytes_each(tmp_path):
-    # one pointer per episode and field, as columns of values, would take 64
+def test_loaded_episodes_take_at_most_32_bytes_each(tmp_path, monkeypatch):
+    # one pointer per episode and field, as columns of values, would take 64;
+    # parsed on an empty cache, then read from it
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     episodes_file, _ = _loaded_scratch_trial(tmp_path)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        columns = load_episodes(episodes_file)
-        retained = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert len(columns) > 19_000
-    assert retained <= 32 * len(columns), retained / len(columns)
+    for _ in ("parsed", "cached"):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            columns = load_episodes(episodes_file)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(columns) > 19_000
+        assert retained <= 32 * len(columns), retained / len(columns)
+        del columns
+    assert len(list((tmp_path / "cache" / "adx").iterdir())) == 1
 
 
 def test_subgroup_scratch_holds_no_object_per_episode(tmp_path):
