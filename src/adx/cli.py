@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, data, entropy, report
-from .errors import AdxError, ConfigError, InputError, UnknownSubject
+from .errors import AdxError, ConfigError, ExposureBelowEpisodes, UnknownSubject
 
 if TYPE_CHECKING:
     from . import cohorts
@@ -60,9 +60,10 @@ FLAGS = {
     "--exposure-file": dict(help="optional CSV subject_id,last_cycle"),
     "--efficacy": dict(help="CSV arm,endpoint_label,value,higher_is_better"),
     "--bootstrap": dict(type=int, help="bootstrap replicates for the Re-REAd CI"),
-    "--seed": dict(type=int, default=0),
-    "--ci": dict(type=float, default=0.95),
-    "--bootstrap-unit": dict(choices=["episode", "subject"], default="episode"),
+    "--seed": dict(type=int, help="bootstrap seed (default: 0)"),
+    "--ci": dict(type=float, help="bootstrap CI level (default: 0.95)"),
+    "--bootstrap-unit": dict(choices=["episode", "subject"],
+                             help="what the bootstrap resamples (default: episode)"),
     "--scenario": dict(help="scenario INI file"),
     "--check": dict(choices=["variance", "normality", "both"], default="both"),
     "--replicates": dict(type=int, default=1000),
@@ -83,10 +84,9 @@ def command(name: str, help_line: str, *flags: str):
     return declare
 
 
-def build_parser(command: str | None = None, defaults: bool = True) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``adx`` parser: a subparser for every command, with its flags
-    added to every one or, given ``command``, to that command's alone.
-    Without ``defaults``, a flag not given is left out of the parsed namespace."""
+    added to every one or, given ``command``, to that command's alone."""
     parser = argparse.ArgumentParser(
         prog="adx",
         description="Adverse-event safety summarization with the Adversity Index",
@@ -96,9 +96,8 @@ def build_parser(command: str | None = None, defaults: bool = True) -> argparse.
     for name, (help_line, flags) in DECLARED.items():
         p = sub.add_parser(name, help=help_line)
         for flag in flags if command in (None, name) else ():
-            spec = FLAGS[flag.rstrip("!")]
             p.add_argument(flag.rstrip("!"), required=flag.endswith("!"),
-                           **(spec if defaults else {**spec, "default": argparse.SUPPRESS}))
+                           **FLAGS[flag.rstrip("!")])
     return parser
 
 
@@ -112,10 +111,11 @@ def _formats(args) -> set[str]:
     return fmts
 
 
-BOOTSTRAP_ONLY = ("--seed", "--ci", "--bootstrap-unit")  # benefit-risk flags of the bootstrap
+# benefit-risk's flags of the bootstrap, with the defaults that --bootstrap gives them
+BOOTSTRAP_DEFAULTS = {"seed": 0, "ci": 0.95, "bootstrap_unit": "episode"}
 
 
-def _check_config(args, argv: list[str]):
+def _check_config(args):
     _formats(args)  # so that a bad --format fails before any file is read or written
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not 0.0 < alpha < 1.0:
@@ -128,17 +128,19 @@ def _check_config(args, argv: list[str]):
         raise ConfigError("replicates must be >= 2")
     if getattr(args, "min_episodes", 0) < 0:
         raise ConfigError(f"min_episodes must be >= 0, got {args.min_episodes}")
-    if getattr(args, "seed", 0) < 0:
+    if (getattr(args, "seed", None) or 0) < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ci = getattr(args, "ci", None)
     if ci is not None and not 0.0 < ci < 1.0:
         raise ConfigError("ci level must be in (0, 1)")
-    if args.command == "benefit-risk" and args.bootstrap is None:
-        given = vars(build_parser(args.command, defaults=False).parse_args(argv))
-        unused = [flag for flag in BOOTSTRAP_ONLY if flag[2:].replace("-", "_") in given]
-        if unused:
-            raise ConfigError(f"without --bootstrap, nothing uses {', '.join(unused)}")
-        args.seed = args.ci = args.bootstrap_unit = None  # so the header leaves them out
+    if args.command == "benefit-risk":  # a flag not given is None, and the header leaves it out
+        given = [name for name in BOOTSTRAP_DEFAULTS if getattr(args, name) is not None]
+        if args.bootstrap is not None:
+            for name in BOOTSTRAP_DEFAULTS.keys() - given:
+                setattr(args, name, BOOTSTRAP_DEFAULTS[name])
+        elif given:
+            unused = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ConfigError(f"without --bootstrap, nothing uses {unused}")
     out = Path(args.out)
     for path in (out, *out.parents):
         if path.exists() and not path.is_dir():
@@ -440,16 +442,15 @@ def cmd_exposure(args) -> None:
     exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
     if exposure:  # one row per subject, so the i-th subject is on the file's line i + 2
         known = {s.subject_id for s in trial.subjects}
-        highest = dict(zip(trial.columns.subject_id.values, temporal.highest_cycles(trial)))
-        for line, (subject_id, last_cycle) in enumerate(exposure.items(), 2):
-            row = f"{args.exposure_file}:{line}: exposure row"
+        for line, subject_id in enumerate(exposure, 2):
             if subject_id not in known:
-                raise UnknownSubject(f"{row} references unknown subject {subject_id!r}")
-            top = highest.get(subject_id, 0)  # 0 when none of its episodes has a cycle
-            if top and last_cycle < top:
-                raise InputError(f"{row} gives subject {subject_id!r} last_cycle {last_cycle}, "
-                                 f"below its episodes' cycle {top}")
-    curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
+                raise UnknownSubject(f"{args.exposure_file}:{line}: exposure row references "
+                                     f"unknown subject {subject_id!r}")
+    try:
+        curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
+    except ExposureBelowEpisodes as exc:  # named by the line of its row, as above
+        line = list(exposure).index(exc.subject_id) + 2
+        raise ExposureBelowEpisodes(f"{args.exposure_file}:{line}: {exc}", exc.subject_id) from None
     records = [{"record": "exposure", "arm": arm, "cycle": cycle, "adx": h, "k": k, "n": n,
                 "subjects_at_cycle": subj}
                for arm in sorted(curves.curves) for cycle, h, k, n, subj in curves.curves[arm]]
@@ -559,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         # the first argument not an option names the command: adx itself has no option values
         args = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
-        _check_config(args, argv)
+        _check_config(args)
         COMMANDS[args.command](args)
         return 0
     except AdxError as exc:

@@ -563,19 +563,45 @@ def load_episodes(path: str | Path) -> EpisodeColumns:
     return columns
 
 
-def _cache_entry(path: str | Path) -> Path | None:
-    """Where the columns of the episodes file at ``path`` are cached: in
-    ``$XDG_CACHE_HOME/adx``, or ``~/.cache/adx``, under a digest of the file
-    and of what parses it (the entry layout, the Python version, the hash
-    seed it is pinned to, which orders a column's table, the csv field limit
-    and this module's bytes). None if ``path`` is not a regular file that
-    can be read, or there is no absolute cache directory."""
+def _cache_directory() -> Path | None:
+    """``$XDG_CACHE_HOME/adx``, or ``~/.cache/adx``, made with mode 0700 if
+    missing, and made 0700 if others may only read it. None if there is no
+    absolute base, or the directory cannot be made, or it is not a directory
+    of this user's that no one else may write to: another user's entry
+    could hold forged columns. Its entries are copies of trial data."""
     base = next((base for base in (os.environ.get("XDG_CACHE_HOME", ""),
                                    os.path.expanduser("~/.cache")) if os.path.isabs(base)), None)
+    if base is None:
+        return None
+    directory = Path(base, "adx")
+    try:
+        Path(base).mkdir(mode=0o700, parents=True, exist_ok=True)
+        directory.mkdir(mode=0o700, exist_ok=True)
+        found = os.lstat(directory)  # a symbolic link is not used
+        mine = stat.S_ISDIR(found.st_mode) and found.st_uid == os.getuid()
+        if not mine or found.st_mode & 0o022:  # others may have written its entries
+            return None
+        if found.st_mode & 0o077:
+            os.chmod(directory, 0o700)
+    except OSError:
+        return None
+    return directory
+
+
+def _cache_entry(path: str | Path) -> Path | None:
+    """Where the columns of the episodes file at ``path`` are cached: in
+    ``_cache_directory()``, under a digest of the file and of what parses it
+    (the entry layout, the Python version, the hash seed it is pinned to,
+    which orders a column's table, the csv field limit and this module's
+    bytes). None if ``path`` is not a regular file that can be read, or
+    there is no cache directory to use."""
     try:
         with open(path, "rb") as fh:
-            if base is None or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 return None  # hashing a pipe would use up what the parse is to read
+            directory = _cache_directory()
+            if directory is None:
+                return None
             source = Path(__file__).read_bytes()
             digest = blake2b(repr((_CACHE_FORMAT, sys.version, os.environ.get("PYTHONHASHSEED"),
                                    csv.field_size_limit(), len(source))).encode(), digest_size=20)
@@ -584,7 +610,7 @@ def _cache_entry(path: str | Path) -> Path | None:
                 digest.update(chunk)
     except OSError:
         return None
-    return Path(base, "adx", digest.hexdigest() + _CACHE_SUFFIX)
+    return directory / (digest.hexdigest() + _CACHE_SUFFIX)
 
 
 def _cached(entry: Path) -> EpisodeColumns | None:
@@ -619,14 +645,20 @@ def _cached(entry: Path) -> EpisodeColumns | None:
 
 def _save(entry: Path, columns: EpisodeColumns) -> None:
     """Write ``columns`` to ``entry`` through a temporary file in its
-    directory, then remove the oldest entries beyond ``CACHE_ENTRIES``."""
+    directory, made new with mode 0600, then remove the oldest entries
+    beyond ``CACHE_ENTRIES``."""
     temporary = entry.with_name(f".{entry.name}.{os.getpid()}")
     stores = [(getattr(c.codes, "typecode", "B"), c.codes, c.values)
               for c in map(columns.__getattribute__, columns.__slots__)]
+    body = marshal.dumps((entry.name, stores))
+    try:  # O_EXCL: never a file or symbolic link that is already there
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except OSError:
+        return
     try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        body = marshal.dumps((entry.name, stores))
-        temporary.write_bytes(blake2b(body, digest_size=_CACHE_SUM).digest() + body)
+        with open(fd, "wb") as fh:
+            fh.write(blake2b(body, digest_size=_CACHE_SUM).digest())
+            fh.write(body)
         os.replace(temporary, entry)
         with os.scandir(entry.parent) as found:
             entries = sorted((e.stat().st_mtime_ns, e.path) for e in found

@@ -27,6 +27,14 @@ class UnknownSubject(InputError):
     pass
 
 
+class ExposureBelowEpisodes(InputError):
+    """An exposure row gives a subject a last_cycle below its episodes' highest cycle."""
+
+    def __init__(self, message, subject_id=None):
+        self.subject_id = subject_id
+        super().__init__(message)
+
+
 class ArmMismatch(InputError):
     pass
 

@@ -716,9 +716,11 @@ EXPECTED_SPEC = {
     "--top": dict(default=2, type=int),
     "--max-cycle": dict(type=int),
     "--bootstrap": dict(type=int),
-    "--seed": dict(default=0, type=int),
-    "--ci": dict(default=0.95, type=float),
-    "--bootstrap-unit": dict(default="episode", choices=["episode", "subject"]),
+    # None when not given, so that one given without --bootstrap is found;
+    # with --bootstrap, cli._check_config gives them 0, 0.95 and "episode"
+    "--seed": dict(type=int),
+    "--ci": dict(type=float),
+    "--bootstrap-unit": dict(choices=["episode", "subject"]),
     "--check": dict(default="both", choices=["variance", "normality", "both"]),
     "--replicates": dict(default=1000, type=int),
 }

@@ -48,6 +48,7 @@ from adx.entropy import estimate
 from adx.errors import (
     AdxError,
     EmptyProfile,
+    ExposureBelowEpisodes,
     NoCycleData,
     NoDatedEpisodes,
     UnknownDimension,
@@ -195,6 +196,11 @@ def reference_exposure_curves(data, max_cycle=None, exposure=None, level="pt"):
         raise NoCycleData("no episode carries a cycle number")
     last_cycle = {e.subject_id: e.cycle for e in sorted(cycled, key=attrgetter("cycle"))}
     top = max(last_cycle.values()) if max_cycle is None else max_cycle
+    for subject_id, given in (exposure or {}).items():
+        if given < last_cycle.get(subject_id, 0):
+            raise ExposureBelowEpisodes(
+                f"exposure row gives subject {subject_id!r} last_cycle {given}, "
+                f"below its episodes' cycle {last_cycle[subject_id]}")
     last_cycle.update(exposure or {})
     exposed = {arm: sorted(last_cycle.get(s.subject_id, 0) for s in data.subjects if s.arm == arm)
                for arm in data.arms}

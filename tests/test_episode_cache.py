@@ -9,6 +9,7 @@ a command returns or writes.
 import csv
 import marshal
 import os
+import stat
 import threading
 from itertools import repeat
 
@@ -277,3 +278,55 @@ def test_decoded_hit_equals_its_records(cache, tmp_path):
         AeEpisode("S1", "A", "nausea", 3, 1, True, 2, "tier1"),
         AeEpisode("S2", "B", "rash", None, None, False, None, "untiered"),
         AeEpisode("S1", "A", "nausea", 7, 2, None, 1, "untiered")]
+
+
+@pytest.fixture
+def no_umask():
+    """A umask of 0, so that only the modes the cache asks for restrict its files."""
+    old = os.umask(0)
+    yield
+    os.umask(old)
+
+
+def test_only_the_user_can_read_the_cache(cache, tmp_path, no_umask):
+    load_episodes(_episodes(tmp_path, ROWS))
+    (entry,) = cache.iterdir()
+    modes = {p: stat.S_IMODE(p.stat().st_mode) for p in (cache.parent, cache, entry)}
+    assert modes == {cache.parent: 0o700, cache: 0o700, entry: 0o600}
+
+
+@pytest.mark.parametrize("share", ["group", "others", "link"])
+def test_a_cache_directory_others_can_write_is_not_used(cache, tmp_path, monkeypatch, share):
+    path = _episodes(tmp_path, ROWS)
+    entry = data._cache_entry(path)
+    if share == "link":  # adx is a symbolic link to a private directory
+        cache.rename(tmp_path / "elsewhere")
+        cache.symlink_to(tmp_path / "elsewhere")
+    else:
+        cache.chmod({"group": 0o770, "others": 0o703}[share])
+    assert data._cache_entry(path) is None
+    parsed = _parses(monkeypatch)
+    for _ in range(2):
+        assert len(load_episodes(path)) == 3
+    assert parsed == [path, path] and not (tmp_path / "elsewhere" / entry.name).exists()
+    assert not entry.exists()
+
+
+def test_a_cache_directory_others_can_read_is_made_private(cache, tmp_path, monkeypatch):
+    path = _episodes(tmp_path, ROWS)
+    cache.mkdir(mode=0o755, parents=True)
+    cache.chmod(0o755)
+    load_episodes(path)
+    parsed = _parses(monkeypatch)
+    load_episodes(path)
+    assert parsed == [] and stat.S_IMODE(cache.stat().st_mode) == 0o700
+
+
+def test_a_link_at_the_temporary_name_is_not_followed(cache, tmp_path):
+    path = _episodes(tmp_path, ROWS)
+    entry = data._cache_entry(path)
+    target = tmp_path / "target"
+    target.write_bytes(b"kept")
+    entry.with_name(f".{entry.name}.{os.getpid()}").symlink_to(target)
+    assert len(load_episodes(path)) == 3
+    assert target.read_bytes() == b"kept" and not entry.exists()

@@ -24,6 +24,7 @@ OLD_CHAIN = {
     "InputError": (2, "input error"),
     "MalformedRow": (2, "input error"),
     "UnknownSubject": (2, "input error"),
+    "ExposureBelowEpisodes": (2, "input error"),  # an InputError added since
     "ArmMismatch": (2, "input error"),
     "UnmappedTerm": (2, "input error"),
     "MissingHierarchy": (2, "error"),
@@ -372,11 +373,19 @@ def test_a_bootstrap_flag_without_bootstrap_is_a_configuration_error(inputs, fla
         3, f"adx: configuration error: without --bootstrap, nothing uses {named}\n")
 
 
-def test_a_run_without_bootstrap_leaves_the_bootstrap_flags_out_of_its_header(inputs, tmp_path,
-                                                                              capsys):
+@pytest.mark.parametrize("bootstrap", [False, True])
+def test_the_header_lists_the_bootstrap_flags_only_with_bootstrap(inputs, bootstrap, tmp_path,
+                                                                  capsys):
+    # with --bootstrap, the flags not given are listed at their defaults
     directory, files = inputs
-    argv = [*_argv("benefit-risk", files)[:-2], "--format", "json-lines"]
-    assert _run(argv, tmp_path / "out", capsys) == (0, "")
+    argv = [*_argv("benefit-risk", files)[:None if bootstrap else -2], "--format", "json-lines"]
+    assert _run(argv, tmp_path / "out", capsys, cpus=1) == (0, "")
     header = json.loads((tmp_path / "out" / "benefit_risk.jsonl").read_text().splitlines()[0])
-    assert sorted(header["config"]) == ["command", "efficacy", "episodes", "hierarchy", "level",
-                                        "subjects", "unmapped"]
+    assert {key: header["config"].get(key) for key in ("bootstrap", "seed", "ci",
+                                                        "bootstrap_unit")} == (
+        {"bootstrap": 200, "seed": 0, "ci": 0.95, "bootstrap_unit": "episode"} if bootstrap
+        else dict.fromkeys(("bootstrap", "seed", "ci", "bootstrap_unit")))
+    assert sorted(header["config"]) == sorted(["command", "efficacy", "episodes", "hierarchy",
+                                               "level", "subjects", "unmapped",
+                                               *(["bootstrap", "bootstrap_unit", "ci", "seed"]
+                                                 if bootstrap else [])])

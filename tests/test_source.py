@@ -96,12 +96,17 @@ def test_terms_are_normalized_only_where_they_enter():
     uses = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        methods = {function: f"{cls.name}.{function.name}" for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   for function in cls.body if isinstance(function, functions)}
         owner = {}  # node -> its innermost function; ast.walk meets outer functions first
         for function in ast.walk(tree):
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, function.name) for node in ast.walk(function))
+            if isinstance(function, functions):
+                name = methods.get(function, function.name)
+                owner.update((node, name) for node in ast.walk(function))
         uses += [(path.stem, owner.get(node, "<module>")) for node in ast.walk(tree)
                  if getattr(node, "id", getattr(node, "attr", None)) == "normalize_term"]
-    assert sorted(uses) == [("cohorts", "drilldown"), ("data", "__init__"), ("data", "_pt"),
-                            ("data", "_term")], \
-        "(module, function) of each use of normalize_term"
+    assert sorted(uses) == [("cohorts", "drilldown"), ("data", "HierarchyMap.__init__"),
+                            ("data", "_pt"), ("data", "_term")], \
+        "(module, function or Class.method) of each use of normalize_term"

@@ -13,7 +13,7 @@ from adx.data import (
     write_trial,
 )
 from adx.entropy import estimate
-from adx.errors import NoCycleData, NoDatedEpisodes
+from adx.errors import ExposureBelowEpisodes, NoCycleData, NoDatedEpisodes
 from adx.simulate import ArmScenario, Scenario, generate_trial
 from adx.temporal import (
     LookSchedule,
@@ -377,6 +377,19 @@ def test_exposure_explicit_exposure_table():
     t = dated_trial({"A": [("a", None, 1)]})
     curves = exposure_curves(t, max_cycle=3, exposure={"A-1": 3})
     assert [r[4] for r in curves.curves["A"]] == [1, 1, 1]
+
+
+def test_an_exposure_row_below_the_episodes_is_rejected_naming_its_subject():
+    # A-1's episodes reach cycle 3 and B-1's cycle 2: a row at or above them is
+    # kept, and of the rows below, the first in the map's order is named
+    t = dated_trial({"A": [("a", None, 1), ("b", None, 3)], "B": [("a", None, 2)]})
+    assert exposure_curves(t, exposure={"A-1": 3, "B-1": 5}).curves["B"][-1][4] == 1
+    with pytest.raises(ExposureBelowEpisodes, match=r"^exposure row gives subject 'B-1' "
+                       r"last_cycle 1, below its episodes' cycle 2$") as raised:
+        exposure_curves(t, exposure={"A-1": 3, "B-1": 1, "C-1": 0})
+    assert raised.value.subject_id == "B-1"
+    with pytest.raises(ExposureBelowEpisodes, match="'A-1' last_cycle 2"):
+        exposure_curves(t, exposure={"A-1": 2, "B-1": 1})
 
 
 @pytest.mark.parametrize("level", ["pt", "hlt", "soc"])
