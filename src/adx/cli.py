@@ -60,10 +60,9 @@ FLAGS = {
     "--exposure-file": dict(help="optional CSV subject_id,last_cycle"),
     "--efficacy": dict(help="CSV arm,endpoint_label,value,higher_is_better"),
     "--bootstrap": dict(type=int, help="bootstrap replicates for the Re-REAd CI"),
-    "--seed": dict(type=int, help="bootstrap seed (default: 0)"),
-    "--ci": dict(type=float, help="bootstrap CI level (default: 0.95)"),
-    "--bootstrap-unit": dict(choices=["episode", "subject"],
-                             help="what the bootstrap resamples (default: episode)"),
+    "--seed": dict(type=int),
+    "--ci": dict(type=float),
+    "--bootstrap-unit": dict(choices=["episode", "subject"]),
     "--scenario": dict(help="scenario INI file"),
     "--check": dict(choices=["variance", "normality", "both"], default="both"),
     "--replicates": dict(type=int, default=1000),
