@@ -196,6 +196,7 @@ def _emit(args, records: list[dict], *pieces, csv: tuple):
     fmts = _formats(args)
     cfg = {k: v for k, v in vars(args).items() if k not in ("out", "format") and v is not None}
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     name = args.command.replace("-", "_")
     if "text" in fmts:
         body = ""
@@ -324,7 +325,7 @@ def _subgroup_output(args, rep: cohorts.SubgroupReport) -> None:
     degenerate, notes = _degenerate([_cell_pair(ka, kb) for ka, kb in rep.degenerate])
     records += degenerate
     records += [{"record": "empty_cohort", "arm": key.arm, "cell": dict(key.filters)}
-                for key in sorted(rep.empty, key=str)]
+                for key in rep.empty]
     flags = ("flags", lambda r: "low-N" if r["low_n"] else "")
     _emit(args, records,
           ("estimate", [COHORT, *ESTIMATE, flags], rep.footnotes + notes),
@@ -452,7 +453,7 @@ def cmd_exposure(args) -> None:
         raise ExposureBelowEpisodes(f"{args.exposure_file}:{line}: {exc}", exc.subject_id) from None
     records = [{"record": "exposure", "arm": arm, "cycle": cycle, "adx": h, "k": k, "n": n,
                 "subjects_at_cycle": subj}
-               for arm in sorted(curves.curves) for cycle, h, k, n, subj in curves.curves[arm]]
+               for arm, rows in curves.curves.items() for cycle, h, k, n, subj in rows]
     columns = ["arm", "cycle", ADX, ("K", "k"), ("N", "n"), "subjects_at_cycle"]
     _emit(args, records,
           ("exposure", columns, [f"episodes without cycle excluded: {curves.excluded_no_cycle}"]),

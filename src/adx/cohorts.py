@@ -99,7 +99,7 @@ class SubgroupReport:
         self.estimates: dict[CohortKey, AdxEstimate] = {}
         self.comparisons: list[tuple[CohortKey, CohortKey, ComparisonResult]] = []
         self.low_n: set[CohortKey] = set()
-        self.empty: set[CohortKey] = set()
+        self.empty: list[CohortKey] = []
         self.degenerate: list[tuple[CohortKey, CohortKey]] = []
         self.footnotes: list[str] = []
 
@@ -189,14 +189,14 @@ def _estimate_and_pair(
 ) -> SubgroupReport:
     """Estimate every cell's profile and compare the arms within each cell.
 
-    Cells are ordered by (filters, arm). Arms pair in ``data.arms`` order:
-    each arm against ``control`` when the cell has it, else every pair.
-    Zero-variance pairs go to ``degenerate``; arms missing from a cell that
-    has others go to ``empty``.
+    Cells are ordered by filters, then arm, in ``data.arms`` order, and arms
+    pair in that order: each arm against ``control`` when the cell has it,
+    else every pair. Zero-variance pairs go to ``degenerate``; arms missing
+    from a cell that has others go to ``empty``, in the same order.
     """
     report = SubgroupReport()
     by_cell: dict[tuple, dict[str, CohortKey]] = {}
-    for key in sorted(profiles, key=lambda k: (k.filters, k.arm)):
+    for key in sorted(profiles, key=lambda k: (k.filters, data.arms.index(k.arm))):
         report.estimates[key] = estimate(profiles[key])
         by_cell.setdefault(key.filters, {})[key.arm] = key
     for filters, arm_keys in by_cell.items():
@@ -213,7 +213,7 @@ def _estimate_and_pair(
                 report.degenerate.append((ka, kb))
                 continue
             report.comparisons.append((ka, kb, res))
-        report.empty.update(CohortKey(a, filters) for a in data.arms if a not in arm_keys)
+        report.empty += [CohortKey(a, filters) for a in data.arms if a not in arm_keys]
     return report
 
 

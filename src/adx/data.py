@@ -38,6 +38,7 @@ from .errors import (
     UnknownSubject,
     UnmappedTerm,
 )
+from .report import atomic_write
 
 HIERARCHY_LEVELS = ("pt", "hlt", "hlgt", "soc")
 
@@ -209,7 +210,7 @@ def _parse_chunk(rows, path, line, cls, columns, picks, memos, parsed, check) ->
         try:
             chunk.append(_lookup(memo, col))
         except KeyError:
-            for value in set(col).difference(memo):
+            for value in [v for v in dict.fromkeys(col) if v not in memo]:  # in row order
                 try:
                     parsed_value = column.parse(value)
                 except ValueError as exc:
@@ -591,10 +592,9 @@ def _cache_directory() -> Path | None:
 def _cache_entry(path: str | Path) -> Path | None:
     """Where the columns of the episodes file at ``path`` are cached: in
     ``_cache_directory()``, under a digest of the file and of what parses it
-    (the entry layout, the Python version, the hash seed it is pinned to,
-    which orders a column's table, the csv field limit and this module's
-    bytes). None if ``path`` is not a regular file that can be read, or
-    there is no cache directory to use."""
+    (the entry layout, the Python version, the csv field limit and this
+    module's bytes). None if ``path`` is not a regular file that can be
+    read, or there is no cache directory to use."""
     try:
         with open(path, "rb") as fh:
             if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -603,8 +603,8 @@ def _cache_entry(path: str | Path) -> Path | None:
             if directory is None:
                 return None
             source = Path(__file__).read_bytes()
-            digest = blake2b(repr((_CACHE_FORMAT, sys.version, os.environ.get("PYTHONHASHSEED"),
-                                   csv.field_size_limit(), len(source))).encode(), digest_size=20)
+            digest = blake2b(repr((_CACHE_FORMAT, sys.version, csv.field_size_limit(),
+                                   len(source))).encode(), digest_size=20)
             digest.update(source)
             while chunk := fh.read(1 << 16):
                 digest.update(chunk)
@@ -644,30 +644,20 @@ def _cached(entry: Path) -> EpisodeColumns | None:
 
 
 def _save(entry: Path, columns: EpisodeColumns) -> None:
-    """Write ``columns`` to ``entry`` through a temporary file in its
-    directory, made new with mode 0600, then remove the oldest entries
-    beyond ``CACHE_ENTRIES``."""
-    temporary = entry.with_name(f".{entry.name}.{os.getpid()}")
+    """Write ``columns`` to ``entry`` with ``atomic_write``, then remove the
+    oldest entries beyond ``CACHE_ENTRIES``."""
     stores = [(getattr(c.codes, "typecode", "B"), c.codes, c.values)
               for c in map(columns.__getattribute__, columns.__slots__)]
     body = marshal.dumps((entry.name, stores))
-    try:  # O_EXCL: never a file or symbolic link that is already there
-        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-    except OSError:
-        return
-    try:
-        with open(fd, "wb") as fh:
+    with suppress(OSError):
+        with atomic_write(entry, binary=True) as fh:
             fh.write(blake2b(body, digest_size=_CACHE_SUM).digest())
             fh.write(body)
-        os.replace(temporary, entry)
         with os.scandir(entry.parent) as found:
             entries = sorted((e.stat().st_mtime_ns, e.path) for e in found
                              if e.name.endswith(_CACHE_SUFFIX))  # not a temporary file
         for _, old in entries[:-CACHE_ENTRIES]:
             os.remove(old)
-    except OSError:
-        with suppress(OSError):
-            temporary.unlink(missing_ok=True)
 
 
 def load_exposure(path: str | Path) -> dict[str, int]:
@@ -750,5 +740,5 @@ def write_trial(data: TrialDataset, episodes_file: str | Path, subjects_file: st
 
 
 def _write_rows(path: str | Path, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         csv.writer(fh).writerows(chain([header], rows))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -90,14 +91,15 @@ def csv_view(records: list[dict], kind, columns: list) -> tuple[list[str], list[
     return [c[0] for c in columns], [[_cell(r, c[1]) for c in columns] for r in rows]
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so readers never see a partial file."""
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False):
+    """A new file of mode 0600 in the directory of ``path`` (UTF-8 text, or bytes),
+    renamed onto ``path`` when the block ends and removed if the block raises."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:  # after the rename, tmp is gone
         if os.path.exists(tmp):
@@ -112,7 +114,8 @@ def header_lines(config: dict) -> list[str]:
 
 
 def write_text(path: str | Path, config: dict, body: str) -> None:
-    atomic_write(path, "\n".join(header_lines(config)) + "\n" + body)
+    with atomic_write(path) as fh:
+        fh.write("\n".join(header_lines(config)) + "\n" + body)
 
 
 def write_jsonl(path: str | Path, config: dict, records: list[dict]) -> None:
@@ -123,7 +126,8 @@ def write_jsonl(path: str | Path, config: dict, records: list[dict]) -> None:
     # allow_nan=False: a NaN or infinity would make the line invalid JSON
     lines = [json.dumps(head, sort_keys=True, allow_nan=False)]
     lines += [json.dumps(r, sort_keys=True, allow_nan=False) for r in records]
-    atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_csv(path: str | Path, config: dict, columns: list[str], rows: list[list]) -> None:
@@ -131,4 +135,5 @@ def write_csv(path: str | Path, config: dict, columns: list[str], rows: list[lis
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(str(c) for c in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")

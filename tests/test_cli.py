@@ -229,6 +229,20 @@ def test_simulate_and_validate(capsys, tmp_path):
     assert "sd/se" in out
 
 
+def test_simulate_writes_every_file_through_the_writer(capsys, tmp_path, monkeypatch):
+    # each renamed into place from a new file of mode 0600 in the output directory
+    replaced, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda a, b: replaced.append((Path(a), b)) or replace(a, b))
+    out = tmp_path / "sim"
+    scenario = _scenario(tmp_path, [("A", "0.5 0.3 0.2")])
+    code, _, _ = run(capsys, "simulate", "--scenario", str(scenario), "--out", str(out),
+                     "--format", "text,csv")
+    names = ["episodes.csv", "simulate.csv", "simulate.txt", "subjects.csv"]
+    assert code == 0 and sorted(Path(b).name for _, b in replaced) == names
+    assert all(a.parent == out and not a.exists() for a, _ in replaced)
+    assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == dict.fromkeys(names, 0o600)
+
+
 @pytest.mark.parametrize("replicates", ["1", "0", "-5"])
 def test_validate_too_few_replicates_is_a_configuration_error(capsys, tmp_path, replicates):
     scenario = tmp_path / "scenario.ini"

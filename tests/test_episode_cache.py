@@ -7,11 +7,16 @@ that cannot be used and a cache that cannot be written change nothing that
 a command returns or writes.
 """
 import csv
+import json
 import marshal
 import os
 import stat
+import subprocess
+import sys
+import tempfile
 import threading
 from itertools import repeat
+from pathlib import Path
 
 from _blake2 import blake2b
 
@@ -234,14 +239,18 @@ def test_an_unwritable_cache_changes_no_output(monkeypatch, tmp_path, capsys):
 
 
 def test_an_entry_is_written_through_a_temporary_file(cache, tmp_path, monkeypatch):
-    replaced, replace = [], os.replace
-    monkeypatch.setattr(os, "replace", lambda a, b: replaced.append((a, b)) or replace(a, b))
+    # made new (never through a file or link already there) with mode 0600
+    opened, replaced, open_, replace = [], [], os.open, os.replace
+    monkeypatch.setattr(os, "open", lambda p, flags, *a, **k: opened.append((Path(p), flags, *a))
+                        or open_(p, flags, *a, **k))
+    monkeypatch.setattr(os, "replace", lambda a, b: replaced.append((Path(a), b)) or replace(a, b))
     path = _episodes(tmp_path, ROWS)
     load_episodes(path)
     (temporary, entry), = replaced
     assert entry == data._cache_entry(path) and temporary.parent == cache
-    assert temporary.name.startswith(".") and not temporary.exists()
-    assert _entries(cache) == [entry.name]
+    assert not temporary.exists() and _entries(cache) == [entry.name]
+    new = os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
+    assert [(flags & new, mode) for p, flags, mode in opened if p == temporary] == [(new, 0o600)]
 
 
 def test_the_cache_keeps_the_newest_entries(cache, tmp_path, monkeypatch):
@@ -322,11 +331,51 @@ def test_a_cache_directory_others_can_read_is_made_private(cache, tmp_path, monk
     assert parsed == [] and stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
-def test_a_link_at_the_temporary_name_is_not_followed(cache, tmp_path):
+@pytest.mark.parametrize("there", ["file", "link", "dangling link"])
+def test_nothing_at_the_temporary_name_is_written_through(cache, tmp_path, monkeypatch, there):
     path = _episodes(tmp_path, ROWS)
     entry = data._cache_entry(path)
     target = tmp_path / "target"
-    target.write_bytes(b"kept")
-    entry.with_name(f".{entry.name}.{os.getpid()}").symlink_to(target)
+    if there != "dangling link":
+        target.write_bytes(b"kept")
+    taken = entry.with_name(f"{entry.name}.taken")  # the name the writer tries first
+    if there == "file":
+        taken.write_bytes(b"kept")
+    else:
+        taken.symlink_to(target)
+    names = iter(["taken", "free"])
+    monkeypatch.setattr(tempfile, "_get_candidate_names", lambda: names)
     assert len(load_episodes(path)) == 3
-    assert target.read_bytes() == b"kept" and not entry.exists()
+    assert taken.is_symlink() == (there != "file")
+    assert target.exists() == (there != "dangling link")  # not made through the link
+    assert all(p.read_bytes() == b"kept" for p in (taken, target) if p.exists())
+    assert data._cached(entry) is not None and _entries(cache) == sorted([entry.name, taken.name])
+
+
+# run in a child: the name of the file's cache entry, then the tables of two loads of it
+LOAD = """import json, sys
+from adx import data
+path = sys.argv[1]
+columns = [data.load_episodes(path) for _ in range(2)]
+print(json.dumps([data._cache_entry(path).name] + [[getattr(c, name).values for name in
+                  c.__slots__] for c in columns]))
+"""
+
+
+@pytest.mark.parametrize("seeds", [("0", "1"), ("1", "0")])
+def test_the_tables_and_the_entry_do_not_depend_on_the_hash_seed(cache, tmp_path, seeds):
+    # a column's table lists its values in the order the rows first hold them
+    rows = [[f"S{i * 7 % 50}", "AB"[i % 2], f"PT {i * 11 % 60}", str(i * 3 % 17), "", "", "", ""]
+            for i in range(400)]
+    path = _episodes(tmp_path, rows)
+    src = str(Path(data.__file__).parent.parent)
+    found = [json.loads(subprocess.run(
+        [sys.executable, "-c", LOAD, str(path)], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed), timeout=60).stdout)
+        for seed in seeds]
+    (name, parsed, hit), other = found
+    assert other == found[0] and parsed == hit and _entries(cache) == [name]
+    expected = [list(dict.fromkeys(column)) for column in zip(*rows)]
+    expected[2] = [pt.lower() for pt in expected[2]]
+    expected[3] = [int(day) for day in expected[3]]
+    assert parsed == [*expected[:4], [None], [None], [None], ["untiered"]]

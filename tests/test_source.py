@@ -1,7 +1,7 @@
 """Hygiene of the package source: short lines, no unused imports, no unread
 private names, ``AeEpisode`` records and the hierarchy's lookups known
-only to the module that builds trials from them, and terms normalized only
-where they enter.
+only to the module that builds trials from them, terms normalized only
+where they enter, and files written by path only through one writer.
 
 Lines are cut to fit, not joined to save lines, and an import or a private
 helper that a deletion leaves behind goes with it. An import kept for its side effect or
@@ -110,3 +110,55 @@ def test_terms_are_normalized_only_where_they_enter():
     assert sorted(uses) == [("cohorts", "drilldown"), ("data", "HierarchyMap.__init__"),
                             ("data", "_pt"), ("data", "_term")], \
         "(module, function or Class.method) of each use of normalize_term"
+
+
+def _name(node) -> str:
+    """The dotted name of a called function, ``?`` for a part that is not a name."""
+    if isinstance(node, ast.Attribute):
+        return f"{_name(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else "?"
+
+
+def test_files_are_written_by_path_only_through_the_writer():
+    # ``report.atomic_write`` makes a new temporary file beside the target and
+    # renames it into place. Nothing else opens a path to write, calls
+    # ``os.open``, ``Path.write_*`` or ``tempfile``; the ends of an
+    # ``os.pipe()`` are file descriptors, not paths
+    writes, writers = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == (
+                    "report.py", "atomic_write"):
+                inside.update(ast.walk(node))
+                writers += 1
+        pipes = {name.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                 and _name(node.value.func) == "os.pipe"
+                 for target in node.targets for name in ast.walk(target)
+                 if isinstance(name, ast.Name)}
+        for node in ast.walk(tree):
+            if node in inside:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "tempfile" or \
+                    isinstance(node, ast.Name) and node.id == "tempfile":
+                writes.append((path.name, node.lineno, "tempfile"))
+            if not isinstance(node, ast.Call):
+                continue
+            called = _name(node.func)
+            method = called.rsplit(".", 1)[-1]
+            path_write = method in ("write_text", "write_bytes") and called not in (
+                "write_text", "report.write_text")  # not a method of a path: report's own
+            if called == "os.open" or path_write:
+                writes.append((path.name, node.lineno, called))
+            elif method == "open":  # open(file, mode) or a method path.open(mode)
+                at = 1 if called in ("open", "io.open") else 0
+                mode = node.args[at] if len(node.args) > at else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                to_pipe = at and isinstance(node.args[0], ast.Name) and node.args[0].id in pipes
+                text = mode.value if isinstance(mode, ast.Constant) else "w"  # not known: a write
+                if set(str(text)) & set("wax+") and not to_pipe:
+                    writes.append((path.name, node.lineno, called))
+    assert writers == 1, "report.atomic_write, the one writer, is missing"
+    assert writes == [], "(module, line, call) of a file written outside report.atomic_write"
