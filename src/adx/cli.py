@@ -440,17 +440,11 @@ def cmd_exposure(args) -> None:
 
     trial = _load(args)
     exposure = data.load_exposure(args.exposure_file) if args.exposure_file else None
-    if exposure:  # one row per subject, so the i-th subject is on the file's line i + 2
-        known = {s.subject_id for s in trial.subjects}
-        for line, subject_id in enumerate(exposure, 2):
-            if subject_id not in known:
-                raise UnknownSubject(f"{args.exposure_file}:{line}: exposure row references "
-                                     f"unknown subject {subject_id!r}")
     try:
         curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
-    except ExposureBelowEpisodes as exc:  # named by the line of its row, as above
-        line = list(exposure).index(exc.subject_id) + 2
-        raise ExposureBelowEpisodes(f"{args.exposure_file}:{line}: {exc}", exc.subject_id) from None
+    except (UnknownSubject, ExposureBelowEpisodes) as exc:  # a faulty row, named by its line
+        line = list(exposure).index(exc.subject_id) + 2  # one row per subject, after the header
+        raise type(exc)(f"{args.exposure_file}:{line}: {exc}", exc.subject_id) from None
     records = [{"record": "exposure", "arm": arm, "cycle": cycle, "adx": h, "k": k, "n": n,
                 "subjects_at_cycle": subj}
                for arm, rows in curves.curves.items() for cycle, h, k, n, subj in rows]

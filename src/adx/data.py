@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import marshal
+import math
 import os
 import re
 import stat
@@ -382,9 +383,9 @@ class SubjectRecord(_SubjectFields):
 
 
 def _age(age_years: float | None) -> float | None:
-    if age_years is not None and age_years < 0:
-        raise ValueError("age_years < 0")
-    return age_years
+    if age_years is None or 0 <= age_years < math.inf:  # nan fails it too
+        return age_years
+    raise ValueError("age_years < 0" if age_years < 0 else "age_years must be finite")
 
 
 def _check_observed(subject: SubjectRecord) -> None:

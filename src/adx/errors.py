@@ -10,9 +10,14 @@ class AdxError(Exception):
 
 
 class InputError(AdxError):
-    """Problems with input files or referential integrity."""
+    """Problems with input files or referential integrity; ``subject_id``
+    names the subject of the faulty row, where one is known."""
 
     kind = "input error"
+
+    def __init__(self, message, subject_id=None):
+        self.subject_id = subject_id
+        super().__init__(message)
 
 
 class MalformedRow(InputError):
@@ -29,10 +34,6 @@ class UnknownSubject(InputError):
 
 class ExposureBelowEpisodes(InputError):
     """An exposure row gives a subject a last_cycle below its episodes' highest cycle."""
-
-    def __init__(self, message, subject_id=None):
-        self.subject_id = subject_id
-        super().__init__(message)
 
 
 class ArmMismatch(InputError):

@@ -20,7 +20,7 @@ from .entropy import (
     estimate,
     profile_from_episodes,
 )
-from .errors import ExposureBelowEpisodes, NoCycleData, NoDatedEpisodes
+from .errors import ExposureBelowEpisodes, NoCycleData, NoDatedEpisodes, UnknownSubject
 
 SEQUENTIAL_CAVEAT = (
     "per-look tests are unadjusted for repeated looks (no alpha spending)"
@@ -130,19 +130,23 @@ def _cumulative_profiles(data: TrialDataset, column, cutoffs, terms, dimensions=
 def _last_cycles(data: TrialDataset, exposure: dict[str, int]) -> tuple[int, Counter]:
     """The highest episode cycle, and per (arm, last cycle) how many subjects
     have it: a subject's ``exposure`` row, if any, in place of its episodes'
-    highest cycle, which the row may not be below. Its per-subject scratch
-    is freed on return."""
+    highest cycle, which the row may not be below; a row must name a subject
+    of the trial. Its per-subject scratch is freed on return."""
     ids = data.columns.subject_id
     last = [0] * len(ids.values)  # per subject code, the highest episode cycle
     for s, c in zip(ids.codes, data.columns.cycle):
         if c is not None and c > last[s]:
             last[s] = c
     highest = dict(zip(ids.values, last)) if exposure else {}  # as large as ``exposure``
-    for subject_id, given in exposure.items():  # the first such row in the map's order
-        if given < highest.get(subject_id, 0):
+    known = {s.subject_id for s in data.subjects} if exposure else ()
+    for subject_id, given in exposure.items():  # the first faulty row in the map's order
+        if subject_id not in known:
+            raise UnknownSubject(f"exposure row references unknown subject {subject_id!r}",
+                                 subject_id)
+        if given < (cycle := highest.get(subject_id, 0)):
             raise ExposureBelowEpisodes(
                 f"exposure row gives subject {subject_id!r} last_cycle {given}, "
-                f"below its episodes' cycle {highest[subject_id]}", subject_id)
+                f"below its episodes' cycle {cycle}", subject_id)
     reach = Counter((subject.arm, c) for subject, c in zip(data.subject_of_code, last)
                     if c and subject.subject_id not in exposure)
     reach.update((s.arm, exposure[s.subject_id]) for s in data.subjects

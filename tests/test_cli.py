@@ -243,6 +243,64 @@ def test_simulate_writes_every_file_through_the_writer(capsys, tmp_path, monkeyp
     assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == dict.fromkeys(names, 0o600)
 
 
+def test_a_block_that_raises_leaves_the_target_as_it_was(tmp_path):
+    from adx.report import atomic_write
+
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old bytes\n")
+    with pytest.raises(RuntimeError, match="^boom$"):
+        with atomic_write(target) as fh:
+            fh.write("new text, never renamed onto the target")
+            raise RuntimeError("boom")
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out.txt"]  # the temporary file is removed
+
+
+def test_a_scenario_whose_probs_do_not_parse_is_an_error(capsys, tmp_path):
+    scenario = _scenario(tmp_path, [("A", "0.5 half")])
+    code, out, err = run(capsys, "simulate", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "sim"))
+    assert (code, out) == (2, "")
+    assert err == "adx: error: arm 'A': unparseable probs list\n"
+    assert not (tmp_path / "sim").exists()
+
+
+def test_compare_without_arms_on_a_one_arm_trial_is_a_configuration_error(capsys, tmp_path):
+    subjects = write_csv(tmp_path / "subjects.csv", ["subject_id", "arm", "sex"],
+                         [["S1", "A", "F"]])
+    episodes = write_csv(tmp_path / "episodes.csv", ["subject_id", "arm", "pt_term"],
+                         [["S1", "A", "nausea"], ["S1", "A", "rash"]])
+    code, out, err = run(capsys, "compare", "--episodes", str(episodes),
+                         "--subjects", str(subjects), "--out", str(tmp_path / "o"))
+    assert (code, out) == (3, "")
+    assert err == "adx: configuration error: dataset has fewer than two arms; use --arms\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_subjects_file_that_repeats_a_subject_is_an_input_error(capsys, tiny_trial_files,
+                                                                   tmp_path):
+    subjects = tiny_trial_files["subjects"]
+    subjects.write_text(subjects.read_text() + "S2,B,F,50,,,0,300\n")
+    code, out, err = run(capsys, "summary", "--episodes", str(tiny_trial_files["episodes"]),
+                         "--subjects", str(subjects), "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == "adx: input error: duplicate subject_id 'S2'\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("age", ["nan", "inf"])
+def test_a_subjects_file_with_a_non_finite_age_names_its_line(capsys, tiny_trial_files,
+                                                               tmp_path, age):
+    subjects = tiny_trial_files["subjects"]
+    subjects.write_text(subjects.read_text() + f"S4,B,M,{age},,,0,300\n")
+    code, out, err = run(capsys, "subgroup", "--by", "age",
+                         "--episodes", str(tiny_trial_files["episodes"]),
+                         "--subjects", str(subjects), "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == f"adx: input error: {subjects}:5: age_years must be finite\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("replicates", ["1", "0", "-5"])
 def test_validate_too_few_replicates_is_a_configuration_error(capsys, tmp_path, replicates):
     scenario = tmp_path / "scenario.ini"
@@ -440,6 +498,16 @@ def test_benefit_risk_repeated_arm_is_config_error(capsys, efficacy_trial):
     assert err == "adx: configuration error: --arms repeats arm(s): Arm1\n"
 
 
+def test_benefit_risk_without_arms_needs_two_arms_with_efficacy(capsys, efficacy_trial):
+    files, write = efficacy_trial
+    eff = write([["Arm1", "pfs", "5.3", "true"], ["Arm9", "pfs", "3.5", "true"]])
+    code, out, err = _benefit_risk(capsys, files, eff)
+    assert (code, out) == (3, "")
+    assert err == ("adx: configuration error: need two arms with efficacy values "
+                   "(or --arms)\n")
+    assert not (files["dir"] / "o").exists()
+
+
 @pytest.mark.parametrize("header, rows, reason", [
     (("arm", "endpoint_label", "higher_is_better"), [["Arm1", "pfs", "true"]],
      "missing required column(s): value"),
@@ -506,6 +574,29 @@ def test_exposure_file_rejects_a_repeated_or_unknown_subject(capsys, tiny_trial_
     )
     assert (code, out) == (2, "")
     assert err == f"adx: input error: {exposure}:{line}: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rows, error", [
+    # S5 has no episodes, so its row is checked against cycle 0
+    ([["S5", "-3"]], "exposure row gives subject 'S5' last_cycle -3, below its episodes' cycle 0"),
+    # of two faulty rows, the first in the file is named, whichever its fault
+    ([["S5", "-3"], ["S99999", "4"]],
+     "exposure row gives subject 'S5' last_cycle -3, below its episodes' cycle 0"),
+    ([["S99999", "4"], ["S5", "-3"]], "exposure row references unknown subject 'S99999'"),
+])
+def test_the_first_faulty_exposure_row_is_named_by_its_line(capsys, tiny_trial_files, tmp_path,
+                                                            rows, error):
+    subjects = tiny_trial_files["subjects"]
+    subjects.write_text(subjects.read_text() + "S5,B,M,50,,,0,300\n")
+    exposure = write_csv(tmp_path / "exposure.csv", ["subject_id", "last_cycle"], rows)
+    code, out, err = run(
+        capsys, "exposure",
+        "--episodes", str(tiny_trial_files["episodes"]), "--subjects", str(subjects),
+        "--exposure-file", str(exposure), "--out", str(tmp_path / "o"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"adx: input error: {exposure}:2: {error}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -52,6 +52,7 @@ from adx.errors import (
     NoCycleData,
     NoDatedEpisodes,
     UnknownDimension,
+    UnknownSubject,
     UnmappedTerm,
 )
 from adx.temporal import ExposureCurves, InterimSeries, LookSchedule
@@ -196,11 +197,14 @@ def reference_exposure_curves(data, max_cycle=None, exposure=None, level="pt"):
         raise NoCycleData("no episode carries a cycle number")
     last_cycle = {e.subject_id: e.cycle for e in sorted(cycled, key=attrgetter("cycle"))}
     top = max(last_cycle.values()) if max_cycle is None else max_cycle
+    known = {s.subject_id for s in data.subjects}
     for subject_id, given in (exposure or {}).items():
+        if subject_id not in known:
+            raise UnknownSubject(f"exposure row references unknown subject {subject_id!r}")
         if given < last_cycle.get(subject_id, 0):
             raise ExposureBelowEpisodes(
                 f"exposure row gives subject {subject_id!r} last_cycle {given}, "
-                f"below its episodes' cycle {last_cycle[subject_id]}")
+                f"below its episodes' cycle {last_cycle.get(subject_id, 0)}")
     last_cycle.update(exposure or {})
     exposed = {arm: sorted(last_cycle.get(s.subject_id, 0) for s in data.subjects if s.arm == arm)
                for arm in data.arms}
@@ -296,6 +300,8 @@ def test_every_analysis_matches_the_per_episode_path(tmp_path_factory, data):
     level = data.draw(st.sampled_from(["pt", "hlt", "soc"]))
     binning = AgeBinning((45.5, 60))
     control = data.draw(st.sampled_from([None, *trial.arms]))
+    exposure = data.draw(st.dictionaries(st.sampled_from([f"S{i}" for i in range(8)]),
+                                         st.integers(-3, 5), max_size=3))
     pairs = [
         (cohorts.subgroup_analysis, reference_subgroup_analysis,
          (trial, dims, level, binning, 2, control), {}),
@@ -312,6 +318,7 @@ def test_every_analysis_matches_the_per_episode_path(tmp_path_factory, data):
         (temporal.exposure_curves, reference_exposure_curves, (trial, 3, {"S0": 4}), {}),
         (temporal.exposure_curves, reference_exposure_curves, (trial, 6, {"S1": 2}),
          {"level": level}),
+        (temporal.exposure_curves, reference_exposure_curves, (trial, None, exposure), {}),
         (dataset_summary, reference_dataset_summary, (trial,), {}),
     ]
     pairs += [(cohorts.drilldown, reference_drilldown, (trial, soc, arms, 1), {})

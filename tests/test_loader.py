@@ -257,7 +257,7 @@ TABLES = {
             "subject_id": (["S1", " S2 ", "S3\t", "s1"], ["", "  "]),
             "arm": (["A", "B ", "Ärm, 2"], ["", " "]),
             "sex": (["F", "m", " u ", "", "X", "female"], []),
-            "age_years": (["", "45", " 38.5 ", "nan", "inf", "1e1", "0"], ["x", "-1", "-inf"]),
+            "age_years": (["", "45", " 38.5 ", "1e1", "0"], ["x", "-1", "-inf", "nan", "inf"]),
             "background_therapy": (["", "none", " platinum, doublet "], []),
             "substudy": (["", "PK"], []),
             "first_dose_day": (["", "0", "5", " 7 "], ["x", "1.5"]),

@@ -67,6 +67,8 @@ def test_records_are_immutable(make):
      "sex must be F, M or U, got 'X'"),
     (lambda: SubjectRecord("S1", "A", age_years=-1, first_dose_day=5, last_observed_day=2),
      ValueError, "age_years < 0"),
+    (lambda: SubjectRecord("S1", "A", age_years=float("nan")), ValueError,
+     "age_years must be finite"),
     (lambda: SubjectRecord("S1", "A", first_dose_day=5, last_observed_day=2), ValueError,
      "last_observed_day < first_dose_day"),
     (lambda: FrequencyProfile({"a": 2, "b": -1}), ValueError, "negative count for 'b'"),

@@ -13,7 +13,7 @@ from adx.data import (
     write_trial,
 )
 from adx.entropy import estimate
-from adx.errors import ExposureBelowEpisodes, NoCycleData, NoDatedEpisodes
+from adx.errors import ExposureBelowEpisodes, NoCycleData, NoDatedEpisodes, UnknownSubject
 from adx.simulate import ArmScenario, Scenario, generate_trial
 from adx.temporal import (
     LookSchedule,
@@ -237,6 +237,12 @@ def test_default_schedule_thirds():
     assert s.cutoff_days == (100, 200, 300)
 
 
+def test_default_schedule_without_a_dated_episode():
+    t = dated_trial({"A": [("a", None, 1)], "B": [("b", None, None)]})
+    with pytest.raises(NoDatedEpisodes, match="^no episode carries onset_day$"):
+        default_schedule(t)
+
+
 def test_interim_saturation_before_first_cutoff():
     rows = [("a", 5, None), ("a", 8, None), ("b", 9, None)]
     t = dated_trial({"A": rows})
@@ -390,6 +396,29 @@ def test_an_exposure_row_below_the_episodes_is_rejected_naming_its_subject():
     assert raised.value.subject_id == "B-1"
     with pytest.raises(ExposureBelowEpisodes, match="'A-1' last_cycle 2"):
         exposure_curves(t, exposure={"A-1": 2, "B-1": 1})
+
+
+def test_an_exposure_row_for_a_subject_the_trial_lacks_is_rejected_naming_it():
+    t = dated_trial({"A": [("a", None, 1), ("b", None, 3)]})
+    with pytest.raises(UnknownSubject,
+                       match=r"^exposure row references unknown subject 'GHOST'$") as raised:
+        exposure_curves(t, exposure={"GHOST": 3})
+    assert raised.value.subject_id == "GHOST"
+    # the first faulty row in the map's order is named, whichever its fault
+    with pytest.raises(UnknownSubject, match="'GHOST'"):
+        exposure_curves(t, exposure={"A-1": 3, "GHOST": 3, "A-2": 0})
+    with pytest.raises(ExposureBelowEpisodes, match="'A-1' last_cycle 2"):
+        exposure_curves(t, exposure={"A-1": 2, "GHOST": 3})
+
+
+@pytest.mark.parametrize("episodes", [[], [("a", None, None)]], ids=["none", "uncycled"])
+def test_a_negative_exposure_row_without_cycled_episodes_names_cycle_0(episodes):
+    t = dated_trial({"A": [("a", None, 1)], "B": episodes})
+    with pytest.raises(ExposureBelowEpisodes, match=r"^exposure row gives subject 'B-1' "
+                       r"last_cycle -3, below its episodes' cycle 0$") as raised:
+        exposure_curves(t, exposure={"B-1": -3})
+    assert raised.value.subject_id == "B-1"
+    assert exposure_curves(t, exposure={"B-1": 0}).curves["B"][0][4] == 0
 
 
 @pytest.mark.parametrize("level", ["pt", "hlt", "soc"])
