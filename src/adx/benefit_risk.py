@@ -193,6 +193,5 @@ def re_read_bootstrap_ci(
         raise ZeroAdversity(f"bootstrap replicate {r}: arm {arms[i]!r} collapsed to one AE type")
     reads = [abs(efficacy[arm].benefit) / h[:, i] for i, arm in enumerate(arms)]
     values = reads[0] / reads[1]
-    values.sort()
     lo_q = (1.0 - level) / 2.0
     return kernel.quantile(values, lo_q), kernel.quantile(values, 1.0 - lo_q)

@@ -67,13 +67,17 @@ def recode(codes: np.ndarray, label) -> tuple[np.ndarray, int]:
     return remap[inverse], len(numbers)
 
 
-def quantile(ordered, q: float) -> float:
-    """``np.quantile`` of the ascending ``ordered`` values, to the bit, without
-    the ``numpy.ma`` it imports: numpy's linear rule at index ``(n - 1) * q``."""
-    last = len(ordered) - 1
+def quantile(values, q: float) -> float:
+    """``np.quantile`` of ``values``, to the bit, without the ``numpy.ma`` it
+    imports: numpy's linear rule at index ``(n - 1) * q``. The two values
+    read are picked by the same ``np.partition`` numpy makes, so tied signed
+    zeros land where numpy puts them."""
+    last = len(values) - 1
     index = last * q
-    below = int(index)
-    a, b = float(ordered[below]), float(ordered[min(below + 1, last)])
+    below = int(index) if index < last else -1  # numpy reads the top as index -1
+    above = below + 1 if below >= 0 else -1
+    ordered = np.partition(np.asarray(values, dtype=float), sorted({0, -1, below, above}))
+    a, b = float(ordered[below]), float(ordered[above])
     g = index - below
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 

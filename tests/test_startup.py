@@ -132,8 +132,8 @@ def test_validate_still_runs_on_numpy(tmp_path):
 
 
 def test_bootstrap_loads_no_numpy_ma(tmp_path):
-    # the percentile interval is read off the sorted replicates: np.quantile
-    # would import numpy.ma
+    # the percentile interval is read off the partitioned replicates:
+    # np.quantile would import numpy.ma
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(SCENARIO)
     assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
