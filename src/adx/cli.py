@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, data, entropy, report
-from .errors import AdxError, ConfigError, ExposureBelowEpisodes, UnknownSubject
+from .errors import AdxError, ConfigError, ExposureBelowEpisodes, MalformedRow, UnknownSubject
 
 if TYPE_CHECKING:
     from . import cohorts
@@ -113,25 +113,22 @@ def _formats(args) -> set[str]:
 # benefit-risk's flags of the bootstrap, with the defaults that --bootstrap gives them
 BOOTSTRAP_DEFAULTS = {"seed": 0, "ci": 0.95, "bootstrap_unit": "episode"}
 
+# per numeric flag, in the order checked: (whether a given value is allowed, its fault)
+BOUNDS = {
+    "alpha": (lambda value: 0.0 < value < 1.0, "alpha must be in (0, 1)"),
+    "bootstrap": (lambda value: value >= 200, "bootstrap replicates must be >= 200"),
+    "replicates": (lambda value: value >= 2, "replicates must be >= 2"),
+    "min_episodes": (lambda value: value >= 0, "min_episodes must be >= 0, got {}"),
+    "seed": (lambda value: value >= 0, "--seed must be >= 0, got {}"),
+    "ci": (lambda value: 0.0 < value < 1.0, "ci level must be in (0, 1)"),
+}
+
 
 def _check_config(args):
     _formats(args)  # so that a bad --format fails before any file is read or written
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must be in (0, 1)")
-    boots = getattr(args, "bootstrap", None)
-    if boots is not None and boots < 200:
-        raise ConfigError("bootstrap replicates must be >= 200")
-    reps = getattr(args, "replicates", None)
-    if reps is not None and reps < 2:
-        raise ConfigError("replicates must be >= 2")
-    if getattr(args, "min_episodes", 0) < 0:
-        raise ConfigError(f"min_episodes must be >= 0, got {args.min_episodes}")
-    if (getattr(args, "seed", None) or 0) < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    ci = getattr(args, "ci", None)
-    if ci is not None and not 0.0 < ci < 1.0:
-        raise ConfigError("ci level must be in (0, 1)")
+    for flag, (ok, message) in BOUNDS.items():
+        if (value := getattr(args, flag, None)) is not None and not ok(value):
+            raise ConfigError(message.format(value))
     if args.command == "benefit-risk":  # a flag not given is None, and the header leaves it out
         given = [name for name in BOOTSTRAP_DEFAULTS if getattr(args, name) is not None]
         if args.bootstrap is not None:
@@ -444,7 +441,7 @@ def cmd_exposure(args) -> None:
         curves = temporal.exposure_curves(trial, args.max_cycle, exposure, level=args.level)
     except (UnknownSubject, ExposureBelowEpisodes) as exc:  # a faulty row, named by its line
         line = list(exposure).index(exc.subject_id) + 2  # one row per subject, after the header
-        raise type(exc)(f"{args.exposure_file}:{line}: {exc}", exc.subject_id) from None
+        raise MalformedRow(args.exposure_file, line, str(exc)) from None
     records = [{"record": "exposure", "arm": arm, "cycle": cycle, "adx": h, "k": k, "n": n,
                 "subjects_at_cycle": subj}
                for arm, rows in curves.curves.items() for cycle, h, k, n, subj in rows]

@@ -281,7 +281,7 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None,
     """
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
-    soc_of = dict(zip(data.terms_at("pt"), data.terms_at("soc")))
+    cells = _cells(data, ["soc"])  # MissingHierarchy without a hierarchy, before UnknownSoc
     soc_n = normalize_term(soc)
     if soc_n not in data.hierarchy.socs():
         raise UnknownSoc(f"soc {soc_n!r} not present in hierarchy")
@@ -289,10 +289,9 @@ def drilldown(data: TrialDataset, soc: str, arms: list[str] | None = None,
 
     counts: dict[str, dict[str, int]] = {}
     for arm in dict.fromkeys(arms):
-        terms = data.columns.pt_term.select(data.in_arm(arm))
-        for pt, c in profile_from_episodes(terms).counts.items():
-            if soc_of[pt] == soc_n:
-                counts.setdefault(pt, {a: 0 for a in arms})[arm] = c
+        cell = cells.get(CohortKey(arm, (("soc", soc_n),)), Coded.encode(()))
+        for pt, c in profile_from_episodes(cell).counts.items():
+            counts.setdefault(pt, {a: 0 for a in arms})[arm] = c
 
     ranked = sorted(counts, key=lambda pt: (-max(counts[pt].values()), pt))
     top = ranked[:top_n]

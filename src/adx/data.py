@@ -467,9 +467,7 @@ class HierarchyMap:
         def check(record: tuple, line_no: int) -> None:
             pt, *terms = record
             if entries.setdefault(pt, tuple(terms)) != tuple(terms):
-                raise InputError(
-                    f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path"
-                )
+                raise ValueError(f"pt {pt!r} duplicated with a different hierarchy path")
         read_table(path, tuple, tuple(Column(f"{level}_term", _term, True)
                                       for level in HIERARCHY_LEVELS), check)
         return cls(entries)
@@ -543,8 +541,14 @@ class TrialDataset:
 
 
 def load_subjects(path: str | Path) -> list[SubjectRecord]:
-    return read_table(path, SubjectRecord, _SUBJECT_COLUMNS,
-                      lambda subject, line_no: _check_observed(subject))
+    seen: set[str] = set()
+
+    def check(subject: SubjectRecord, line_no: int) -> None:
+        _check_observed(subject)
+        if subject.subject_id in seen:
+            raise ValueError(f"duplicate subject_id {subject.subject_id!r}")
+        seen.add(subject.subject_id)
+    return read_table(path, SubjectRecord, _SUBJECT_COLUMNS, check)
 
 
 def load_episodes(path: str | Path) -> EpisodeColumns:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from random import Random
@@ -101,27 +101,24 @@ def load_scenario(path: str | Path) -> Scenario:
     if not read:
         raise InvalidScenario(f"cannot read scenario file {path}")
 
-    def get(section: str, option: str, kind: type, fallback):
+    def get(section: str, option: str, kind: Callable, fallback):
         """``[section] option`` read as ``kind``, or ``fallback`` where it is absent."""
         try:
             raw = cfg.get(section, option, fallback=None)  # interpolation can fail here
             return fallback if raw is None else kind(raw)
         except (configparser.Error, ValueError) as exc:
             raise InvalidScenario(f"scenario file {path}: [{section}] {option}: {exc}") from None
+
+    def floats(raw: str) -> tuple[float, ...]:
+        return tuple(map(float, raw.replace(",", " ").split()))
     seed = get("scenario", "seed", int, 0)
     arms = []
     for section in cfg.sections():
         if not section.startswith("arm "):
             continue
-        name = section[4:].strip()
-        raw = get(section, "probs", str, "")
-        try:
-            probs = tuple(float(tok) for tok in raw.replace(",", " ").split())
-        except ValueError:
-            raise InvalidScenario(f"arm {name!r}: unparseable probs list")
         arms.append(ArmScenario(
-            name=name,
-            probs=probs,
+            name=section[4:].strip(),
+            probs=get(section, "probs", floats, ()),
             episodes_per_subject=get(section, "episodes_per_subject", float, 1.0),
             n_subjects=get(section, "subjects", int, 100),
             onset_span=get(section, "onset_span", int, None),

@@ -139,6 +139,16 @@ def test_bootstrap_insufficient():
         re_read_bootstrap_ci(t2, EFF_EQUAL, ("A", "B"), replicates=200, seed=1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(unit="cluster"), "unit must be 'episode' or 'subject'"),
+    (dict(level=1.0), r"level must be in \(0, 1\)"),
+])
+def test_bootstrap_rejects_an_unknown_unit_and_a_level_of_one(kwargs, message):
+    t = big_two_arm_trial()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        re_read_bootstrap_ci(t, EFF_EQUAL, ("A", "B"), replicates=200, seed=1, **kwargs)
+
+
 def test_bootstrap_subject_unit_runs():
     t = dataset_from_counts(
         {"A": {"a": 40, "b": 30, "c": 20}, "B": {"a": 35, "b": 30, "c": 25}},

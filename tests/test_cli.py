@@ -261,7 +261,8 @@ def test_a_scenario_whose_probs_do_not_parse_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", "--scenario", str(scenario),
                          "--out", str(tmp_path / "sim"))
     assert (code, out) == (2, "")
-    assert err == "adx: error: arm 'A': unparseable probs list\n"
+    assert err == (f"adx: error: scenario file {scenario}: [arm A] probs: "
+                   "could not convert string to float: 'half'\n")
     assert not (tmp_path / "sim").exists()
 
 
@@ -284,7 +285,7 @@ def test_a_subjects_file_that_repeats_a_subject_is_an_input_error(capsys, tiny_t
     code, out, err = run(capsys, "summary", "--episodes", str(tiny_trial_files["episodes"]),
                          "--subjects", str(subjects), "--out", str(tmp_path / "o"))
     assert (code, out) == (2, "")
-    assert err == "adx: input error: duplicate subject_id 'S2'\n"
+    assert err == f"adx: input error: {subjects}:5: duplicate subject_id 'S2'\n"
     assert not (tmp_path / "o").exists()
 
 

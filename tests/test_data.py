@@ -81,6 +81,33 @@ def test_hierarchy_functional_chain_violation():
         HierarchyMap({"a": ("h1", "g1", "s1"), "b": ("h1", "g2", "s1")})
 
 
+def test_an_hlgt_under_two_socs_is_rejected():
+    with pytest.raises(InputError) as exc:
+        HierarchyMap({"a": ("h1", "g1", "s1"), "b": ("h2", "g1", "s2")})
+    assert str(exc.value) == "hlgt 'g1' mapped to more than one soc"
+
+
+def test_term_at_the_pt_level_is_the_pt_and_an_absent_pt_is_unmapped():
+    hierarchy = HierarchyMap({"nausea": ("h1", "g1", "s1")})
+    assert hierarchy.term_at("nausea", "pt") == "nausea"
+    with pytest.raises(UnmappedTerm) as exc:
+        hierarchy.term_at("rash", "soc")
+    assert str(exc.value) == "pt 'rash' not in hierarchy"
+
+
+def test_declared_arms_must_be_the_arms_of_the_subjects():
+    subjects = (SubjectRecord("S1", "A"), SubjectRecord("S2", "B"))
+    with pytest.raises(InputError) as exc:
+        TrialDataset(subjects=subjects, episodes=(), arms=("A", "C"))
+    assert str(exc.value) == "declared arms differ from arms present in subjects"
+
+
+def test_an_unknown_unmapped_policy_is_a_value_error(tiny_trial_files):
+    with pytest.raises(ValueError, match="^unmapped must be 'reject' or 'synthetic'$"):
+        load_trial(tiny_trial_files["episodes"], tiny_trial_files["subjects"],
+                   tiny_trial_files["hierarchy"], unmapped="bogus")
+
+
 def test_unmapped_term_reject_vs_synthetic(tmp_path, tiny_trial_files):
     hierarchy = write_csv(
         tmp_path / "partial.csv",

@@ -120,6 +120,11 @@ def test_eals_goldens():
     assert eals(0.0) == 1.0
 
 
+def test_eals_of_a_negative_index_is_a_value_error():
+    with pytest.raises(ValueError, match="^adx_value must be >= 0$"):
+        eals(-0.1)
+
+
 def test_seals_goldens():
     a = estimate_from_stats(4.25, 0.0, 95)
     assert seals(a) == pytest.approx(0.74, abs=0.01)

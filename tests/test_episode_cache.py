@@ -158,6 +158,18 @@ def test_the_cache_directory(monkeypatch, tmp_path, base, where):
     assert entry.parent == tmp_path / {"home": "home/.cache", "xdg": "xdg"}[where] / "adx"
 
 
+def test_without_an_absolute_base_nothing_is_cached(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # where a relative base would put its entries
+    monkeypatch.setenv("HOME", "relative/home")
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/xdg")
+    assert data._cache_directory() is None
+    parsed = _parses(monkeypatch)
+    path = _episodes(tmp_path, ROWS)
+    assert len(load_episodes(path)) == len(ROWS)
+    assert parsed == [path]
+    assert _entries(tmp_path) == ["episodes.csv"]
+
+
 def test_a_file_changed_while_parsed_is_not_stored(cache, tmp_path, monkeypatch):
     path = _episodes(tmp_path, ROWS)
     read = data.read_table

@@ -13,6 +13,7 @@ reader it replaced, which kept a list of parsed values per column, stays
 here as the oracle of the coded columns: decoded, they must equal its lists.
 """
 import csv
+from array import array
 from contextlib import contextmanager
 from itertools import islice, repeat
 from operator import attrgetter, itemgetter
@@ -25,6 +26,7 @@ from adx import data
 from adx.benefit_risk import EfficacyInput, load_efficacy
 from adx.data import (
     AeEpisode,
+    Coded,
     HierarchyMap,
     SubjectRecord,
     load_episodes,
@@ -114,7 +116,7 @@ def reference_load_episodes(path):
 
 
 def reference_load_subjects(path):
-    subjects = []
+    subjects, seen = [], set()
     with _csv_rows(path) as reader:
         _require_columns(reader.fieldnames, path, ["subject_id", "arm", "sex"])
         for line_no, row in enumerate(reader, start=2):
@@ -142,6 +144,9 @@ def reference_load_subjects(path):
                 )
             except ValueError as exc:
                 raise MalformedRow(path, line_no, str(exc))
+            if sid in seen:
+                raise MalformedRow(path, line_no, f"duplicate subject_id {sid!r}")
+            seen.add(sid)
     return subjects
 
 
@@ -162,8 +167,8 @@ def reference_hierarchy_from_csv(path):
             if not pt or not all(triple):
                 raise MalformedRow(path, line_no, "empty term")
             if pt in entries and entries[pt] != triple:
-                raise InputError(
-                    f"{path}:{line_no}: pt {pt!r} duplicated with a different hierarchy path"
+                raise MalformedRow(
+                    path, line_no, f"pt {pt!r} duplicated with a different hierarchy path"
                 )
             entries[pt] = triple
     return reference_hierarchy_map(entries)
@@ -573,6 +578,12 @@ def test_columns_widen_as_their_tables_grow(tmp_path):
     assert [columns.subject_id.codes.typecode, columns.pt_term.codes.typecode] == ["I", "H"]
     assert isinstance(columns.arm.codes, bytearray)
     assert _columns(data.read_table, path) == _columns(reference_read_table, path)
+
+
+def test_the_mask_of_a_two_byte_store():
+    coded = Coded(array("H", [0, 300, 0, 300]), [f"v{i}" for i in range(301)])
+    assert coded.mask("v300") == bytes([0, 1, 0, 1])
+    assert coded.mask("absent") == bytes(4)
 
 
 @pytest.mark.parametrize("hierarchy_rows", [

@@ -66,6 +66,12 @@ def test_poisson_zero_rate_draws_nothing():
     assert [_poisson(random, 0.0) for _ in range(10)] == [0] * 10
 
 
+def test_poisson_ends_where_the_float_cdf_stops_growing():
+    # u just below 1 is never reached by the float cdf of rate 3: the loop
+    # ends at the first term too small to change the sum
+    assert _poisson(lambda: 1.0 - 2 ** -53, 3.0) == 26
+
+
 def test_cycles_are_geometric():
     # about 10,000 episodes; tolerance five standard errors, sqrt(1 - p) / p / sqrt(n)
     t = generate_trial(one_arm((1.0,), rate=5.0, subjects=2000, cycle_dropout=0.3))
@@ -172,6 +178,12 @@ def test_generated_dataset_loader_round_trip(tmp_path):
 def test_validate_variance_uniform_flagged():
     rep = validate_variance(one_arm((0.25,) * 4, rate=5.0, subjects=100), replicates=50)
     assert rep.arms[0].degenerate
+
+
+@pytest.mark.parametrize("validate", [validate_variance, validate_normality])
+def test_validation_needs_two_replicates(validate):
+    with pytest.raises(InvalidScenario, match="^need at least 2 replicates$"):
+        validate(one_arm((0.5, 0.3, 0.2)), replicates=1)
 
 
 def test_validate_variance_matches_analytic():

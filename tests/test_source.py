@@ -162,3 +162,20 @@ def test_files_are_written_by_path_only_through_the_writer():
                     writes.append((path.name, node.lineno, called))
     assert writers == 1, "report.atomic_write, the one writer, is missing"
     assert writes == [], "(module, line, call) of a file written outside report.atomic_write"
+
+
+def test_only_the_malformed_row_writes_a_path_and_a_line():
+    # ``errors.MalformedRow(path, line_no, reason)`` is the one writer of a
+    # row's ``path:line: ``; every other module hands it the three parts, so
+    # no f-string there puts two values around a colon before ``: ``
+    shaped = []
+    for path in SOURCES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant) else "\0"
+                               for part in node.values)
+                if "\0:\0: " in text:
+                    shaped.append((path.name, node.lineno))
+    assert shaped == [], "(module, line) of an f-string that formats a row as path:line"
