@@ -44,21 +44,24 @@ class EfficacyInput(_EfficacyFields):
         return self.value if self.higher_is_better else abs(self.value)
 
 
-def _bad_row(parse):
-    """``parse``; its failure is a bad efficacy row."""
+def _bad_row(parse, column: str = ""):
+    """``parse``; its failure, or a short row that lacks ``column``, is a bad efficacy row."""
     def checked(raw):
         try:
+            if raw is None:
+                raise ValueError(f"missing {column}")
             return parse(raw)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise Fault(f"bad efficacy row: {exc}", 1) from None
     return checked
 
 
 _EFFICACY_COLUMNS = (
-    Column("arm", _bad_row(lambda raw: raw.strip()), required=True),
-    Column("value", _bad_row(float), required=True),
-    Column("higher_is_better",
-           _bad_row(lambda raw: raw.strip().lower() in ("1", "true", "yes", "y")), absent="true"),
+    Column("arm", _bad_row(lambda raw: raw.strip(), "arm"), required=True),
+    Column("value", _bad_row(float, "value"), required=True),
+    Column("higher_is_better", _bad_row(
+        lambda raw: raw.strip().lower() in ("1", "true", "yes", "y"), "higher_is_better"),
+        absent="true"),
     Column("endpoint_label", lambda raw: (raw or "").strip()),
 )
 

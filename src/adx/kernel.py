@@ -4,8 +4,8 @@ helper that runs those loops on every CPU the process may use.
 ``entropy_and_variance`` is ``entropy.adx`` and ``entropy.adx_variance``
 on an integer count vector instead of a ``FrequencyProfile``, and ``adx``
 is its first half alone; the pure-Python pair stays the reference they are
-tested against. ``replicates`` computes one row per replicate, splitting
-the replicates between the process and forked workers; a replicate draws
+tested against. ``replicates`` computes one row per replicate, which the
+process and forked workers write into one shared mapping; a replicate draws
 from its own seeded stream, so the rows do not depend on the number of
 workers. ``recode`` and ``quantile`` code a bootstrap's terms and read its
 interval. Only a bootstrap or a validation imports this module, when first
@@ -13,6 +13,7 @@ called, so every other command loads no numpy and never forks.
 """
 from __future__ import annotations
 
+import mmap
 import os
 import signal
 from collections.abc import Callable, Sequence
@@ -100,49 +101,40 @@ def replicates(fn: Callable[[int], Sequence[float]], count: int, width: int) -> 
     ``range(count)`` is split into contiguous shares, one per worker: a
     worker per CPU this process may run on, but none with a share below
     ``MIN_SHARE``. The process computes the first share itself; each other
-    share runs in a worker made with ``os.fork``, which writes its rows to a
-    pipe and leaves with ``os._exit``. With one worker nothing forks. ``fn``
-    must make no BLAS-threaded call (no ``dot`` or ``@``), because a forked
-    worker has only the thread that forked it.
+    share runs in a worker made with ``os.fork``, which fills its rows of
+    one shared ``mmap`` in place, sets its done byte after them and leaves
+    with ``os._exit``. With one worker nothing forks. ``fn`` must make no
+    BLAS-threaded call (no ``dot`` or ``@``), because a forked worker has
+    only the thread that forked it.
 
-    A worker that fails raises ``RuntimeError``. On any exception every
-    worker still running is killed, and every worker is reaped.
+    A reaped worker whose done byte is unset raises ``RuntimeError``. On any
+    exception every worker still running is killed, and every worker is reaped.
     """
     workers = max(1, min(_cpus(), count // MIN_SHARE))
     bounds = [count * i // workers for i in range(workers + 1)]
-    rows = np.empty((count, width))
-    pending = []  # (pid, read end of its pipe, its rows) of each worker not yet reaped
+    end = count * width * 8
+    shared = mmap.mmap(-1, end + workers)  # MAP_SHARED: a worker's writes reach the process
+    rows = np.frombuffer(shared, count=count * width).reshape(count, width)
+    pending = []  # (pid, share) of each worker not yet reaped
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            share = rows[start:stop]
-            read, write = os.pipe()
-            with open(write, "wb") as sink:
-                source = open(read, "rb")
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
-                    try:
-                        _fill(fn, share, start)
-                        sink.write(share)
-                        sink.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-            pending.append((pid, source, share))
+        for share in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _fill(fn, rows[bounds[share]:bounds[share + 1]], bounds[share])
+                    shared[end + share] = 1
+                finally:
+                    os._exit(0)
+            pending.append((pid, share))
         _fill(fn, rows[:bounds[1]], 0)
         while pending:
-            pid, source, share = pending[0]
-            with source:
-                sent = source.read()
+            pid, share = pending[0]
             status = os.waitpid(pid, 0)[1]
             del pending[0]
-            if status or len(sent) != share.nbytes:
-                raise RuntimeError(f"replicate worker {pid} failed: wait status {status}, "
-                                   f"{len(sent)} of {share.nbytes} bytes sent")
-            share[...] = np.frombuffer(sent).reshape(share.shape)
+            if not shared[end + share]:
+                raise RuntimeError(f"replicate worker {pid} failed: wait status {status}")
     finally:
-        for pid, source, _ in pending:
-            source.close()
+        for pid, _ in pending:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return rows

@@ -58,6 +58,9 @@ class ArmScenario(_ArmScenarioFields):
             raise InvalidScenario(f"arm {name!r}: onset_span must be >= 0")
         if cycle_dropout is not None and not 0.0 < cycle_dropout <= 1.0:
             raise InvalidScenario(f"arm {name!r}: cycle_dropout must be in (0, 1]")
+        if n_subjects * episodes_per_subject > 1e7:  # 50 times one arm of a 200k-episode trial
+            raise InvalidScenario(f"arm {name!r}: expects {n_subjects * episodes_per_subject:g} "
+                                  "episodes, above 1e+07")
         return tuple.__new__(cls, (name, probs, episodes_per_subject, n_subjects, onset_span,
                                    cycle_dropout))
 

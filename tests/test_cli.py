@@ -9,6 +9,8 @@ import pytest
 
 from adx import cli
 from adx.cli import main
+from adx.errors import InvalidScenario
+from adx.simulate import load_scenario
 
 from conftest import write_csv
 
@@ -266,6 +268,19 @@ def test_a_scenario_whose_probs_do_not_parse_is_an_error(capsys, tmp_path):
     assert not (tmp_path / "sim").exists()
 
 
+def test_a_scenario_that_expects_too_many_episodes_is_an_error(capsys, tmp_path):
+    # at most 1e7 expected episodes per arm; simulating this file without
+    # the bound does not end, so only the validation runs it here
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[arm A]\nprobs = 0.5 0.5\nepisodes_per_subject = 1e19\nsubjects = 1\n")
+    message = "arm 'A': expects 1e+19 episodes, above 1e+07"
+    with pytest.raises(InvalidScenario) as exc:
+        load_scenario(scenario)
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "validate", "--scenario", str(scenario), "--replicates", "2")
+    assert (code, out, err) == (2, "", f"adx: error: {message}\n")
+
+
 def test_compare_without_arms_on_a_one_arm_trial_is_a_configuration_error(capsys, tmp_path):
     subjects = write_csv(tmp_path / "subjects.csv", ["subject_id", "arm", "sex"],
                          [["S1", "A", "F"]])
@@ -518,9 +533,10 @@ def test_benefit_risk_without_arms_needs_two_arms_with_efficacy(capsys, efficacy
     (("arm", "endpoint_label", "value", "higher_is_better"),
      [["Arm1", "pfs", "nan", "true"], ["Arm2", "pfs", "3.5", "true"]],
      ":2: bad efficacy row: efficacy value must be finite"),
-    # a short row without a value
-    (("arm", "value"), [["Arm1"], ["Arm2", "3.5"]],
-     ":2: bad efficacy row: float() argument must be a string or a real number, not 'NoneType'"),
+    # short rows, without a value and without higher_is_better
+    (("arm", "value"), [["Arm1"], ["Arm2", "3.5"]], ":2: bad efficacy row: missing value"),
+    (("arm", "value", "higher_is_better"), [["Arm1", "5.3"], ["Arm2", "3.5", "true"]],
+     ":2: bad efficacy row: missing higher_is_better"),
 ])
 def test_benefit_risk_malformed_efficacy_is_input_error(capsys, efficacy_trial, header, rows, reason):
     files, write = efficacy_trial

@@ -2,6 +2,7 @@
 resampling loops, and the replicate helper on any number of workers."""
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -105,7 +106,15 @@ def _exits_quietly(r):
     return (float(r),)
 
 
-@pytest.mark.parametrize("fn", [_fails_from(250), _exits_quietly], ids=["raises", "short"])
+def _is_killed(r):
+    """A replicate function whose worker is killed by a signal."""
+    if r == 250:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return (float(r),)
+
+
+@pytest.mark.parametrize("fn", [_fails_from(250), _exits_quietly, _is_killed],
+                         ids=["raises", "short", "killed"])
 def test_a_failed_worker_raises_and_is_reaped(fn):
     # replicate 250 is in the last of three shares of 300
     with pytest.raises(RuntimeError, match="replicate worker .* failed"):

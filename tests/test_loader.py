@@ -210,22 +210,30 @@ def reference_load_exposure(path):
     return exposure
 
 
+def _efficacy_field(row, column):
+    """``row[column]``; an absent higher_is_better column reads true, and a
+    short row that lacks the field (``None``) is a bad row."""
+    raw = row.get(column, "true")
+    if raw is None:
+        raise ValueError(f"missing {column}")
+    return raw
+
+
 def reference_load_efficacy(path):
     out = {}
     with _csv_rows(path) as reader:
         _require_columns(reader.fieldnames, path, ["arm", "value"])
         for line_no, row in enumerate(reader, start=2):
             try:
-                arm = row["arm"].strip()
-                value = float(row["value"])
-                hib = row.get("higher_is_better", "true").strip().lower() in ("1", "true", "yes", "y")
+                arm = _efficacy_field(row, "arm").strip()
+                value = float(_efficacy_field(row, "value"))
+                hib = _efficacy_field(row, "higher_is_better").strip().lower() in (
+                    "1", "true", "yes", "y")
                 entry = EfficacyInput(
                     arm=arm, value=value, higher_is_better=hib,
                     label=(row.get("endpoint_label") or "").strip(),
                 )
-            # TypeError: a short row without a value used to escape as a
-            # traceback (float(None)); the reader reports it as a bad row
-            except (KeyError, ValueError, AttributeError, TypeError) as exc:
+            except ValueError as exc:
                 raise MalformedRow(path, line_no, f"bad efficacy row: {exc}")
             if arm in out:
                 raise MalformedRow(path, line_no, f"second efficacy row for arm {arm!r}")

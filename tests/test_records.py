@@ -93,6 +93,8 @@ def test_records_are_immutable(make):
     (lambda: _arm(episodes_per_subject=math.nan), InvalidScenario,
      "arm 'A': episode rate must be finite"),
     (lambda: _arm(onset_span=-1), InvalidScenario, "arm 'A': onset_span must be >= 0"),
+    (lambda: _arm(episodes_per_subject=1e19, n_subjects=1), InvalidScenario,
+     "arm 'A': expects 1e+19 episodes, above 1e+07"),
     (lambda: Scenario(arms=(_arm(),), seed=-1), InvalidScenario,
      "scenario seed must be >= 0, got -1"),
     (lambda: Scenario(arms=()), InvalidScenario, "scenario needs at least one arm"),

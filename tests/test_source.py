@@ -122,8 +122,7 @@ def _name(node) -> str:
 def test_files_are_written_by_path_only_through_the_writer():
     # ``report.atomic_write`` makes a new temporary file beside the target and
     # renames it into place. Nothing else opens a path to write, calls
-    # ``os.open``, ``Path.write_*`` or ``tempfile``; the ends of an
-    # ``os.pipe()`` are file descriptors, not paths
+    # ``os.open``, ``Path.write_*`` or ``tempfile``
     writes, writers = [], 0
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -133,11 +132,6 @@ def test_files_are_written_by_path_only_through_the_writer():
                     "report.py", "atomic_write"):
                 inside.update(ast.walk(node))
                 writers += 1
-        pipes = {name.id for node in ast.walk(tree)
-                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                 and _name(node.value.func) == "os.pipe"
-                 for target in node.targets for name in ast.walk(target)
-                 if isinstance(name, ast.Name)}
         for node in ast.walk(tree):
             if node in inside:
                 continue
@@ -156,9 +150,8 @@ def test_files_are_written_by_path_only_through_the_writer():
                 at = 1 if called in ("open", "io.open") else 0
                 mode = node.args[at] if len(node.args) > at else next(
                     (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
-                to_pipe = at and isinstance(node.args[0], ast.Name) and node.args[0].id in pipes
                 text = mode.value if isinstance(mode, ast.Constant) else "w"  # not known: a write
-                if set(str(text)) & set("wax+") and not to_pipe:
+                if set(str(text)) & set("wax+"):
                     writes.append((path.name, node.lineno, called))
     assert writers == 1, "report.atomic_write, the one writer, is missing"
     assert writes == [], "(module, line, call) of a file written outside report.atomic_write"
